@@ -29,6 +29,9 @@ from .hash_families import (
     KIND_POLYNOMIAL,
     HashFamilyDescriptor,
     Message,
+    chunk_hasher,
+    chunk_hashers,
+    message_space_size,
     validate_message,
 )
 from .protocol import (
@@ -173,36 +176,34 @@ def _symbol_width(fam: HashFamilyDescriptor) -> int:
     return (fam.q - 1).bit_length()
 
 
-def _payload_symbols(fam: HashFamilyDescriptor, x) -> list:
-    """(width, value) pairs for the raw data an honest prover keeps."""
+def _payload_symbols(fam: HashFamilyDescriptor, x, start=None) -> list:
+    """(width, value) pairs for the raw data an honest prover keeps: the
+    whole message, or with ``start`` its (already validated) chunk."""
     if fam.kind == KIND_POLYNOMIAL:
         width = _symbol_width(fam)
-        return [(width, sym) for sym in validate_message(fam, x)]
+        symbols = x if start is not None else validate_message(fam, x)
+        return [(width, sym) for sym in symbols]
     value = validate_message(fam, x)
-    space = 1
-    for p in fam.message_primes:
-        space *= p
-    return [((space - 1).bit_length(), value)]
+    return [((message_space_size(fam) - 1).bit_length(), value)]
 
 
 class _HonestStore(ProverStore):
-    def __init__(self, fam, x, stored):
-        super().__init__(fam, stored)
-        self._codeword = encode(fam, x)
+    def __init__(self, fam, x, start):
+        self._hash = chunk_hasher(fam, x, start)
+        super().__init__(fam, _payload_symbols(fam, x, start))
 
     def answer(self, beta, rng):
-        return self._codeword[beta - 1]
+        return self._hash(beta)
 
 
 class _PartialCodewordStore(ProverStore):
-    def __init__(self, fam, x, t):
-        codeword = encode(fam, x)
-        stored = [
-            ((fam.alphabet(i) - 1).bit_length(), codeword[i - 1])
-            for i in range(1, t + 1)
-        ]
-        super().__init__(fam, stored)
-        self._prefix = codeword[:t]
+    def __init__(self, fam, x, t, start):
+        hash_at = chunk_hasher(fam, x, start)
+        self._prefix = [hash_at(i) for i in range(1, t + 1)]
+        super().__init__(fam, [
+            ((fam.alphabet(i) - 1).bit_length(), value)
+            for i, value in enumerate(self._prefix, start=1)
+        ])
 
     def answer(self, beta, rng):
         if beta <= len(self._prefix):
@@ -211,7 +212,10 @@ class _PartialCodewordStore(ProverStore):
 
 
 class _PartialRawStore(ProverStore):
-    def __init__(self, fam, x, t):
+    def __init__(self, fam, x, t, start):
+        if start is not None:
+            # the prefix is taken from the zero-extended message
+            x = (0,) * start + tuple(x) + (0,) * (fam.k - start - len(x))
         symbols = validate_message(fam, x)
         width = _symbol_width(fam)
         super().__init__(fam, [(width, sym) for sym in symbols[:t]])
@@ -252,47 +256,43 @@ class _ZeroStore(ProverStore):
         return 0
 
 
-class _UnresponsiveStore(ProverStore):
-    def __init__(self, fam, x, stored, probability):
-        super().__init__(fam, stored)
-        self._codeword = encode(fam, x)
+class _UnresponsiveStore(_HonestStore):
+    def __init__(self, fam, x, start, probability):
+        super().__init__(fam, x, start)
         self._probability = probability
 
     def answer(self, beta, rng):
         if rng.random() < self._probability:
             return None
-        return self._codeword[beta - 1]
+        return self._hash(beta)
 
 
 def build_store(
     fam: HashFamilyDescriptor,
     x: Message,
     strategy: Strategy,
-    retained_payload=None,
+    start: Optional[int] = None,
 ) -> ProverStore:
     """Materialize a strategy into a store over message ``x``.
 
-    ``retained_payload`` overrides the raw symbols an honest (or
-    unresponsive) prover is charged with keeping — multi-prover engines pass
-    the prover's own chunk here when ``x`` is a zero-extended message.
+    With ``start``, ``x`` is one prover's chunk: the symbols
+    [start, start + len(x)) of a polynomial message that is zero elsewhere
+    (how the linear and rs-parity variants split the data).  An honest (or
+    unresponsive) prover is charged with keeping that chunk.  Stores answer
+    from the data they keep; none builds a whole codeword.
     """
     if isinstance(strategy, Colluding):
         raise UsageError("colluding is a multi-prover wrapper; expand it first")
     if not isinstance(strategy, Strategy):
         raise UsageError(f"not a strategy: {strategy!r}")
-    if retained_payload is None:
-        payload = _payload_symbols(fam, x)
-    else:
-        width = _symbol_width(fam)
-        payload = [(width, sym) for sym in retained_payload]
     if isinstance(strategy, Honest):
-        return _HonestStore(fam, x, payload)
+        return _HonestStore(fam, x, start)
     if isinstance(strategy, Unresponsive):
-        return _UnresponsiveStore(fam, x, payload, strategy.probability)
+        return _UnresponsiveStore(fam, x, start, strategy.probability)
     if isinstance(strategy, PartialCodeword):
         if strategy.t > fam.n:
             raise UsageError(f"t={strategy.t} exceeds the family size n={fam.n}")
-        return _PartialCodewordStore(fam, x, strategy.t)
+        return _PartialCodewordStore(fam, x, strategy.t, start)
     if isinstance(strategy, PartialRaw):
         if fam.kind != KIND_POLYNOMIAL:
             raise UnsupportedVariantError(
@@ -300,7 +300,7 @@ def build_store(
             )
         if strategy.t > fam.k:
             raise UsageError(f"t={strategy.t} exceeds the message length k={fam.k}")
-        return _PartialRawStore(fam, x, strategy.t)
+        return _PartialRawStore(fam, x, strategy.t, start)
     if isinstance(strategy, UniformGuesser):
         return _UniformStore(fam)
     if isinstance(strategy, ZeroAnswerer):
@@ -401,9 +401,11 @@ def run_experiment(
     """Replay ``trials`` independent audits of one strategy.
 
     Each trial draws a fresh challenge with the pinned trial-seed recipe,
-    builds the verifier digest from codewords precomputed once, collects the
-    answers, and runs the real verifier.  ``retained_bits`` totals the
-    stores across all provers.
+    builds the verifier digest from the expected values at that challenge
+    (computed from the data the first time the challenge is drawn in this
+    call, then reused), collects the answers, and runs the real verifier.
+    No codeword is built.  ``retained_bits`` totals the stores across all
+    provers.
     """
     if trials < 1:
         raise UsageError("at least one trial required")
@@ -419,12 +421,10 @@ def run_experiment(
         raise UsageError(f"unknown variant {variant!r}")
 
     fingerprint = family_fingerprint(fam)
+    budget = None
     if variant == VARIANT_SINGLE:
         stores = [build_store(fam, x, strategy)]
-        codeword = encode(fam, x)
-
-        def digest_for(beta):
-            return Digest(VARIANT_SINGLE, beta, (codeword[beta - 1],), fingerprint, family=fam)
+        hashers = [chunk_hasher(fam, x)]
 
         def verify(digest, answers):
             return single_verify(digest, answers[0])
@@ -433,12 +433,7 @@ def run_experiment(
         strategies = per_prover_strategies(provers, strategy)
         chunks = chunk_messages(fam, x, plan)
         stores = [build_store(fam, c, s) for c, s in zip(chunks, strategies)]
-        chunk_codewords = [encode(fam, c) for c in chunks]
-
-        def digest_for(beta):
-            gammas = tuple(cw[beta - 1] for cw in chunk_codewords)
-            return Digest(VARIANT_TRIVIAL, beta, gammas, fingerprint, family=fam)
-
+        hashers = [chunk_hasher(fam, c) for c in chunks]
         verify = multi_trivial_verify
 
     else:  # linear or rs-parity
@@ -452,47 +447,41 @@ def run_experiment(
             )
         strategies = per_prover_strategies(provers, strategy)
         symbols = validate_message(fam, x)
-        stores = []
-        part_codewords = []
-        for i, strat in enumerate(strategies, start=1):
-            extended = plan.zero_extended(symbols, i)
-            start, stop = plan.bounds(i)
-            stores.append(
-                build_store(fam, extended, strat, retained_payload=symbols[start:stop])
-            )
-            part_codewords.append(encode(fam, extended))
+        bounds = plan.all_bounds()
+        stores = [
+            build_store(fam, symbols[start:stop], strat, start=start)
+            for strat, (start, stop) in zip(strategies, bounds)
+        ]
         if variant == VARIANT_LINEAR:
-            full_codeword = encode(fam, symbols)
-
-            def digest_for(beta):
-                return Digest(
-                    VARIANT_LINEAR, beta, (full_codeword[beta - 1],), fingerprint,
-                    family=fam,
-                )
-
+            hashers = [chunk_hasher(fam, symbols)]
             verify = multi_linear_verify
         else:
             if r is None or e is None:
                 raise UsageError("the rs-parity variant needs r and e")
             code = SystematicRSCode(provers, provers + 2 * r + e, fam.q)
-
-            def digest_for(beta):
-                v = [cw[beta - 1] for cw in part_codewords]
-                gammas = rs_encode_systematic(code, v)[provers:]
-                return Digest(
-                    VARIANT_RS, beta, gammas, fingerprint, family=fam,
-                    parity_budget=(r, e),
-                )
-
+            hashers = chunk_hashers(fam, symbols, bounds)
+            budget = (r, e)
             verify = multi_rs_verify
 
+    def expected(beta):
+        gammas = tuple(hash_at(beta) for hash_at in hashers)
+        if budget is not None:
+            gammas = rs_encode_systematic(code, gammas)[provers:]
+        return gammas
+
+    # Expected values are computed the first time a challenge is drawn, so a
+    # call costs one evaluation per distinct challenge, never a codeword.
+    memo = {}
     passes = undecidable = 0
     accused_counts = [0] * provers
     n = fam.n
     for index in range(trials):
         rng = random.Random(trial_seed(master_seed, index))
         beta = rng.randrange(n) + 1
-        digest = digest_for(beta)
+        gammas = memo.get(beta)
+        if gammas is None:
+            gammas = memo[beta] = expected(beta)
+        digest = Digest(variant, beta, gammas, fingerprint, family=fam, parity_budget=budget)
         answers = tuple(store.answer(beta, rng) for store in stores)
         verdict = verify(digest, answers)
         if verdict.accepted:

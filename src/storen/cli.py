@@ -237,26 +237,31 @@ def cmd_audit(args) -> int:
     return _EXIT_BY_OUTCOME[verdict.outcome]
 
 
-def cmd_serve(args) -> int:
-    fam = _load_family(args.family)
+def _serve_answerer(args, fam):
+    """Answer function over this prover's share of the data file.  The whole
+    file is read and range-checked; only the prover's chunk (and, for linear
+    and rs-parity, its offset) outlives this call."""
     raw = Path(args.data).read_bytes()
     if args.variant == "single":
-        answer = honest_answerer(fam, _read_message_file(fam, raw))
-    elif args.variant == "trivial":
-        chunks = _require(args.chunks, "chunks")
-        index = _require(args.chunk_index, "chunk-index")
+        return honest_answerer(fam, _read_message_file(fam, raw))
+    chunks = _require(args.chunks, "chunks")
+    index = _require(args.chunk_index, "chunk-index")
+    if args.variant == "trivial":
         whole = _read_chunked_file(fam, raw, chunks)
         plan = ChunkPlan(chunks, chunks * fam.k if fam.kind == KIND_POLYNOMIAL else chunks)
-        answer = honest_answerer(fam, chunk_messages(fam, whole, plan)[index - 1])
-    else:
-        chunks = _require(args.chunks, "chunks")
-        index = _require(args.chunk_index, "chunk-index")
-        plan = ChunkPlan(chunks, fam.k)
-        x = _read_message_file(fam, raw)
-        answer = honest_answerer(fam, plan.zero_extended(x, index))
+        return honest_answerer(fam, chunk_messages(fam, whole, plan)[index - 1])
+    if fam.kind != KIND_POLYNOMIAL:
+        raise UsageError(f"the {args.variant} variant needs the polynomial kind")
+    start, stop = ChunkPlan(chunks, fam.k).bounds(index)
+    x = _read_message_file(fam, raw)
+    return honest_answerer(fam, x[start:stop], start)
+
+
+def cmd_serve(args) -> int:
+    fam = _load_family(args.family)
     server = ProverServer(
         fam,
-        answer,
+        _serve_answerer(args, fam),
         host=args.host,
         port=args.port,
         silent=args.silent,

@@ -20,7 +20,8 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .algebra import (
     DIGIT_BASE,
@@ -84,6 +85,17 @@ class HashFamilyDescriptor:
         if self.kind != KIND_KARP_RABIN:
             raise UsageError("message_primes applies to karp-rabin only")
         return self.primes[: self.k]
+
+    @cached_property
+    def message_space(self) -> int:
+        """Number of messages: q**k, or the product of the k message primes.
+
+        Computed once per descriptor; at k = 50 000 the product of the
+        message primes takes about a second.
+        """
+        if self.kind == KIND_POLYNOMIAL:
+            return self.q**self.k
+        return math.prod(self.message_primes)
 
     @property
     def epsilon_actual(self) -> Fraction:
@@ -151,9 +163,25 @@ def _check_index(fam: HashFamilyDescriptor, i: int) -> None:
 
 
 def message_space_size(fam: HashFamilyDescriptor) -> int:
-    if fam.kind == KIND_POLYNOMIAL:
-        return fam.q**fam.k
-    return math.prod(fam.message_primes)
+    return fam.message_space
+
+
+def _check_symbols(fam: HashFamilyDescriptor, x) -> tuple[int, ...]:
+    """Range-check polynomial symbols (ints or FieldElements over q)."""
+    if isinstance(x, int):
+        raise UsageError("polynomial messages are symbol sequences")
+    symbols = []
+    for sym in x:
+        if isinstance(sym, FieldElement):
+            if sym.modulus.p != fam.q:
+                raise UsageError(
+                    f"symbol modulus {sym.modulus.p} does not match q={fam.q}"
+                )
+            sym = sym.value
+        if not isinstance(sym, int) or not 0 <= sym < fam.q:
+            raise UsageError(f"symbol {sym!r} outside [0, {fam.q})")
+        symbols.append(sym)
+    return tuple(symbols)
 
 
 def validate_message(fam: HashFamilyDescriptor, x: Message):
@@ -164,22 +192,10 @@ def validate_message(fam: HashFamilyDescriptor, x: Message):
     of the k message primes, returned as an int.
     """
     if fam.kind == KIND_POLYNOMIAL:
-        if isinstance(x, int):
-            raise UsageError("polynomial messages are symbol sequences")
-        symbols = []
-        for sym in x:
-            if isinstance(sym, FieldElement):
-                if sym.modulus.p != fam.q:
-                    raise UsageError(
-                        f"symbol modulus {sym.modulus.p} does not match q={fam.q}"
-                    )
-                sym = sym.value
-            if not isinstance(sym, int) or not 0 <= sym < fam.q:
-                raise UsageError(f"symbol {sym!r} outside [0, {fam.q})")
-            symbols.append(sym)
+        symbols = _check_symbols(fam, x)
         if len(symbols) != fam.k:
             raise UsageError(f"message must have {fam.k} symbols, got {len(symbols)}")
-        return tuple(symbols)
+        return symbols
     if not isinstance(x, int):
         raise UsageError("karp-rabin messages are naturals")
     bound = message_space_size(fam)
@@ -203,6 +219,59 @@ def hash_all(fam: HashFamilyDescriptor, x: Message) -> tuple[int, ...]:
     if fam.kind == KIND_POLYNOMIAL:
         return tuple(poly_eval_mod(x, point, fam.q) for point in range(fam.n))
     return tuple(x % p for p in fam.primes)
+
+
+def _offset_hasher(chunk: tuple[int, ...], start: int, q: int) -> Callable[[int], int]:
+    """Unchecked h_beta of a message holding ``chunk`` at symbols
+    [start, start + len(chunk)) and zeros elsewhere: with t = beta - 1 the
+    zeros below ``start`` shift the chunk's polynomial by t**start."""
+
+    def hash_at(beta: int) -> int:
+        point = beta - 1
+        return pow(point, start, q) * poly_eval_mod(chunk, point, q) % q
+
+    return hash_at
+
+
+def chunk_hasher(
+    fam: HashFamilyDescriptor, x, start: int | None = None
+) -> Callable[[int], int]:
+    """The function beta -> h_beta of one prover's data, validated once.
+
+    With ``start`` None, ``x`` is a whole message, checked as
+    :func:`validate_message` checks it.  With ``start`` given (polynomial
+    kind only), ``x`` is a chunk: the symbols [start, start + len(x)) of a
+    k-symbol message that is zero elsewhere.  Each answer then costs one
+    Horner pass over ``x``, never a codeword.  The returned function does
+    not check beta; callers pass 1 <= beta <= n.
+    """
+    if start is None:
+        x = validate_message(fam, x)
+        if fam.kind != KIND_POLYNOMIAL:
+            primes = fam.primes
+            return lambda beta: x % primes[beta - 1]
+        return _offset_hasher(x, 0, fam.q)
+    if fam.kind != KIND_POLYNOMIAL:
+        raise UsageError("symbol offsets apply to the polynomial kind only")
+    chunk = _check_symbols(fam, x)
+    if not isinstance(start, int) or not 0 <= start <= fam.k - len(chunk):
+        raise UsageError(
+            f"a chunk of {len(chunk)} symbols at offset {start} does not fit "
+            f"a {fam.k}-symbol message"
+        )
+    return _offset_hasher(chunk, start, fam.q)
+
+
+def chunk_hashers(
+    fam: HashFamilyDescriptor, x: Message, bounds: Iterable[tuple[int, int]]
+) -> list:
+    """One :func:`chunk_hasher` per half-open symbol range of the whole
+    polynomial message ``x``, each for ``x`` zeroed outside its range.
+    ``x`` is validated once, not once per range."""
+    if fam.kind != KIND_POLYNOMIAL:
+        raise UsageError("symbol ranges apply to the polynomial kind only")
+    symbols = validate_message(fam, x)
+    return [_offset_hasher(symbols[start:stop], start, fam.q) for start, stop in bounds]
 
 
 def _max_stream_digits(fam: HashFamilyDescriptor) -> int:

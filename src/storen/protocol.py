@@ -42,6 +42,7 @@ from .hash_families import (
     KIND_POLYNOMIAL,
     HashFamilyDescriptor,
     Message,
+    chunk_hashers,
     family_fingerprint,
     hash_eval,
     validate_message,
@@ -126,13 +127,14 @@ class ChunkPlan:
         start = (index - 1) * self.chunk_len
         return start, start + self.chunk_len
 
+    def all_bounds(self) -> list:
+        """:meth:`bounds` of every chunk, in prover order."""
+        return [self.bounds(i) for i in range(1, self.provers + 1)]
+
     def split(self, symbols: Sequence[int]) -> list:
         if len(symbols) != self.symbols:
             raise UsageError(f"expected {self.symbols} symbols, got {len(symbols)}")
-        return [
-            tuple(symbols[start:stop])
-            for start, stop in (self.bounds(i) for i in range(1, self.provers + 1))
-        ]
+        return [tuple(symbols[start:stop]) for start, stop in self.all_bounds()]
 
     def zero_extended(self, symbols: Sequence[int], index: int) -> tuple:
         """Chunk ``index`` kept in place, all other positions zeroed."""
@@ -389,13 +391,10 @@ def multi_rs_preprocess(
             f"s + 2r + e = {block_len} exceeds the field size {fam.q}; "
             f"choose a larger field or a smaller budget"
         )
+    hashers = chunk_hashers(fam, x, plan.all_bounds())
     beta = _draw_challenge(fam, rng_seed)
-    chunk_hashes = [
-        hash_eval(fam, plan.zero_extended(x, i), beta)
-        for i in range(1, plan.provers + 1)
-    ]
     code = SystematicRSCode(plan.provers, block_len, fam.q)
-    codeword = rs_encode_systematic(code, chunk_hashes)
+    codeword = rs_encode_systematic(code, [hash_at(beta) for hash_at in hashers])
     gammas = codeword[plan.provers:]
     return Digest(
         VARIANT_RS,

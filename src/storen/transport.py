@@ -18,11 +18,12 @@ the server answers RESPONSE or NO_RESPONSE and the connection is done.
 Error codes: 1 fingerprint mismatch, 2 unexpected frame, 3 malformed
 frame, 4 unsupported version.
 
-Operational faults — connection refused, timeout, a clean close at a frame
-boundary — count as *erasures*: the prover is treated as silent.  Protocol
-violations (ERROR frames, garbage, out-of-alphabet answers, handshake
-mismatches) raise :class:`ProtocolError` instead: they are evidence of a
-broken or hostile peer, not of missing data.
+Operational faults — any ``OSError`` from connect, send or receive
+(refused, reset, timeout, unreachable host, failed name lookup) and a clean
+close at a frame boundary — count as *erasures*: the prover is treated as
+silent.  Protocol violations (ERROR frames, garbage, out-of-alphabet
+answers, handshake mismatches) raise :class:`ProtocolError` instead: they
+are evidence of a broken or hostile peer, not of missing data.
 
 A challenge digest is spent the moment it is sent: the module keeps a
 per-process registry of consumed digests and refuses to audit with the
@@ -41,9 +42,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
 
-from .codes import encode
 from .errors import ProtocolError, UsageError
-from .hash_families import HashFamilyDescriptor, Message, family_fingerprint
+from .hash_families import HashFamilyDescriptor, Message, chunk_hasher, family_fingerprint
 from .protocol import (
     VARIANT_LINEAR,
     VARIANT_RS,
@@ -132,14 +132,15 @@ def _timeout_seconds(timeout_ms: Optional[int]) -> float:
 # --- prover side -------------------------------------------------------------
 
 
-def honest_answerer(fam: HashFamilyDescriptor, x: Message) -> Callable[[int], int]:
-    """Answer function of a prover that keeps all of ``x``."""
-    codeword = encode(fam, x)
-
-    def answer(beta: int) -> int:
-        return codeword[beta - 1]
-
-    return answer
+def honest_answerer(
+    fam: HashFamilyDescriptor, x: Message, start: Optional[int] = None
+) -> Callable[[int], int]:
+    """Answer function of a prover that keeps all of ``x``: a whole message,
+    or with ``start`` the chunk at symbols [start, start + len(x)) of a
+    polynomial message that is zero elsewhere.  Each challenge is answered
+    from ``x`` itself (:func:`~storen.hash_families.chunk_hasher`), so
+    start-up and memory do not depend on the family size n."""
+    return chunk_hasher(fam, x, start)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -329,7 +330,7 @@ def query_prover(
                     f"prover refused: {_ERR_NAMES.get(code, f'code {code}')}"
                 )
             raise ProtocolError(f"unexpected frame type {frame:#04x}")
-    except (TimeoutError, ConnectionError):
+    except OSError:
         return None
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import storen.codes
+import storen.hash_families
 from storen.adversary import (
     Colluding,
     Honest,
@@ -22,7 +24,8 @@ from storen.adversary import (
 from storen.codes import encode
 from storen.errors import UnsupportedVariantError, UsageError
 from storen.hash_families import hash_eval, karp_rabin_family, polynomial_family
-from storen.protocol import ChunkPlan, Digest, single_verify
+from storen.protocol import ChunkPlan, Digest, multi_rs_preprocess, single_verify
+from storen.transport import honest_answerer
 from storen.hash_families import family_fingerprint
 
 from _oracles import wilson_free_halfwidth
@@ -268,3 +271,30 @@ def test_sweep_is_deterministic_and_ordered():
     assert [r.strategy_label for r in reports] == ["Honest()", "ZeroAnswerer()"]
     assert reports[0].passes == 100
     assert reports == sweep(FAM, X, [Honest(), ZeroAnswerer()], trials=100, master_seed=7)
+
+
+def test_serving_and_experiments_build_no_codeword(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole codeword was built")
+
+    monkeypatch.setattr(storen.hash_families, "hash_all", refuse)
+    monkeypatch.setattr(storen.codes, "hash_all", refuse)
+    fam = polynomial_family(k=6, n=11, q=11)
+    x = (3, 0, 7, 10, 1, 5)
+    plan = ChunkPlan(3, 6)
+    assert honest_answerer(fam, x)(4) == hash_eval(fam, x, 4)
+    assert honest_answerer(fam, x[2:4], 2)(4) == hash_eval(fam, plan.zero_extended(x, 2), 4)
+    digest = multi_rs_preprocess(fam, x, plan, r=1, e=1, rng_seed=5)
+    assert len(digest.gammas) == 3
+
+    report = run_experiment(fam, x, PartialCodeword(5), trials=200, master_seed=1)
+    assert report.analytic_rate == Fraction(5, 11) + Fraction(6, 11) / 11
+    report = run_experiment(
+        fam, x, [Honest(), ZeroAnswerer(), Unresponsive(0.5)], trials=200,
+        master_seed=2, variant="rs-parity", plan=plan, r=1, e=1,
+    )
+    # the zero answerer is caught whenever its chunk hash is nonzero, and
+    # nobody honest is ever blamed
+    assert report.undecidable == 0 and report.accused_counts[0] == 0
+    assert report.accused_counts[1] + report.passes == 200
+    assert report.accused_counts[1] > 0 and report.accused_counts[2] == 0

@@ -1,13 +1,16 @@
 import csv
 import io
+import os
 import socket
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import storen
 from storen.adversary import ZeroAnswerer, run_experiment
 from storen.cli import main, synthesize_message
 from storen.hash_families import (
@@ -253,6 +256,42 @@ def test_serve_cli_linear_two_provers(tmp_path, capsys):
     assert "outcome: accepted" in capsys.readouterr().out
 
 
+def test_serve_cli_rs_parity_three_provers(tmp_path, capsys):
+    fam = polynomial_family(k=6, n=11, q=11)
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(fam))
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes([3, 0, 7, 10, 1, 5]))
+    digest_file = tmp_path / "digest.bin"
+    assert main([
+        "preprocess", "--family", str(fam_file), "--variant", "rs-parity",
+        "--provers", "3", "--r", "1", "--e", "1", "--data", str(data),
+        "--seed", "2", "--out", str(digest_file),
+    ]) == 0
+    ports = [free_port() for _ in range(3)]
+    threads = []
+    for i, port in enumerate(ports, start=1):
+        threads.append(threading.Thread(target=main, args=([
+            "serve", "--family", str(fam_file), "--data", str(data),
+            "--variant", "rs-parity", "--chunks", "3", "--chunk-index", str(i),
+            "--port", str(port), "--max-sessions", "1",
+        ],), daemon=True))
+        threads[-1].start()
+    for port in ports:
+        wait_for_server(port)
+    code = main([
+        "audit", "--digest", str(digest_file), "--family", str(fam_file),
+        "--r", "1", "--e", "1",
+    ] + [arg for port in ports for arg in ("--prover", f"127.0.0.1:{port}")])
+    for t in threads:
+        t.join(timeout=5)
+        assert not t.is_alive()
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "outcome: accepted" in out
+    assert "accused" not in out and "erased" not in out
+
+
 def test_preprocess_trivial_and_rs(tmp_path, capsys):
     fam_file = tmp_path / "family.desc"
     fam_file.write_bytes(descriptor_to_bytes(polynomial_family(k=1, n=5, q=5)))
@@ -327,10 +366,14 @@ def test_certify_sabotage_fails(capsys):
 
 
 def test_module_entrypoint_smoke():
+    # the child imports the same storen as this process, installed or not
+    src = str(Path(storen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "storen", "derive", "--kind", "polynomial",
          "--data-symbols", "2", "--epsilon", "4/5"],
         capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "challenges: 4" in proc.stdout

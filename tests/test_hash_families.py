@@ -9,6 +9,8 @@ from storen.errors import CapacityError, UsageError
 from storen.hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
+    chunk_hasher,
+    chunk_hashers,
     derive_family,
     descriptor_from_bytes,
     descriptor_to_bytes,
@@ -23,6 +25,7 @@ from storen.hash_families import (
     polynomial_family,
     validate_message,
 )
+from storen.protocol import ChunkPlan
 
 from _oracles import crt_reconstruct, naive_poly_eval
 
@@ -251,3 +254,51 @@ def test_symbol_and_challenge_bit_widths():
     assert big.challenge_bits == 10  # ceil(log2 1024)
     kr = karp_rabin_family(k=2, n=4)
     assert kr.symbol_bits == 3  # widest alphabet is p_4 = 7
+
+
+def test_chunk_hasher_equals_hash_of_zero_extended_chunk():
+    fam = polynomial_family(k=6, n=11, q=11)
+    x = (3, 0, 7, 10, 1, 5)
+    plan = ChunkPlan(3, 6)
+    whole = chunk_hasher(fam, x)
+    together = chunk_hashers(fam, x, plan.all_bounds())
+    for i in range(1, 4):
+        start, stop = plan.bounds(i)
+        alone = chunk_hasher(fam, x[start:stop], start)
+        extended = plan.zero_extended(x, i)
+        for beta in range(1, fam.n + 1):  # beta = 1 is the point 0
+            expected = hash_eval(fam, extended, beta)
+            assert alone(beta) == together[i - 1](beta) == expected
+    assert [whole(b) for b in range(1, 12)] == list(hash_all(fam, x))
+
+    kr = karp_rabin_family(k=3, n=6)
+    for value in (0, 17, message_space_size(kr) - 1):
+        hash_at = chunk_hasher(kr, value)
+        assert [hash_at(b) for b in range(1, 7)] == list(hash_all(kr, value))
+
+
+def test_chunk_hasher_validates_once_up_front():
+    fam = polynomial_family(k=4, n=5, q=5)
+    with pytest.raises(UsageError):
+        chunk_hasher(fam, (1, 2, 3))  # a whole message needs k symbols
+    with pytest.raises(UsageError):
+        chunk_hasher(fam, (1, 5), 0)  # symbol outside the field
+    with pytest.raises(UsageError):
+        chunk_hasher(fam, (1, 2), 3)  # runs past symbol k
+    with pytest.raises(UsageError):
+        chunk_hasher(fam, (1,), -1)
+    with pytest.raises(UsageError):
+        chunk_hasher(karp_rabin_family(k=2, n=4), 4, 0)
+    with pytest.raises(UsageError):
+        chunk_hashers(karp_rabin_family(k=2, n=4), 4, [(0, 1)])
+
+
+def test_message_space_is_computed_once_per_descriptor():
+    kr = karp_rabin_family(k=3, n=6)
+    assert "message_space" not in vars(kr)
+    validate_message(kr, 5)
+    assert vars(kr)["message_space"] == 2 * 3 * 5 == message_space_size(kr)
+    # the cached bound is not part of the descriptor's identity
+    fresh = karp_rabin_family(k=3, n=6)
+    assert kr == fresh and hash(kr) == hash(fresh)
+    assert descriptor_to_bytes(kr) == descriptor_to_bytes(fresh)

@@ -1,3 +1,4 @@
+import errno
 import socket
 import struct
 import time
@@ -119,6 +120,30 @@ def test_unreachable_prover_is_an_erasure():
         unused = probe.getsockname()
     verdict = run_verifier_client(digest, [unused], timeout_ms=500)
     assert verdict.erased == frozenset({1})
+
+
+def test_network_faults_are_erasures(monkeypatch):
+    plan = ChunkPlan(2, 2)
+    digest = multi_rs_preprocess(FAM, X, plan, r=0, e=1, rng_seed=6)
+    unroutable = ("192.0.2.1", 9)
+    connect = socket.create_connection
+
+    def create_connection(address, *args, **kwargs):
+        if address == unroutable:
+            raise OSError(errno.EHOSTUNREACH, "No route to host")
+        return connect(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    assert query_prover(unroutable, 1, family_fingerprint(FAM)) is None
+    with ProverServer(FAM, honest_answerer(FAM, X[1:], 1)) as s2:
+        verdict = run_verifier_client(digest, [unroutable, s2.address])
+    assert (verdict.outcome, verdict.erased) == ("accepted", frozenset({1}))
+
+    def unresolvable(address, *args, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socket, "create_connection", unresolvable)
+    assert query_prover(("no-such-host.invalid", 9), 1, family_fingerprint(FAM)) is None
 
 
 def test_fingerprint_mismatch_raises():
