@@ -311,6 +311,18 @@ def build_store(
 # --- analytics --------------------------------------------------------------
 
 
+def _guess_mass(fam: HashFamilyDescriptor, t: int) -> Fraction:
+    """Sum of 1/|alphabet| over the challenges t+1..n, which a prover can
+    only guess uniformly: (n - t)/q for the polynomial kind, whose
+    alphabets are all q."""
+    if fam.kind == KIND_POLYNOMIAL:
+        return Fraction(fam.n - t, fam.q)
+    return sum(
+        (Fraction(1, fam.alphabet(i)) for i in range(t + 1, fam.n + 1)),
+        Fraction(0),
+    )
+
+
 def analytic_pass_rate(
     fam: HashFamilyDescriptor,
     x: Message,
@@ -336,21 +348,14 @@ def analytic_pass_rate(
         return Fraction(1)
     if isinstance(strategy, PartialCodeword):
         t = min(strategy.t, n)
-        hit = Fraction(t, n)
-        guess = sum(
-            (Fraction(1, fam.alphabet(i)) for i in range(t + 1, n + 1)),
-            Fraction(0),
-        )
-        return hit + guess / n
+        return Fraction(t, n) + _guess_mass(fam, t) / n
     if isinstance(strategy, PartialRaw):
         if strategy.t == fam.k:
             return Fraction(1)
         determined = 1 if strategy.t >= 1 else 0
         return Fraction(determined, n) + Fraction(n - determined, n) / fam.q
     if isinstance(strategy, UniformGuesser):
-        return sum(
-            (Fraction(1, fam.alphabet(i)) for i in range(1, n + 1)), Fraction(0)
-        ) / n
+        return _guess_mass(fam, 0) / n
     if isinstance(strategy, ZeroAnswerer):
         zeros = sum(1 for value in encode(fam, x) if value == 0)
         return Fraction(zeros, n)

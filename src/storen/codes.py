@@ -6,14 +6,22 @@ certifies such codes exhaustively at toy sizes (distance, Johnson-radius
 list sizes) and provides a small systematic Reed-Solomon codec whose
 decoder corrects r errors and e erasures whenever 2r + e fits the
 redundancy, reporting the exact error positions.
+
+The codec is a set of linear maps kept per code shape: encoding multiplies
+the message by a parity matrix, O(m * (l - m)) for m message and l block
+symbols.  Decoding returns a clean word after one re-encoding and
+otherwise runs Gao's algorithm (S. Gao, "A new algorithm for decoding
+Reed-Solomon codes", 2003) in O(l**2).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
-from .algebra import is_prime, poly_eval_mod
+from .algebra import is_prime
 from .errors import CapacityError, UsageError
 from .hash_families import (
     HashFamilyDescriptor,
@@ -29,6 +37,10 @@ ReceivedWord = Sequence[Optional[int]]
 
 _DISTANCE_CAP_MESSAGES = 2048
 _LIST_DECODE_CAP_MESSAGES = 10**6
+
+# Reed-Solomon tables kept: code shapes, and erasure patterns per decoder.
+_CACHED_SHAPES = 64
+_CACHED_PATTERNS = 256
 
 
 def encode(fam: HashFamilyDescriptor, x) -> tuple[int, ...]:
@@ -117,7 +129,8 @@ class SystematicRSCode:
     """Reed-Solomon code over F_q evaluated at the points 0..block_len-1.
 
     Encoding is systematic: the first message_len codeword symbols are the
-    message itself.
+    message itself.  The shape is validated once per (message_len,
+    block_len, q), together with building its encoding tables.
     """
 
     message_len: int
@@ -125,91 +138,100 @@ class SystematicRSCode:
     q: int
 
     def __post_init__(self):
-        if not 1 <= self.message_len <= self.block_len:
-            raise UsageError(
-                f"need 1 <= message_len <= block_len, got {self.message_len},"
-                f" {self.block_len}"
-            )
-        if not is_prime(self.q):
-            raise UsageError(f"q must be prime, got {self.q}")
-        if self.block_len > self.q:
-            raise UsageError(
-                f"block length {self.block_len} exceeds field size {self.q}"
-            )
+        _code_tables(self.message_len, self.block_len, self.q)
 
 
-def _interpolate(points: Sequence[int], values: Sequence[int], q: int) -> list[int]:
-    """Ascending coefficients of the unique degree-<len(points) interpolant."""
-    coeffs = [0] * len(points)
-    for j, (xj, yj) in enumerate(zip(points, values)):
-        # numerator polynomial prod_{i != j} (X - x_i), built incrementally
-        basis = [1]
-        denom = 1
-        for i, xi in enumerate(points):
-            if i == j:
-                continue
-            basis = [
-                (basis[t - 1] if t else 0) - xi * (basis[t] if t < len(basis) else 0)
-                for t in range(len(basis) + 1)
-            ]
-            basis = [c % q for c in basis]
-            denom = denom * (xj - xi) % q
-        scale = yj * pow(denom, -1, q) % q
-        for t, c in enumerate(basis):
-            coeffs[t] = (coeffs[t] + scale * c) % q
-    return coeffs
+@lru_cache(maxsize=_CACHED_SHAPES)
+def _code_tables(m: int, ell: int, q: int):
+    """Validate a code shape; return its parity matrix and power rows.
+
+    Parity row j holds L_i(m + j) for the Lagrange basis L_0..L_{m-1} on the
+    points 0..m-1, so the parity symbols of a message v are the row-by-v
+    products.  Power row a holds a**0..a**(m-1), so the codeword of a
+    polynomial of degree below m is the row-by-coefficient products.
+    """
+    if not 1 <= m <= ell:
+        raise UsageError(f"need 1 <= message_len <= block_len, got {m}, {ell}")
+    if not is_prime(q):
+        raise UsageError(f"q must be prime, got {q}")
+    if ell > q:
+        raise UsageError(f"block length {ell} exceeds field size {q}")
+    # L_i(a) = prod_{j < m} (a - j) / (a - i) / prod_{j != i} (i - j), whose
+    # last factor is (-1)**(m-1-i) * i! * (m-1-i)!.  Every difference lies in
+    # 1..ell-1, so one table of inverses serves all entries.
+    inv = [0] + [pow(d, -1, q) for d in range(1, ell)]
+    inv_fact = [1]
+    for d in range(1, m):
+        inv_fact.append(inv_fact[-1] * inv[d] % q)
+    inv_den = [(-1) ** (m - 1 - i) * inv_fact[i] * inv_fact[m - 1 - i] for i in range(m)]
+    parity = []
+    for a in range(m, ell):
+        full = 1
+        for j in range(m):
+            full = full * (a - j) % q
+        parity.append(tuple(full * inv[a - i] * inv_den[i] % q for i in range(m)))
+    powers = []
+    for a in range(ell):
+        row = [1] * m
+        for t in range(1, m):
+            row[t] = row[t - 1] * a % q
+        powers.append(tuple(row))
+    return tuple(parity), tuple(powers)
 
 
 def rs_encode_systematic(code: SystematicRSCode, v: Sequence[int]) -> tuple[int, ...]:
+    """Codeword of message v: v itself, then its parities, O(m * (l - m))."""
+    q = code.q
     if len(v) != code.message_len:
         raise UsageError(f"message must have {code.message_len} symbols, got {len(v)}")
     for sym in v:
-        if not isinstance(sym, int) or not 0 <= sym < code.q:
-            raise UsageError(f"symbol {sym!r} outside [0, {code.q})")
-    poly = _interpolate(range(code.message_len), v, code.q)
-    return tuple(poly_eval_mod(poly, a, code.q) for a in range(code.block_len))
+        if not isinstance(sym, int) or not 0 <= sym < q:
+            raise UsageError(f"symbol {sym!r} outside [0, {q})")
+    v = tuple(v)
+    parity, _ = _code_tables(code.message_len, code.block_len, q)
+    return v + tuple(sum(map(mul, row, v)) % q for row in parity)
 
 
-def _kernel_vector(rows: list[list[int]], ncols: int, q: int) -> list[int] | None:
-    """A nonzero vector in the null space of the row list, or None."""
-    matrix = [row[:] for row in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = pow(matrix[r][c], -1, q)
-        matrix[r] = [x * inv % q for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c]:
-                f = matrix[i][c]
-                matrix[i] = [(a - f * b) % q for a, b in zip(matrix[i], matrix[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free = next((c for c in range(ncols) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    sol = [0] * ncols
-    sol[free] = 1
-    for i, c in enumerate(pivot_cols):
-        sol[c] = -matrix[i][free] % q
-    return sol
+@lru_cache(maxsize=_CACHED_PATTERNS)
+def _interpolation_tables(points: tuple[int, ...], q: int):
+    """prod (X - a) over the points, and the Lagrange basis by coefficient.
+
+    Column t holds the X**t coefficients of the basis polynomials, so the
+    interpolant of values y has coefficient t equal to column t times y.
+    """
+    vanishing = [1]
+    for a in points:
+        vanishing = [(lo - a * hi) % q for lo, hi in zip([0] + vanishing, vanishing + [0])]
+    basis = []
+    for a in points:
+        # vanishing / (X - a) by synthetic division, scaled to 1 at a
+        quot = [0] * len(points)
+        carry = 0
+        for t in range(len(points), 0, -1):
+            carry = quot[t - 1] = (vanishing[t] + a * carry) % q
+        at_a = 1
+        for b in points:
+            if b != a:
+                at_a = at_a * (a - b) % q
+        scale = pow(at_a, -1, q)
+        basis.append([c * scale % q for c in quot])
+    return tuple(vanishing), tuple(zip(*basis))
 
 
-def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int]]:
+def _trim(poly: list[int]) -> list[int]:
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _poly_divmod(
+    num: Sequence[int], den: Sequence[int], q: int
+) -> tuple[list[int], list[int]]:
     """Quotient and remainder of ascending-coefficient polynomials mod q."""
-    den = den[:]
-    while den and den[-1] == 0:
-        den.pop()
+    den = _trim(list(den))
     if not den:
         raise UsageError("division by the zero polynomial")
-    rem = [c % q for c in num]
-    while rem and rem[-1] == 0:
-        rem.pop()
+    rem = _trim([c % q for c in num])
     if len(rem) < len(den):
         return [], rem
     quot = [0] * (len(rem) - len(den) + 1)
@@ -221,9 +243,7 @@ def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], lis
             off = d - len(den) + 1
             for t, c in enumerate(den):
                 rem[off + t] = (rem[off + t] - factor * c) % q
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+    return quot, _trim(rem)
 
 
 def rs_decode_errors_erasures(
@@ -233,9 +253,16 @@ def rs_decode_errors_erasures(
 
     Returns (message, error_positions) when some codeword sits within the
     budget 2*errors + erasures <= block_len - message_len of z (that
-    codeword is then unique), and None when none does.  Berlekamp-Welch:
-    solve for Q = P*E and an error locator E on the non-erased coordinates,
-    then divide; O(block_len**3) via Gaussian elimination.
+    codeword is then unique), and None when none does.
+
+    A word with no erasures whose parities match its re-encoded message is
+    returned at once with no errors, at the cost of one encoding.  Any other
+    word goes to Gao's decoder on the code punctured to the N non-erased
+    positions: interpolate the received values, run the extended Euclidean
+    algorithm on that interpolant and prod (X - a) until the remainder's
+    degree drops below (N + message_len) / 2, then divide the remainder by
+    its cofactor.  That is O(block_len**2); the interpolation tables are
+    kept for the most recent erasure patterns.
     """
     ell, m, q = code.block_len, code.message_len, code.q
     if len(z) != ell:
@@ -246,38 +273,33 @@ def rs_decode_errors_erasures(
             continue
         if not isinstance(sym, int) or not 0 <= sym < q:
             raise UsageError(f"symbol {sym!r} at position {a + 1} out of range")
-        known.append((a, sym))
-    erasures = ell - len(known)
-    budget = ell - m
-    if erasures > budget:
+        known.append(a)
+    parity, powers = _code_tables(m, ell, q)
+    if len(known) == ell:
+        message = tuple(z[:m])
+        if all(sum(map(mul, row, message)) % q == sym for row, sym in zip(parity, z[m:])):
+            return message, frozenset()
+    n_known = len(known)
+    if n_known < m:
         return None
-    r_max = (budget - erasures) // 2
-    q_len = m + r_max  # coefficients of Q, deg Q <= m + r_max - 1
-    e_len = r_max + 1  # coefficients of E, deg E <= r_max
-    rows = []
-    for a, sym in known:
-        pows = [1] * (max(q_len, e_len))
-        for t in range(1, len(pows)):
-            pows[t] = pows[t - 1] * a % q
-        rows.append(
-            [pows[t] for t in range(q_len)]
-            + [-sym * pows[t] % q for t in range(e_len)]
-        )
-    sol = _kernel_vector(rows, q_len + e_len, q)
-    if sol is None:
+    vanishing, columns = _interpolation_tables(tuple(known), q)
+    values = [z[a] for a in known]
+    r0, r1 = vanishing, _trim([sum(map(mul, col, values)) % q for col in columns])
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n_known + m:
+        quot, rem = _poly_divmod(r0, r1, q)
+        v2 = v0 + [0] * (len(quot) + len(v1) - 1 - len(v0))
+        for i, c in enumerate(quot):
+            for j, d in enumerate(v1):
+                v2[i + j] -= c * d
+        r0, r1, v0, v1 = r1, rem, v1, _trim([c % q for c in v2])
+    poly, rem = _poly_divmod(r1, v1, q)
+    if rem or len(poly) > m:
         return None
-    locator = sol[q_len:]
-    if not any(locator):
-        return None
-    p_coeffs, rem = _poly_divmod(sol[:q_len], locator, q)
-    if rem:
-        return None
-    if len(p_coeffs) > m:
-        return None
-    codeword = [poly_eval_mod(p_coeffs, a, q) for a in range(ell)]
-    errors = frozenset(
-        a + 1 for a, sym in known if codeword[a] != sym
-    )
-    if len(errors) > r_max:
+    codeword = [sum(map(mul, row, poly)) % q for row in powers]
+    errors = frozenset(a + 1 for a in known if codeword[a] != z[a])
+    # The cofactor's degree, at most (N - m) / 2, already bounds the error
+    # count; the check states the decoder's contract outright.
+    if len(errors) > (n_known - m) // 2:
         return None
     return tuple(codeword[:m]), errors

@@ -97,6 +97,12 @@ class HashFamilyDescriptor:
             return self.q**self.k
         return math.prod(self.message_primes)
 
+    @cached_property
+    def fingerprint(self) -> bytes:
+        """SHA-256 of the canonical descriptor encoding, computed once per
+        descriptor; :func:`family_fingerprint` returns it."""
+        return hashlib.sha256(descriptor_to_bytes(self)).digest()
+
     @property
     def epsilon_actual(self) -> Fraction:
         """Exact agreement bound (k-1)/n of this family."""
@@ -170,6 +176,12 @@ def _check_symbols(fam: HashFamilyDescriptor, x) -> tuple[int, ...]:
     """Range-check polynomial symbols (ints or FieldElements over q)."""
     if isinstance(x, int):
         raise UsageError("polynomial messages are symbol sequences")
+    x = tuple(x)
+    # Plain ints in range, checked at C speed; anything else (bools,
+    # FieldElements, a bad symbol) takes the loop, which also names the
+    # offending symbol.
+    if set(map(type, x)) == {int} and min(x) >= 0 and max(x) < fam.q:
+        return x
     symbols = []
     for sym in x:
         if isinstance(sym, FieldElement):
@@ -374,4 +386,4 @@ def descriptor_from_bytes(data: bytes) -> HashFamilyDescriptor:
 
 def family_fingerprint(fam: HashFamilyDescriptor) -> bytes:
     """SHA-256 of the canonical descriptor encoding; exchanged in handshakes."""
-    return hashlib.sha256(descriptor_to_bytes(fam)).digest()
+    return fam.fingerprint

@@ -23,7 +23,13 @@ from storen.adversary import (
 )
 from storen.codes import encode
 from storen.errors import UnsupportedVariantError, UsageError
-from storen.hash_families import hash_eval, karp_rabin_family, polynomial_family
+from storen.hash_families import (
+    KIND_POLYNOMIAL,
+    derive_family,
+    hash_eval,
+    karp_rabin_family,
+    polynomial_family,
+)
 from storen.protocol import ChunkPlan, Digest, multi_rs_preprocess, single_verify
 from storen.transport import honest_answerer
 from storen.hash_families import family_fingerprint
@@ -298,3 +304,24 @@ def test_serving_and_experiments_build_no_codeword(monkeypatch):
     assert report.undecidable == 0 and report.accused_counts[0] == 0
     assert report.accused_counts[1] + report.passes == 200
     assert report.accused_counts[1] > 0 and report.accused_counts[2] == 0
+
+
+def test_analytic_guess_rates_closed_form_equals_the_sum():
+    fams = [
+        derive_family(KIND_POLYNOMIAL, 2, Fraction(4, 5)),
+        derive_family(KIND_POLYNOMIAL, 4, Fraction(1, 2)),
+        derive_family(KIND_POLYNOMIAL, 16, Fraction(1, 4)),
+        polynomial_family(k=3, n=7, q=11),  # alphabets q above n
+    ]
+    for fam in fams:
+        n, x = fam.n, (0,) * fam.k
+
+        def guess_sum(t):
+            return sum((Fraction(1, fam.alphabet(i)) for i in range(t + 1, n + 1)), Fraction(0))
+
+        for t in sorted({0, 1, n // 3, n - 1, n, n + 5}):
+            kept = min(t, n)
+            assert analytic_pass_rate(fam, x, PartialCodeword(t)) == (
+                Fraction(kept, n) + guess_sum(kept) / n
+            )
+        assert analytic_pass_rate(fam, x, UniformGuesser()) == guess_sum(0) / n

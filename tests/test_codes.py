@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
+import storen.codes
+from storen.algebra import is_prime
 from storen.codes import (
     SystematicRSCode,
     brute_force_list_decode,
@@ -91,14 +93,20 @@ def test_rs_encode_systematic_prefix_random():
         assert cw == rs_codeword(v, 7, 11)
 
 
+# Shapes of the benchmark workloads: s = 8 provers with r = e = 1, and s = 4.
+WORKLOAD_SHAPES = [(8, 11, 8209), (4, 7, 8209)]
+
+
 def test_rs_encode_matches_lagrange_oracle():
-    code = SystematicRSCode(message_len=4, block_len=9, q=13)
     rng = random.Random(5)
-    for _ in range(30):
-        v = [rng.randrange(13) for _ in range(4)]
-        cw = rs_encode_systematic(code, v)
-        for a in range(9):
-            assert cw[a] == lagrange_eval(list(range(4)), v, a, 13)
+    for m, ell, q in [(4, 9, 13)] + WORKLOAD_SHAPES + [(1, 5, 5), (3, 3, 5)]:
+        code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+        for _ in range(30):
+            v = [rng.randrange(q) for _ in range(m)]
+            cw = rs_encode_systematic(code, v)
+            assert cw == rs_codeword(v, ell, q)
+            for a in range(ell):
+                assert cw[a] == lagrange_eval(list(range(m)), v, a, q)
 
 
 def test_rs_code_validates():
@@ -180,21 +188,27 @@ def test_rs_decode_agrees_with_exhaustive_oracle_on_arbitrary_words():
 
 def test_rs_decode_random_large_field():
     rng = random.Random(20260816)
-    code = SystematicRSCode(message_len=5, block_len=12, q=1031)
-    for _ in range(100):
-        v = tuple(rng.randrange(1031) for _ in range(5))
-        cw = rs_encode_systematic(code, v)
-        z = list(cw)
-        n_err = rng.randrange(4)
-        erase_budget = (12 - 5) - 2 * n_err
-        n_erase = rng.randrange(erase_budget + 1)
-        touched = rng.sample(range(12), n_err + n_erase)
-        for i in touched[:n_err]:
-            z[i] = (z[i] + rng.randrange(1, 1031)) % 1031
-        for i in touched[n_err:]:
-            z[i] = None
-        got = rs_decode_errors_erasures(code, z)
-        assert got == (v, frozenset(i + 1 for i in touched[:n_err]))
+    for m, ell, q in [(5, 12, 1031)] + WORKLOAD_SHAPES:
+        code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+        budget = ell - m
+        for _ in range(300):
+            v = tuple(rng.randrange(q) for _ in range(m))
+            n_err = rng.randrange(budget // 2 + 1)
+            n_erase = rng.randrange(budget - 2 * n_err + 1)
+            z, errors = _corrupt(rng, rs_encode_systematic(code, v), q, n_err, n_erase)
+            assert rs_decode_errors_erasures(code, z) == (v, errors)
+
+
+def _corrupt(rng, cw, q, n_err, n_erase):
+    """cw with n_err symbols changed and n_erase erased, and the changed
+    1-based positions."""
+    z = list(cw)
+    touched = rng.sample(range(len(cw)), n_err + n_erase)
+    for i in touched[:n_err]:
+        z[i] = (z[i] + rng.randrange(1, q)) % q
+    for i in touched[n_err:]:
+        z[i] = None
+    return z, frozenset(i + 1 for i in touched[:n_err])
 
 
 def test_rs_decode_validates_word():
@@ -203,6 +217,68 @@ def test_rs_decode_validates_word():
         rs_decode_errors_erasures(code, (1, 2, 3))
     with pytest.raises(UsageError):
         rs_decode_errors_erasures(code, (1, 2, 3, 7))
+
+
+def test_rs_decode_out_of_budget_words_give_none_or_a_budgeted_codeword():
+    """Whatever the word, a decoded result is a codeword within budget of
+    it, with exactly the mismatched positions reported."""
+    rng = random.Random(2053)
+    decoded = 0
+    for m, ell, q in WORKLOAD_SHAPES + [(2, 5, 5), (3, 7, 7)]:
+        code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+        budget = ell - m
+        for _ in range(400):
+            if rng.randrange(2):
+                z = [rng.randrange(q) for _ in range(ell)]
+                for i in rng.sample(range(ell), rng.randrange(budget + 2)):
+                    z[i] = None
+            else:  # one error past the budget of a real codeword
+                v = [rng.randrange(q) for _ in range(m)]
+                n_erase = rng.randrange(budget + 1)
+                n_err = min((budget - n_erase) // 2 + 1, ell - n_erase)
+                z, _ = _corrupt(rng, rs_encode_systematic(code, v), q, n_err, n_erase)
+            got = rs_decode_errors_erasures(code, z)
+            if got is None:
+                continue
+            decoded += 1
+            message, errors = got
+            cw = rs_encode_systematic(code, message)
+            mismatched = frozenset(
+                i + 1 for i, (c, s) in enumerate(zip(cw, z)) if s is not None and c != s
+            )
+            assert errors == mismatched
+            assert 2 * len(errors) + z.count(None) <= budget
+    assert decoded  # the small fields land within budget now and then
+
+
+def test_rs_decode_clean_and_erasure_only_words_report_no_errors():
+    rng = random.Random(11)
+    for m, ell, q in WORKLOAD_SHAPES:
+        code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+        v = tuple(rng.randrange(q) for _ in range(m))
+        cw = rs_encode_systematic(code, v)
+        clean = rs_decode_errors_erasures(code, cw)  # re-encoding fast path
+        erased, _ = _corrupt(rng, cw, q, 0, ell - m)  # decoder path
+        for message, errors in (clean, rs_decode_errors_erasures(code, erased)):
+            assert message == v
+            assert errors == frozenset() and type(errors) is frozenset
+
+
+def test_rs_code_shape_is_validated_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(storen.codes, "is_prime", counting_is_prime)
+    for _ in range(3):
+        code = SystematicRSCode(message_len=3, block_len=10, q=10007)
+        rs_encode_systematic(code, (1, 2, 3))
+    assert len(calls) <= 1
+    for _ in range(2):  # a rejected shape is rejected every time
+        with pytest.raises(UsageError):
+            SystematicRSCode(message_len=3, block_len=10, q=10008)
 
 
 def test_brute_force_list_decode_small():

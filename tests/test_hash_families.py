@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -302,3 +303,54 @@ def test_message_space_is_computed_once_per_descriptor():
     fresh = karp_rabin_family(k=3, n=6)
     assert kr == fresh and hash(kr) == hash(fresh)
     assert descriptor_to_bytes(kr) == descriptor_to_bytes(fresh)
+
+
+def test_fingerprint_is_computed_once_per_descriptor():
+    for fam, fresh in (
+        (polynomial_family(k=2, n=5, q=5), polynomial_family(k=2, n=5, q=5)),
+        (karp_rabin_family(k=2, n=4), karp_rabin_family(k=2, n=4)),
+    ):
+        assert "fingerprint" not in vars(fam)
+        blob = descriptor_to_bytes(fam)
+        assert family_fingerprint(fam) == hashlib.sha256(blob).digest()
+        assert vars(fam)["fingerprint"] is family_fingerprint(fam)
+        # the cached digest is not part of the descriptor's identity
+        assert fam == fresh and hash(fam) == hash(fresh)
+        assert descriptor_to_bytes(fam) == blob == descriptor_to_bytes(fresh)
+        assert "fingerprint" not in vars(fresh)
+
+
+def test_symbol_check_accepts_and_rejects_the_same_inputs():
+    from storen.algebra import PrimeModulus
+
+    fam = polynomial_family(k=3, n=5, q=5)
+    five, seven = PrimeModulus(5), PrimeModulus(7)
+
+    def check(x):
+        whole = validate_message(fam, x)
+        chunk_hasher(fam, x, 0)  # the chunk path runs the same check
+        return whole
+
+    assert check((0, 4, 2)) == (0, 4, 2)
+    assert check([0, 4, 2]) == (0, 4, 2)
+    assert check(iter([0, 4, 2])) == (0, 4, 2)  # a one-shot iterator
+    assert check(bytes([0, 4, 2])) == (0, 4, 2)
+    assert check((True, False, 4)) == (1, 0, 4)
+    assert check((five.element(3), 1, True)) == (3, 1, 1)
+    for bad, named in (
+        ((0, -1, 2), "-1"),
+        ((0, 5, 2), "5"),
+        ((0, 2**70, 2), str(2**70)),
+        ((0, 1.0, 2), "1.0"),
+        ((0, "1", 2), "'1'"),
+        ((0, None, 2), "None"),
+        ((0, 1, seven.element(1)), "does not match"),
+    ):
+        with pytest.raises(UsageError, match=re.escape(named)):
+            validate_message(fam, bad)
+        with pytest.raises(UsageError, match=re.escape(named)):
+            chunk_hasher(fam, bad, 0)
+    with pytest.raises(UsageError):
+        validate_message(fam, 7)  # a number is not a symbol sequence
+    with pytest.raises(UsageError):
+        validate_message(fam, (0, 1))  # wrong length
