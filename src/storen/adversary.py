@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .codes import SystematicRSCode, encode, rs_encode_systematic
+from .algebra import poly_eval_mod
+from .codes import SystematicRSCode, rs_encode_systematic
 from .errors import UnsupportedVariantError, UsageError
 from .hash_families import (
     KIND_POLYNOMIAL,
@@ -172,15 +174,11 @@ class ProverStore:
         raise NotImplementedError
 
 
-def _symbol_width(fam: HashFamilyDescriptor) -> int:
-    return (fam.q - 1).bit_length()
-
-
 def _payload_symbols(fam: HashFamilyDescriptor, x, start=None) -> list:
     """(width, value) pairs for the raw data an honest prover keeps: the
     whole message, or with ``start`` its (already validated) chunk."""
     if fam.kind == KIND_POLYNOMIAL:
-        width = _symbol_width(fam)
+        width = fam.symbol_bits
         symbols = x if start is not None else validate_message(fam, x)
         return [(width, sym) for sym in symbols]
     value = validate_message(fam, x)
@@ -194,6 +192,14 @@ class _HonestStore(ProverStore):
 
     def answer(self, beta, rng):
         return self._hash(beta)
+
+    def _share(self, hash_at):
+        """Answer with ``hash_at`` instead of this store's own Horner pass.
+
+        For a caller that already holds this prover's honest values, such as
+        :func:`run_experiment`'s per-challenge memo.
+        """
+        self._hash = hash_at
 
 
 class _PartialCodewordStore(ProverStore):
@@ -217,7 +223,7 @@ class _PartialRawStore(ProverStore):
             # the prefix is taken from the zero-extended message
             x = (0,) * start + tuple(x) + (0,) * (fam.k - start - len(x))
         symbols = validate_message(fam, x)
-        width = _symbol_width(fam)
+        width = fam.symbol_bits
         super().__init__(fam, [(width, sym) for sym in symbols[:t]])
         self._prefix = symbols[:t]
         self._k = fam.k
@@ -225,9 +231,7 @@ class _PartialRawStore(ProverStore):
     def answer(self, beta, rng):
         q = self.family.q
         point = beta - 1
-        value = 0
-        for coeff in reversed(self._prefix):
-            value = (value * point + coeff) % q
+        value = poly_eval_mod(self._prefix, point, q)
         t = len(self._prefix)
         if t == self._k:
             return value
@@ -357,7 +361,8 @@ def analytic_pass_rate(
     if isinstance(strategy, UniformGuesser):
         return _guess_mass(fam, 0) / n
     if isinstance(strategy, ZeroAnswerer):
-        zeros = sum(1 for value in encode(fam, x) if value == 0)
+        hash_at = chunk_hasher(fam, x)
+        zeros = sum(1 for beta in range(1, n + 1) if hash_at(beta) == 0)
         return Fraction(zeros, n)
     if isinstance(strategy, Unresponsive):
         return 1 - Fraction(strategy.probability)
@@ -406,10 +411,14 @@ def run_experiment(
     """Replay ``trials`` independent audits of one strategy.
 
     Each trial draws a fresh challenge with the pinned trial-seed recipe,
-    builds the verifier digest from the expected values at that challenge
-    (computed from the data the first time the challenge is drawn in this
-    call, then reused), collects the answers, and runs the real verifier.
-    No codeword is built.  ``retained_bits`` totals the stores across all
+    builds the verifier digest from the expected values at that challenge,
+    collects the answers, and runs the real verifier.  The first time a
+    challenge is drawn in this call, each prover's data is hashed once at
+    it; the honest answers and the expected values derived from them are
+    kept as one compact word and reused by the verifier and by the honest
+    (and unresponsive) stores in every later trial.  A call therefore costs
+    one evaluation per chunk per distinct challenge, not per trial, and no
+    codeword is built.  ``retained_bits`` totals the stores across all
     provers.
     """
     if trials < 1:
@@ -457,35 +466,51 @@ def run_experiment(
             build_store(fam, symbols[start:stop], strat, start=start)
             for strat, (start, stop) in zip(strategies, bounds)
         ]
+        hashers = chunk_hashers(fam, symbols, bounds)
         if variant == VARIANT_LINEAR:
-            hashers = [chunk_hasher(fam, symbols)]
+            # hashed on its own, so the check does not rest on the chunk hashes
+            whole = chunk_hasher(fam, symbols)
             verify = multi_linear_verify
         else:
             if r is None or e is None:
                 raise UsageError("the rs-parity variant needs r and e")
             code = SystematicRSCode(provers, provers + 2 * r + e, fam.q)
-            hashers = chunk_hashers(fam, symbols, bounds)
             budget = (r, e)
             verify = multi_rs_verify
 
-    def expected(beta):
-        gammas = tuple(hash_at(beta) for hash_at in hashers)
-        if budget is not None:
-            gammas = rs_encode_systematic(code, gammas)[provers:]
-        return gammas
+    def honest_word(beta):
+        """The honest answers at ``beta``, one per prover, then the expected
+        values: the whole-message hash (linear) or the RS parities of the
+        answers (rs-parity).  For single and trivial the answers are the
+        expected values."""
+        word = [hash_at(beta) for hash_at in hashers]
+        if variant == VARIANT_LINEAR:
+            word.append(whole(beta))
+        elif variant == VARIANT_RS:
+            word = rs_encode_systematic(code, word)
+        return array("Q", word)
 
-    # Expected values are computed the first time a challenge is drawn, so a
-    # call costs one evaluation per distinct challenge, never a codeword.
-    memo = {}
+    first_gamma = provers if variant in (VARIANT_LINEAR, VARIANT_RS) else 0
+    # words[beta - 1] is the honest word of a challenge, computed the first
+    # time it is drawn and shared by the verifier and the honest stores: a
+    # call costs one evaluation per chunk per distinct challenge, never a
+    # codeword.  Machine words take about a third of the memory of a tuple
+    # of ints at the rs-parity shape, and the memo is part of every call's
+    # peak memory.
+    n = fam.n
+    words = [None] * n
+    for column, store in enumerate(stores):
+        if isinstance(store, _HonestStore):
+            store._share(lambda beta, column=column: words[beta - 1][column])
     passes = undecidable = 0
     accused_counts = [0] * provers
-    n = fam.n
     for index in range(trials):
         rng = random.Random(trial_seed(master_seed, index))
         beta = rng.randrange(n) + 1
-        gammas = memo.get(beta)
-        if gammas is None:
-            gammas = memo[beta] = expected(beta)
+        word = words[beta - 1]
+        if word is None:
+            word = words[beta - 1] = honest_word(beta)
+        gammas = tuple(word[first_gamma:] if first_gamma else word)
         digest = Digest(variant, beta, gammas, fingerprint, family=fam, parity_budget=budget)
         answers = tuple(store.answer(beta, rng) for store in stores)
         verdict = verify(digest, answers)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import storen.algebra
 import storen.codes
 import storen.hash_families
 from storen.adversary import (
@@ -283,10 +284,13 @@ def test_serving_and_experiments_build_no_codeword(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a whole codeword was built")
 
-    monkeypatch.setattr(storen.hash_families, "hash_all", refuse)
-    monkeypatch.setattr(storen.codes, "hash_all", refuse)
     fam = polynomial_family(k=6, n=11, q=11)
     x = (3, 0, 7, 10, 1, 5)
+    with_zero = (4, 0, 7, 10, 1, 5)  # h_7 is 0
+    zeros = storen.hash_families.hash_all(fam, with_zero).count(0)
+    assert zeros == 1
+    monkeypatch.setattr(storen.hash_families, "hash_all", refuse)
+    monkeypatch.setattr(storen.codes, "hash_all", refuse)
     plan = ChunkPlan(3, 6)
     assert honest_answerer(fam, x)(4) == hash_eval(fam, x, 4)
     assert honest_answerer(fam, x[2:4], 2)(4) == hash_eval(fam, plan.zero_extended(x, 2), 4)
@@ -295,6 +299,8 @@ def test_serving_and_experiments_build_no_codeword(monkeypatch):
 
     report = run_experiment(fam, x, PartialCodeword(5), trials=200, master_seed=1)
     assert report.analytic_rate == Fraction(5, 11) + Fraction(6, 11) / 11
+    report = run_experiment(fam, with_zero, ZeroAnswerer(), trials=200, master_seed=1)
+    assert report.analytic_rate == Fraction(zeros, 11)
     report = run_experiment(
         fam, x, [Honest(), ZeroAnswerer(), Unresponsive(0.5)], trials=200,
         master_seed=2, variant="rs-parity", plan=plan, r=1, e=1,
@@ -325,3 +331,87 @@ def test_analytic_guess_rates_closed_form_equals_the_sum():
                 Fraction(kept, n) + guess_sum(kept) / n
             )
         assert analytic_pass_rate(fam, x, UniformGuesser()) == guess_sum(0) / n
+
+
+# Complete reports at master seed 17, 300 trials: (label, family, message,
+# strategy, variant arguments, passes, undecidable, accused_counts,
+# retained_bits, analytic_rate).  Any change to the trial recipe, a store, a
+# verifier or the retention account shows up here.
+_F11 = polynomial_family(k=6, n=11, q=11)
+_X11 = (3, 0, 7, 10, 1, 5)
+_CHUNK11 = polynomial_family(k=2, n=11, q=11)
+_PLAN = ChunkPlan(3, 6)
+_MIXED = [Honest(), ZeroAnswerer(), Unresponsive(0.5)]
+_KR2 = karp_rabin_family(k=2, n=6)
+_KR3 = karp_rabin_family(k=3, n=8)
+PINNED_REPORTS = [
+    ("rs-parity mixed", _F11, _X11, _MIXED, dict(variant="rs-parity", plan=_PLAN, r=1, e=1),
+     61, 0, (0, 239, 0), 96, None),
+    ("rs-parity honest", _F11, _X11, Honest(), dict(variant="rs-parity", plan=_PLAN, r=1, e=0),
+     300, 0, (0, 0, 0), 144, 1),
+    ("linear honest", _F11, _X11, Honest(), dict(variant="linear", plan=_PLAN),
+     300, 0, (0, 0, 0), 144, 1),
+    ("linear mixed", _F11, _X11, _MIXED, dict(variant="linear", plan=_PLAN),
+     34, 0, (0, 0, 0), 96, None),
+    ("trivial honest", _CHUNK11, _X11, Honest(), dict(variant="trivial", plan=_PLAN),
+     300, 0, (0, 0, 0), 144, 1),
+    ("trivial mixed", _CHUNK11, _X11, _MIXED, dict(variant="trivial", plan=_PLAN),
+     11, 0, (0, 281, 0), 96, None),
+    ("trivial karp-rabin", _KR2, (4, 5), [Honest(), Unresponsive(0.5)],
+     dict(variant="trivial", plan=ChunkPlan(2, 4)), 152, 0, (0, 0), 86, None),
+    ("single honest", _F11, _X11, Honest(), {}, 300, 0, (0,), 64, 1),
+    ("single raw t=1", _F11, _X11, PartialRaw(1), {}, 59, 0, (241,), 44, Fraction(21, 121)),
+    ("single raw t=4", _F11, _X11, PartialRaw(4), {}, 70, 0, (230,), 56, Fraction(21, 121)),
+    ("single codeword t=4", _F11, _X11, PartialCodeword(4), {}, 132, 0, (168,), 56, Fraction(51, 121)),
+    ("single zero", _F11, _X11, ZeroAnswerer(), {}, 0, 0, (300,), 0, 0),
+    ("single unresponsive", _F11, _X11, Unresponsive(0.3), {}, 226, 0, (0,), 64, 1 - Fraction(0.3)),
+    ("single zero, one zero hash", FAM, X, ZeroAnswerer(), {}, 66, 0, (234,), 0, Fraction(1, 5)),
+    ("single karp-rabin zero", _KR3, 28, ZeroAnswerer(), {}, 87, 0, (213,), 0, Fraction(1, 4)),
+    ("single karp-rabin codeword t=3", _KR3, 28, PartialCodeword(3), {},
+     124, 0, (176,), 46, Fraction(553229, 1293292)),
+]
+
+
+@pytest.mark.parametrize(
+    "fam, x, strategy, kwargs, passes, undecidable, accused, bits, rate",
+    [case[1:] for case in PINNED_REPORTS],
+    ids=[case[0] for case in PINNED_REPORTS],
+)
+def test_run_experiment_reports_are_pinned(
+    fam, x, strategy, kwargs, passes, undecidable, accused, bits, rate
+):
+    report = run_experiment(fam, x, strategy, trials=300, master_seed=17, **kwargs)
+    assert (report.passes, report.undecidable, report.accused_counts) == (
+        passes, undecidable, accused,
+    )
+    assert report.retained_bits == bits
+    assert report.analytic_rate == rate
+    assert report.empirical_rate == Fraction(passes, 300)
+
+
+@pytest.mark.parametrize("variant, per_challenge", [("rs-parity", 3), ("linear", 4)])
+def test_run_experiment_hashes_each_chunk_once_per_challenge(monkeypatch, variant, per_challenge):
+    # three chunk hashes per challenge, plus the whole-message hash for linear
+    calls = []
+
+    def counting(coeffs, point, p):
+        calls.append(point)
+        return storen.algebra.poly_eval_mod(coeffs, point, p)
+
+    monkeypatch.setattr(storen.hash_families, "poly_eval_mod", counting)
+    fam = polynomial_family(k=6, n=11, q=11)
+    extra = {"r": 1, "e": 1} if variant == "rs-parity" else {}
+    counts = {}
+    for trials in (5, 200, 2000):
+        calls.clear()
+        run_experiment(
+            fam, (3, 0, 7, 10, 1, 5), [Honest(), ZeroAnswerer(), Unresponsive(0.5)],
+            trials=trials, master_seed=4, variant=variant, plan=ChunkPlan(3, 6), **extra,
+        )
+        drawn = {
+            random.Random(trial_seed(4, i)).randrange(fam.n) + 1 for i in range(trials)
+        }
+        assert len(calls) <= per_challenge * len(drawn)
+        counts[trials] = len(calls)
+    # every challenge is drawn within 200 trials, so more trials cost nothing
+    assert counts[200] == counts[2000] == per_challenge * fam.n
