@@ -1,20 +1,18 @@
-"""Exact prime-field arithmetic and big-natural streaming helpers.
+"""Prime numbers and polynomial evaluation over prime fields.
 
-Field elements are canonical residues modulo a checked prime below 2**62.
-Big naturals are plain Python ints; for streaming they are viewed as
-base-2**32 digit strings, little-endian limbs in storage and
-most-significant-first on the wire.
+Field elements are plain Python ints holding canonical residues; the hash
+families check their ranges.  ``DIGIT_BASE`` is the base of the digit
+stream in which a karp-rabin message can be streamed, most significant
+digit first.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, UsageError
 
 DIGIT_BASE = 2**32
-MAX_MODULUS = 2**62
 
 # Witness set making Miller-Rabin deterministic for every n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -80,106 +78,6 @@ def first_n_primes(count: int) -> tuple[int, ...]:
         limit *= 2
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A prime p with 2 <= p < 2**62, checked at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise UsageError(f"modulus must be an int, got {type(self.p).__name__}")
-        if not 2 <= self.p < MAX_MODULUS:
-            raise UsageError(f"modulus must lie in [2, 2**62), got {self.p}")
-        if not is_prime(self.p):
-            raise UsageError(f"modulus {self.p} is not prime")
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def __str__(self):
-        return f"F_{self.p}"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Canonical residue in the prime field named by `modulus`.
-
-    Construction reduces the value, so FieldElement(-1, F_5) is 4.  Binary
-    operators accept a plain int on either side and reduce it into the same
-    field; mixing two different moduli is an error.
-    """
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.p)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise UsageError(
-                    f"mixed moduli: {self.modulus.p} and {other.modulus.p}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(other.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return FieldElement(
-                pow(self.inv().value, -exponent, self.modulus.p), self.modulus
-            )
-        return FieldElement(pow(self.value, exponent, self.modulus.p), self.modulus)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise UsageError("zero has no inverse")
-        return FieldElement(pow(self.value, -1, self.modulus.p), self.modulus)
-
-    def __str__(self):
-        return f"{self.value} (mod {self.modulus.p})"
-
-
 def poly_eval_mod(coeffs: Sequence[int], point: int, p: int) -> int:
     """Horner evaluation of sum(coeffs[i] * point**i) mod p on raw ints.
 
@@ -188,60 +86,4 @@ def poly_eval_mod(coeffs: Sequence[int], point: int, p: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * point + c) % p
-    return acc
-
-
-def poly_eval_horner(
-    coeffs: Sequence[FieldElement], point: FieldElement
-) -> FieldElement:
-    """Evaluate sum(coeffs[i] * Y**i) at Y=point in one pass (Horner).
-
-    The coefficient sequence is scanned once, highest degree first; state is
-    a single accumulator.  An empty polynomial evaluates to zero.
-    """
-    mod = point.modulus
-    raw = []
-    for c in coeffs:
-        if c.modulus != mod:
-            raise UsageError(f"mixed moduli: {c.modulus.p} and {mod.p}")
-        raw.append(c.value)
-    return FieldElement(poly_eval_mod(raw, point.value, mod.p), mod)
-
-
-def bignat_limbs(x: int) -> tuple[int, ...]:
-    """Canonical little-endian base-2**32 limbs of x (no trailing zeros)."""
-    if x < 0:
-        raise UsageError("big naturals are non-negative")
-    limbs = []
-    while x:
-        limbs.append(x & 0xFFFFFFFF)
-        x >>= 32
-    return tuple(limbs)
-
-
-def bignat_from_limbs(limbs: Sequence[int]) -> int:
-    x = 0
-    for i, d in enumerate(limbs):
-        if not 0 <= d < DIGIT_BASE:
-            raise UsageError(f"limb {d} outside [0, 2**32)")
-        x |= d << (32 * i)
-    if limbs and limbs[-1] == 0:
-        raise UsageError("non-canonical limbs: trailing zero")
-    return x
-
-
-def bignat_digits_msf(x: int) -> tuple[int, ...]:
-    """Most-significant-first digit stream of x, as fed to bignat_mod_stream."""
-    return tuple(reversed(bignat_limbs(x)))
-
-
-def bignat_mod_stream(digits: Iterable[int], p: PrimeModulus | int) -> int:
-    """Residue mod p of the natural spelled by a most-significant-first
-    base-2**32 digit stream, holding one accumulator and never the value."""
-    modulus = p.p if isinstance(p, PrimeModulus) else p
-    acc = 0
-    for d in digits:
-        if not 0 <= d < DIGIT_BASE:
-            raise UsageError(f"digit {d} outside [0, 2**32)")
-        acc = (acc * DIGIT_BASE + d) % modulus
     return acc

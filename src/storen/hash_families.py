@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .algebra import (
     DIGIT_BASE,
-    FieldElement,
     first_n_primes,
     is_prime,
     next_prime_at_least,
@@ -173,34 +172,25 @@ def message_space_size(fam: HashFamilyDescriptor) -> int:
 
 
 def _check_symbols(fam: HashFamilyDescriptor, x) -> tuple[int, ...]:
-    """Range-check polynomial symbols (ints or FieldElements over q)."""
+    """Range-check polynomial symbols: ints in [0, q)."""
     if isinstance(x, int):
         raise UsageError("polynomial messages are symbol sequences")
     x = tuple(x)
-    # Plain ints in range, checked at C speed; anything else (bools,
-    # FieldElements, a bad symbol) takes the loop, which also names the
-    # offending symbol.
+    # Plain ints in range, checked at C speed; anything else (bools, a bad
+    # symbol) takes the loop, which also names the offending symbol.
     if set(map(type, x)) == {int} and min(x) >= 0 and max(x) < fam.q:
         return x
-    symbols = []
     for sym in x:
-        if isinstance(sym, FieldElement):
-            if sym.modulus.p != fam.q:
-                raise UsageError(
-                    f"symbol modulus {sym.modulus.p} does not match q={fam.q}"
-                )
-            sym = sym.value
         if not isinstance(sym, int) or not 0 <= sym < fam.q:
             raise UsageError(f"symbol {sym!r} outside [0, {fam.q})")
-        symbols.append(sym)
-    return tuple(symbols)
+    return x
 
 
 def validate_message(fam: HashFamilyDescriptor, x: Message):
     """Normalize and range-check a message.
 
-    Polynomial: a sequence of exactly k residues (ints or FieldElements over
-    q), returned as a tuple of ints.  Karp-rabin: a natural below the product
+    Polynomial: a sequence of exactly k ints in [0, q), returned as a tuple
+    of ints.  Karp-rabin: a natural below the product
     of the k message primes, returned as an int.
     """
     if fam.kind == KIND_POLYNOMIAL:

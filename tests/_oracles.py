@@ -35,6 +35,15 @@ def first_primes(count):
         limit *= 2
 
 
+def bignat_digits_msf(x):
+    """Base-2**32 digits of the natural x, most significant first; () for 0."""
+    digits = []
+    while x:
+        digits.append(x & 0xFFFFFFFF)
+        x >>= 32
+    return tuple(reversed(digits))
+
+
 def digits_mod(digits_msf, p):
     """Materialize the full integer from base-2**32 digits, then reduce."""
     x = 0

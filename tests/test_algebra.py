@@ -2,23 +2,10 @@ import random
 
 import pytest
 
-from storen.algebra import (
-    DIGIT_BASE,
-    FieldElement,
-    PrimeModulus,
-    bignat_digits_msf,
-    bignat_from_limbs,
-    bignat_limbs,
-    bignat_mod_stream,
-    first_n_primes,
-    is_prime,
-    next_prime_at_least,
-    poly_eval_horner,
-    poly_eval_mod,
-)
+from storen.algebra import first_n_primes, is_prime, next_prime_at_least, poly_eval_mod
 from storen.errors import CapacityError, UsageError
 
-from _oracles import digits_mod, first_primes, naive_poly_eval, sieve_upto
+from _oracles import first_primes, naive_poly_eval, sieve_upto
 
 
 def test_is_prime_matches_sieve_below_10000():
@@ -52,76 +39,23 @@ def test_next_prime_at_least():
     assert next_prime_at_least(1) == 2
 
 
-def test_prime_modulus_validates():
-    PrimeModulus(5)
-    with pytest.raises(UsageError):
-        PrimeModulus(6)
-    with pytest.raises(UsageError):
-        PrimeModulus(1)
-    with pytest.raises(UsageError):
-        PrimeModulus(2**62 + 135)  # prime, but past the modulus ceiling
-
-
-def test_field_element_ops_exhaustive_small_p():
-    mod = PrimeModulus(7)
-    for a in range(7):
-        for b in range(7):
-            x, y = mod.element(a), mod.element(b)
-            assert (x + y).value == (a + b) % 7
-            assert (x - y).value == (a - b) % 7
-            assert (x * y).value == (a * b) % 7
-            if b:
-                assert (x / y * y).value == a
-    for a in range(1, 7):
-        inv = mod.element(a).inv()
-        assert (mod.element(a) * inv).value == 1
-
-
-def test_field_element_canonicalizes_and_mixes_ints():
-    mod = PrimeModulus(5)
-    assert mod.element(12).value == 2
-    assert FieldElement(-1, mod).value == 4
-    assert (mod.element(3) + 4).value == 2
-    assert (2 * mod.element(4)).value == 3
-
-
-def test_field_element_modulus_mismatch_rejected():
-    with pytest.raises(UsageError):
-        PrimeModulus(5).element(1) + PrimeModulus(7).element(1)
-
-
-def test_field_element_pow():
-    mod = PrimeModulus(1031)
-    assert (mod.element(7) ** 0).value == 1
-    assert (mod.element(7) ** 1030).value == 1  # Fermat
-    assert (mod.element(7) ** -1).value == mod.element(7).inv().value
-
-
 def test_horner_fixed_value():
     # 1 + 2*Y at Y=3 over F_5 is 7 = 2.
-    mod = PrimeModulus(5)
-    coeffs = [mod.element(1), mod.element(2)]
-    assert poly_eval_horner(coeffs, mod.element(3)).value == 2
     assert poly_eval_mod([1, 2], 3, 5) == 2
 
 
 def test_horner_matches_naive_random():
     rng = random.Random(20260817)
     p = 1031
-    mod = PrimeModulus(p)
     for _ in range(200):
         k = rng.randrange(1, 12)
         coeffs = [rng.randrange(p) for _ in range(k)]
         point = rng.randrange(p)
-        expect = naive_poly_eval(coeffs, point, p)
-        assert poly_eval_mod(coeffs, point, p) == expect
-        got = poly_eval_horner([mod.element(c) for c in coeffs], mod.element(point))
-        assert got.value == expect
+        assert poly_eval_mod(coeffs, point, p) == naive_poly_eval(coeffs, point, p)
 
 
 def test_horner_empty_polynomial_is_zero():
-    mod = PrimeModulus(5)
-    assert poly_eval_horner([], mod.element(3)).value == 0
+    assert poly_eval_mod([], 3, 5) == 0
 
 
 def test_first_n_primes_against_sieve():
@@ -144,54 +78,3 @@ def test_first_n_primes_validates():
         first_n_primes(0)
     with pytest.raises(CapacityError):
         first_n_primes(10**9)
-
-
-def test_bignat_limbs_canonical():
-    assert bignat_limbs(0) == ()
-    assert bignat_limbs(1) == (1,)
-    assert bignat_limbs(2**32) == (0, 1)
-    assert bignat_limbs(2**64) == (0, 0, 1)
-    for x in (0, 1, 2**32 - 1, 2**32, 2**77 + 123456789):
-        assert bignat_from_limbs(bignat_limbs(x)) == x
-
-
-def test_bignat_from_limbs_rejects_noncanonical():
-    with pytest.raises(UsageError):
-        bignat_from_limbs((1, 0))  # trailing zero limb
-    with pytest.raises(UsageError):
-        bignat_from_limbs((2**32,))  # digit out of range
-
-
-def test_bignat_digits_msf_round_trip():
-    assert bignat_digits_msf(0) == ()
-    assert bignat_digits_msf(2**64) == (1, 0, 0)
-    x = 123456789012345678901234567890
-    assert bignat_digits_msf(x) == tuple(reversed(bignat_limbs(x)))
-
-
-def test_bignat_mod_stream_fixed_value():
-    # 2**64 has digit stream (1, 0, 0); 2**64 mod 5 = 1.
-    assert bignat_mod_stream((1, 0, 0), PrimeModulus(5)) == 1
-    assert bignat_mod_stream((), PrimeModulus(5)) == 0
-
-
-def test_bignat_mod_stream_matches_int_mod():
-    rng = random.Random(0xC0FFEE)
-    for _ in range(50):
-        x = rng.getrandbits(4096)
-        p = next_prime_at_least(rng.randrange(2, 2**61))
-        digits = bignat_digits_msf(x)
-        assert bignat_mod_stream(digits, p) == x % p
-        assert digits_mod(digits, p) == x % p
-
-
-def test_bignat_mod_stream_consumes_a_one_shot_iterator():
-    digits = iter(bignat_digits_msf(2**64))
-    assert bignat_mod_stream(digits, 5) == 1
-
-
-def test_bignat_mod_stream_rejects_bad_digit():
-    with pytest.raises(UsageError):
-        bignat_mod_stream([DIGIT_BASE], PrimeModulus(5))
-    with pytest.raises(UsageError):
-        bignat_mod_stream([-1], PrimeModulus(5))

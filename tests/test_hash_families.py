@@ -28,7 +28,7 @@ from storen.hash_families import (
 )
 from storen.protocol import ChunkPlan
 
-from _oracles import crt_reconstruct, naive_poly_eval
+from _oracles import bignat_digits_msf, crt_reconstruct, digits_mod, naive_poly_eval
 
 
 def test_derive_polynomial_fixed_point():
@@ -142,16 +142,12 @@ def test_stream_equals_batch_exhaustive_tiny():
         for i in range(1, 6):
             assert hash_eval_stream(fam, iter(x), i) == hash_eval(fam, x, i)
     kr = karp_rabin_family(k=2, n=4)
-    from storen.algebra import bignat_digits_msf
-
     for x in enumerate_messages(kr):
         for i in range(1, 5):
             assert hash_eval_stream(kr, iter(bignat_digits_msf(x)), i) == hash_eval(kr, x, i)
 
 
 def test_stream_equals_batch_random():
-    from storen.algebra import bignat_digits_msf
-
     rng = random.Random(20260815)
     fam = derive_family(KIND_POLYNOMIAL, k=16, epsilon=0.5)
     for _ in range(200):
@@ -163,6 +159,22 @@ def test_stream_equals_batch_random():
         x = rng.randrange(message_space_size(kr))
         i = rng.randrange(1, kr.n + 1)
         assert hash_eval_stream(kr, iter(bignat_digits_msf(x)), i) == hash_eval(kr, x, i)
+
+
+def test_stream_karp_rabin_digits():
+    # the residue of a natural streamed most significant digit first
+    kr = derive_family(KIND_KARP_RABIN, k=16, epsilon=0.5)
+    assert hash_eval_stream(kr, iter((1, 0, 0)), 3) == 2**64 % 5 == 1
+    assert hash_eval_stream(kr, iter(()), 3) == 0
+    rng = random.Random(0xC0FFEE)
+    for _ in range(50):
+        x = rng.randrange(message_space_size(kr))
+        i = rng.randrange(1, kr.n + 1)
+        digits = bignat_digits_msf(x)
+        assert hash_eval_stream(kr, iter(digits), i) == digits_mod(digits, kr.primes[i - 1])
+    for bad in (2**32, -1, 1.0):
+        with pytest.raises(UsageError):
+            hash_eval_stream(kr, iter((1, bad)), 1)
 
 
 def test_stream_length_mismatch_rejected():
@@ -200,14 +212,6 @@ def test_enumerate_messages_order():
     assert list(enumerate_messages(fam))[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
     kr = karp_rabin_family(k=2, n=4)
     assert list(enumerate_messages(kr)) == [0, 1, 2, 3, 4, 5]
-
-
-def test_validate_message_accepts_field_elements():
-    from storen.algebra import PrimeModulus
-
-    fam = polynomial_family(k=2, n=5, q=5)
-    mod = PrimeModulus(5)
-    assert validate_message(fam, (mod.element(1), mod.element(2))) == (1, 2)
 
 
 def test_descriptor_round_trip_and_golden_bytes():
@@ -321,10 +325,7 @@ def test_fingerprint_is_computed_once_per_descriptor():
 
 
 def test_symbol_check_accepts_and_rejects_the_same_inputs():
-    from storen.algebra import PrimeModulus
-
     fam = polynomial_family(k=3, n=5, q=5)
-    five, seven = PrimeModulus(5), PrimeModulus(7)
 
     def check(x):
         whole = validate_message(fam, x)
@@ -336,7 +337,6 @@ def test_symbol_check_accepts_and_rejects_the_same_inputs():
     assert check(iter([0, 4, 2])) == (0, 4, 2)  # a one-shot iterator
     assert check(bytes([0, 4, 2])) == (0, 4, 2)
     assert check((True, False, 4)) == (1, 0, 4)
-    assert check((five.element(3), 1, True)) == (3, 1, 1)
     for bad, named in (
         ((0, -1, 2), "-1"),
         ((0, 5, 2), "5"),
@@ -344,7 +344,6 @@ def test_symbol_check_accepts_and_rejects_the_same_inputs():
         ((0, 1.0, 2), "1.0"),
         ((0, "1", 2), "'1'"),
         ((0, None, 2), "None"),
-        ((0, 1, seven.element(1)), "does not match"),
     ):
         with pytest.raises(UsageError, match=re.escape(named)):
             validate_message(fam, bad)
