@@ -38,6 +38,7 @@ from .hash_families import (
 )
 from .protocol import (
     RNG_ALGORITHM,
+    VARIANTS,
     ChunkPlan,
     Digest,
     Verdict,
@@ -50,6 +51,7 @@ from .protocol import (
     multi_rs_verify,
     multi_trivial_preprocess,
     multi_trivial_verify,
+    preprocess,
     retrievability_extract,
     single_preprocess,
     single_verify,

@@ -22,35 +22,27 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .algebra import poly_eval_mod
-from .codes import SystematicRSCode, rs_encode_systematic
 from .errors import UnsupportedVariantError, UsageError
 from .hash_families import (
     KIND_POLYNOMIAL,
     HashFamilyDescriptor,
     Message,
     chunk_hasher,
-    chunk_hashers,
+    family_fingerprint,
     message_space_size,
     validate_message,
 )
 from .protocol import (
     RNG_ALGORITHM,
-    VARIANT_LINEAR,
-    VARIANT_RS,
     VARIANT_SINGLE,
-    VARIANT_TRIVIAL,
     ChunkPlan,
     Digest,
-    chunk_messages,
-    multi_linear_verify,
-    multi_rs_verify,
-    multi_trivial_verify,
-    single_verify,
+    answerers,
+    lookup_variant,
 )
-from .hash_families import family_fingerprint
 
 _HEADER_BITS = 40  # tag byte + u32 symbol count, charged once per non-empty store
 
@@ -340,7 +332,7 @@ def analytic_pass_rate(
     all-honest population has a pinned closed form (1); anything else
     returns None and must be measured empirically.
     """
-    if variant != VARIANT_SINGLE:
+    if lookup_variant(variant).provers is None:
         if plan is None:
             raise UsageError("multi-prover variants need a chunk plan")
         strategies = per_prover_strategies(plan.provers, strategy)
@@ -423,74 +415,30 @@ def run_experiment(
     """
     if trials < 1:
         raise UsageError("at least one trial required")
-    if variant == VARIANT_SINGLE:
-        if plan is not None:
-            raise UsageError("the single variant takes no chunk plan")
-        provers = 1
-    elif variant in (VARIANT_TRIVIAL, VARIANT_LINEAR, VARIANT_RS):
-        if plan is None:
-            raise UsageError(f"the {variant} variant needs a chunk plan")
-        provers = plan.provers
-    else:
-        raise UsageError(f"unknown variant {variant!r}")
-
+    spec = lookup_variant(variant)
+    shares = spec.shares(fam, x, plan)
+    provers = len(shares)
+    strategies = per_prover_strategies(provers, strategy)
+    stores = [
+        build_store(fam, data, strat, start=start)
+        for (data, start), strat in zip(shares, strategies)
+    ]
+    hashers = answerers(fam, shares)
+    extra = spec.expected and spec.expected(fam, shares, plan, r, e)
+    analytic_rate = analytic_pass_rate(fam, x, strategy, variant, plan)
+    budget = None if r is None and e is None else (r, e)
     fingerprint = family_fingerprint(fam)
-    budget = None
-    if variant == VARIANT_SINGLE:
-        stores = [build_store(fam, x, strategy)]
-        hashers = [chunk_hasher(fam, x)]
-
-        def verify(digest, answers):
-            return single_verify(digest, answers[0])
-
-    elif variant == VARIANT_TRIVIAL:
-        strategies = per_prover_strategies(provers, strategy)
-        chunks = chunk_messages(fam, x, plan)
-        stores = [build_store(fam, c, s) for c, s in zip(chunks, strategies)]
-        hashers = [chunk_hasher(fam, c) for c in chunks]
-        verify = multi_trivial_verify
-
-    else:  # linear or rs-parity
-        if fam.kind != KIND_POLYNOMIAL:
-            raise UnsupportedVariantError(
-                f"the {variant} variant needs the polynomial kind"
-            )
-        if plan.symbols != fam.k:
-            raise UsageError(
-                f"plan covers {plan.symbols} symbols but the family hashes {fam.k}"
-            )
-        strategies = per_prover_strategies(provers, strategy)
-        symbols = validate_message(fam, x)
-        bounds = plan.all_bounds()
-        stores = [
-            build_store(fam, symbols[start:stop], strat, start=start)
-            for strat, (start, stop) in zip(strategies, bounds)
-        ]
-        hashers = chunk_hashers(fam, symbols, bounds)
-        if variant == VARIANT_LINEAR:
-            # hashed on its own, so the check does not rest on the chunk hashes
-            whole = chunk_hasher(fam, symbols)
-            verify = multi_linear_verify
-        else:
-            if r is None or e is None:
-                raise UsageError("the rs-parity variant needs r and e")
-            code = SystematicRSCode(provers, provers + 2 * r + e, fam.q)
-            budget = (r, e)
-            verify = multi_rs_verify
+    verify = spec.verify
 
     def honest_word(beta):
-        """The honest answers at ``beta``, one per prover, then the expected
-        values: the whole-message hash (linear) or the RS parities of the
-        answers (rs-parity).  For single and trivial the answers are the
-        expected values."""
+        """The honest answers at ``beta``, one per prover, then any further
+        expected values the variant derives from them."""
         word = [hash_at(beta) for hash_at in hashers]
-        if variant == VARIANT_LINEAR:
-            word.append(whole(beta))
-        elif variant == VARIANT_RS:
-            word = rs_encode_systematic(code, word)
+        if extra is not None:
+            word += extra(beta, word)
         return array("Q", word)
 
-    first_gamma = provers if variant in (VARIANT_LINEAR, VARIANT_RS) else 0
+    first_gamma = 0 if extra is None else provers
     # words[beta - 1] is the honest word of a challenge, computed the first
     # time it is drawn and shared by the verifier and the honest stores: a
     # call costs one evaluation per chunk per distinct challenge, never a
@@ -529,7 +477,7 @@ def run_experiment(
         undecidable=undecidable,
         retained_bits=sum(store.retained_bits for store in stores),
         empirical_rate=Fraction(passes, trials),
-        analytic_rate=analytic_pass_rate(fam, x, strategy, variant, plan),
+        analytic_rate=analytic_rate,
         accused_counts=tuple(accused_counts),
         master_seed=master_seed,
     )

@@ -48,24 +48,20 @@ from .hash_families import (
     descriptor_from_bytes,
     descriptor_to_bytes,
     family_fingerprint,
+    hash_eval,
     karp_rabin_family,
     message_space_size,
     polynomial_family,
 )
 from .protocol import (
-    ChunkPlan,
-    chunk_messages,
+    VARIANTS,
+    answerers,
     digest_from_bytes,
     digest_payload_bits,
     digest_to_bytes,
-    multi_linear_preprocess,
-    multi_linear_verify,
-    multi_rs_preprocess,
-    multi_rs_verify,
-    multi_trivial_preprocess,
-    multi_trivial_verify,
+    lookup_variant,
+    preprocess,
     single_preprocess,
-    single_verify,
 )
 from .transport import (
     ProverServer,
@@ -102,35 +98,28 @@ def _read_polynomial_symbols(fam, raw: bytes, count: int) -> tuple:
     return tuple(symbols)
 
 
-def _read_message_file(fam, raw: bytes):
+def _read_data(fam, raw: bytes, spec, plan):
+    """The message a data file holds for ``plan``: ``plan.symbols`` symbols
+    for the polynomial kind.  For karp-rabin it is one natural, or for a
+    chunk family one natural per prover from equal runs of the file."""
     if fam.kind == KIND_POLYNOMIAL:
-        return _read_polynomial_symbols(fam, raw, fam.k)
-    value = int.from_bytes(raw, "big")
-    space = message_space_size(fam)
-    if value >= space:
-        raise UsageError(f"data value does not fit the message space [0, {space})")
-    return value
-
-
-def _read_chunked_file(fam, raw: bytes, provers: int):
-    """Whole-message contents for the trivial variant: all chunks in order."""
-    if fam.kind == KIND_POLYNOMIAL:
-        return _read_polynomial_symbols(fam, raw, provers * fam.k)
-    if provers < 1 or len(raw) % provers:
+        return _read_polynomial_symbols(fam, raw, plan.symbols)
+    runs = plan.provers if spec.chunk_family else 1
+    if len(raw) % runs:
         raise UsageError(
-            f"data file of {len(raw)} bytes does not split into {provers} equal runs"
+            f"data file of {len(raw)} bytes does not split into {runs} equal runs"
         )
-    run = len(raw) // provers
+    width = len(raw) // runs
     space = message_space_size(fam)
     values = []
-    for i in range(provers):
-        value = int.from_bytes(raw[i * run:(i + 1) * run], "big")
+    for i in range(runs):
+        value = int.from_bytes(raw[i * width:(i + 1) * width], "big")
         if value >= space:
             raise UsageError(
-                f"chunk {i + 1} does not fit the message space [0, {space})"
+                f"data value {i + 1} does not fit the message space [0, {space})"
             )
         values.append(value)
-    return tuple(values)
+    return tuple(values) if spec.chunk_family else values[0]
 
 
 def synthesize_message(fam, seed: int, count=None):
@@ -192,30 +181,19 @@ def cmd_derive(args) -> int:
     return 0
 
 
+def _plan(spec, fam, provers, flag: str):
+    return spec.chunk_plan(fam, spec.provers or _require(provers, flag))
+
+
 def cmd_preprocess(args) -> int:
     fam = _load_family(args.family)
-    raw = Path(args.data).read_bytes()
-    if args.variant == "single":
-        provers = 1
-        digest = single_preprocess(fam, _read_message_file(fam, raw), args.seed)
-    elif args.variant == "trivial":
-        provers = _require(args.provers, "provers")
-        plan = ChunkPlan(provers, provers * fam.k if fam.kind == KIND_POLYNOMIAL else provers)
-        x = _read_chunked_file(fam, raw, provers)
-        digest = multi_trivial_preprocess(fam, x, plan, args.seed)
-    else:
-        provers = _require(args.provers, "provers")
-        plan = ChunkPlan(provers, fam.k)
-        x = _read_message_file(fam, raw)
-        if args.variant == "linear":
-            digest = multi_linear_preprocess(fam, x, plan, args.seed)
-        else:
-            r = _require(args.r, "r")
-            e = _require(args.e, "e")
-            digest = multi_rs_preprocess(fam, x, plan, r, e, args.seed)
+    spec = VARIANTS[args.variant]
+    plan = _plan(spec, fam, args.provers, "provers")
+    x = _read_data(fam, Path(args.data).read_bytes(), spec, plan)
+    digest = preprocess(args.variant, fam, x, plan, args.seed, args.r, args.e)
     Path(args.out).write_bytes(digest_to_bytes(digest))
     print(f"variant: {digest.variant}")
-    print(f"provers: {provers}")
+    print(f"provers: {plan.provers}")
     print(f"payload bits: {digest_payload_bits(digest)}")
     print(f"digest: {args.out}")
     return 0
@@ -241,20 +219,12 @@ def _serve_answerer(args, fam):
     """Answer function over this prover's share of the data file.  The whole
     file is read and range-checked; only the prover's chunk (and, for linear
     and rs-parity, its offset) outlives this call."""
-    raw = Path(args.data).read_bytes()
-    if args.variant == "single":
-        return honest_answerer(fam, _read_message_file(fam, raw))
-    chunks = _require(args.chunks, "chunks")
-    index = _require(args.chunk_index, "chunk-index")
-    if args.variant == "trivial":
-        whole = _read_chunked_file(fam, raw, chunks)
-        plan = ChunkPlan(chunks, chunks * fam.k if fam.kind == KIND_POLYNOMIAL else chunks)
-        return honest_answerer(fam, chunk_messages(fam, whole, plan)[index - 1])
-    if fam.kind != KIND_POLYNOMIAL:
-        raise UsageError(f"the {args.variant} variant needs the polynomial kind")
-    start, stop = ChunkPlan(chunks, fam.k).bounds(index)
-    x = _read_message_file(fam, raw)
-    return honest_answerer(fam, x[start:stop], start)
+    spec = VARIANTS[args.variant]
+    plan = _plan(spec, fam, args.chunks, "chunks")
+    index = spec.provers or _require(args.chunk_index, "chunk-index")
+    plan.bounds(index)  # range-checks the index
+    x = _read_data(fam, Path(args.data).read_bytes(), spec, plan)
+    return answerers(fam, spec.shares(fam, x, plan))[index - 1]
 
 
 def cmd_serve(args) -> int:
@@ -316,25 +286,10 @@ def cmd_experiment(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad experiment value: {exc}")
     variant = config.get("variant", "single")
+    spec = lookup_variant(variant)
     fam = derive_family(config["kind"], k, epsilon)
-
-    plan = None
-    if variant == "single":
-        x = synthesize_message(fam, seed)
-    elif variant == "trivial":
-        s = _require(s, "s")
-        if fam.kind == KIND_POLYNOMIAL:
-            plan = ChunkPlan(s, s * fam.k)
-            x = synthesize_message(fam, seed, count=plan.symbols)
-        else:
-            plan = ChunkPlan(s, s)
-            x = synthesize_message(fam, seed, count=s)
-    elif variant in ("linear", "rs-parity"):
-        s = _require(s, "s")
-        plan = ChunkPlan(s, fam.k)
-        x = synthesize_message(fam, seed)
-    else:
-        raise UsageError(f"unknown variant {config.get('variant')!r}")
+    plan = _plan(spec, fam, s, "s")
+    x = synthesize_message(fam, seed, count=plan.symbols if spec.chunk_family else None)
 
     name = config["strategy"]
     if name in ("partial-codeword", "partial-raw"):
@@ -402,28 +357,20 @@ def cmd_certify(args) -> int:
     )
 
     x = (1, 2)
-    plan = ChunkPlan(2, 2)
     chunk_fam = polynomial_family(k=1, n=4, q=5)
-    d1 = single_preprocess(poly, x, 0)
-    d2 = multi_trivial_preprocess(chunk_fam, x, plan, 0)
-    from .hash_families import hash_eval
-
-    d3 = multi_linear_preprocess(poly, x, plan, 0)
-    d4 = multi_rs_preprocess(poly, x, plan, 1, 0, 0)
-    honest = lambda fam_, msg, beta: hash_eval(fam_, msg, beta)
-    check(
-        "all variants accept honest answers",
-        single_verify(d1, honest(poly, x, d1.beta)).accepted
-        and multi_trivial_verify(
-            d2, tuple(honest(chunk_fam, (sym,), d2.beta) for sym in x)
-        ).accepted
-        and multi_linear_verify(
-            d3, tuple(honest(poly, plan.zero_extended(x, i), d3.beta) for i in (1, 2))
-        ).accepted
-        and multi_rs_verify(
-            d4, tuple(honest(poly, plan.zero_extended(x, i), d4.beta) for i in (1, 2))
-        ).accepted,
-    )
+    accepted = True
+    for name, spec in VARIANTS.items():
+        # honest answers from hash_eval itself, not from the table's answerers
+        fam_v = chunk_fam if spec.chunk_family else poly
+        plan = spec.chunk_plan(fam_v, spec.provers or 2)
+        digest = preprocess(name, fam_v, x, plan, 0, r=1, e=0)
+        answers = [
+            hash_eval(fam_v, plan.split(x)[i - 1] if spec.chunk_family
+                      else plan.zero_extended(x, i), digest.beta)
+            for i in range(1, plan.provers + 1)
+        ]
+        accepted = accepted and spec.verify(digest, answers).accepted
+    check("all variants accept honest answers", accepted)
 
     digest = single_preprocess(poly, x, 1)
     with ProverServer(poly, honest_answerer(poly, x)) as server:
@@ -466,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="build a challenge digest from a data file")
     p.add_argument("--family", required=True, help="family descriptor file")
-    p.add_argument("--variant", required=True,
-                   choices=["single", "trivial", "linear", "rs-parity"])
+    p.add_argument("--variant", required=True, choices=list(VARIANTS))
     p.add_argument("--data", required=True, help="data file")
     p.add_argument("--seed", type=int, required=True, help="challenge sampling seed")
     p.add_argument("--out", required=True, help="digest file to write")
@@ -490,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="answer challenges for a data file")
     p.add_argument("--family", required=True, help="family descriptor file")
     p.add_argument("--data", required=True, help="data file (the whole message)")
-    p.add_argument("--variant", default="single",
-                   choices=["single", "trivial", "linear", "rs-parity"])
+    p.add_argument("--variant", default="single", choices=list(VARIANTS))
     p.add_argument("--chunks", type=int, help="total provers s (multi-prover variants)")
     p.add_argument("--chunk-index", type=int, help="this prover's 1-based index")
     p.add_argument("--host", default="127.0.0.1")

@@ -189,9 +189,9 @@ def _check_symbols(fam: HashFamilyDescriptor, x) -> tuple[int, ...]:
 def validate_message(fam: HashFamilyDescriptor, x: Message):
     """Normalize and range-check a message.
 
-    Polynomial: a sequence of exactly k ints in [0, q), returned as a tuple
-    of ints.  Karp-rabin: a natural below the product
-    of the k message primes, returned as an int.
+    Polynomial: a sequence of exactly k ints in [0, q), returned as a tuple.
+    Karp-rabin: a natural below the product of the k message primes,
+    returned as an int.
     """
     if fam.kind == KIND_POLYNOMIAL:
         symbols = _check_symbols(fam, x)
@@ -223,18 +223,6 @@ def hash_all(fam: HashFamilyDescriptor, x: Message) -> tuple[int, ...]:
     return tuple(x % p for p in fam.primes)
 
 
-def _offset_hasher(chunk: tuple[int, ...], start: int, q: int) -> Callable[[int], int]:
-    """Unchecked h_beta of a message holding ``chunk`` at symbols
-    [start, start + len(chunk)) and zeros elsewhere: with t = beta - 1 the
-    zeros below ``start`` shift the chunk's polynomial by t**start."""
-
-    def hash_at(beta: int) -> int:
-        point = beta - 1
-        return pow(point, start, q) * poly_eval_mod(chunk, point, q) % q
-
-    return hash_at
-
-
 def chunk_hasher(
     fam: HashFamilyDescriptor, x, start: int | None = None
 ) -> Callable[[int], int]:
@@ -248,11 +236,7 @@ def chunk_hasher(
     not check beta; callers pass 1 <= beta <= n.
     """
     if start is None:
-        x = validate_message(fam, x)
-        if fam.kind != KIND_POLYNOMIAL:
-            primes = fam.primes
-            return lambda beta: x % primes[beta - 1]
-        return _offset_hasher(x, 0, fam.q)
+        return unchecked_hasher(fam, validate_message(fam, x))
     if fam.kind != KIND_POLYNOMIAL:
         raise UsageError("symbol offsets apply to the polynomial kind only")
     chunk = _check_symbols(fam, x)
@@ -261,19 +245,27 @@ def chunk_hasher(
             f"a chunk of {len(chunk)} symbols at offset {start} does not fit "
             f"a {fam.k}-symbol message"
         )
-    return _offset_hasher(chunk, start, fam.q)
+    return unchecked_hasher(fam, chunk, start)
 
 
-def chunk_hashers(
-    fam: HashFamilyDescriptor, x: Message, bounds: Iterable[tuple[int, int]]
-) -> list:
-    """One :func:`chunk_hasher` per half-open symbol range of the whole
-    polynomial message ``x``, each for ``x`` zeroed outside its range.
-    ``x`` is validated once, not once per range."""
+def unchecked_hasher(
+    fam: HashFamilyDescriptor, data, start: int | None = None
+) -> Callable[[int], int]:
+    """:func:`chunk_hasher` for data its caller has already checked.
+
+    For the polynomial kind, with t = beta - 1, the zeros below ``start``
+    shift the chunk's polynomial by t**start.
+    """
     if fam.kind != KIND_POLYNOMIAL:
-        raise UsageError("symbol ranges apply to the polynomial kind only")
-    symbols = validate_message(fam, x)
-    return [_offset_hasher(symbols[start:stop], start, fam.q) for start, stop in bounds]
+        primes = fam.primes
+        return lambda beta: data % primes[beta - 1]
+    q, shift = fam.q, start or 0
+
+    def hash_at(beta: int) -> int:
+        point = beta - 1
+        return pow(point, shift, q) * poly_eval_mod(data, point, q) % q
+
+    return hash_at
 
 
 def _max_stream_digits(fam: HashFamilyDescriptor) -> int:

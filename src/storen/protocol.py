@@ -15,6 +15,10 @@ checking the answers.  Four variants are provided:
   the answers together with the parities, identifying up to r cheating
   provers while tolerating up to e silent ones.
 
+Everything a variant knows lives in its :class:`Variant` entry of
+:data:`VARIANTS`; preprocessing, serving, auditing and the experiments look
+the variant up there.
+
 Verdicts carry an ``outcome`` of ``accepted``, ``rejected``, or
 ``undecidable``.  The last one is reserved for the rs-parity variant when
 the corruption budget is exceeded: decoding failed or too many provers were
@@ -27,7 +31,9 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from functools import partial
+from itertools import chain
+from typing import Callable, Optional, Sequence, Tuple
 
 from .codes import (
     SystematicRSCode,
@@ -42,9 +48,9 @@ from .hash_families import (
     KIND_POLYNOMIAL,
     HashFamilyDescriptor,
     Message,
-    chunk_hashers,
     family_fingerprint,
     hash_eval,
+    unchecked_hasher,
     validate_message,
 )
 
@@ -57,14 +63,6 @@ VARIANT_SINGLE = "single"
 VARIANT_TRIVIAL = "trivial"
 VARIANT_LINEAR = "linear"
 VARIANT_RS = "rs-parity"
-
-_VARIANT_TAGS = {
-    VARIANT_SINGLE: 1,
-    VARIANT_TRIVIAL: 2,
-    VARIANT_LINEAR: 3,
-    VARIANT_RS: 4,
-}
-_TAG_VARIANTS = {tag: name for name, tag in _VARIANT_TAGS.items()}
 
 OUTCOME_ACCEPTED = "accepted"
 OUTCOME_REJECTED = "rejected"
@@ -166,7 +164,7 @@ class Digest:
     parity_budget: Optional[Tuple[int, int]] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.variant not in _VARIANT_TAGS:
+        if self.variant not in VARIANTS:
             raise UsageError(f"unknown digest variant {self.variant!r}")
         if self.beta < 1:
             raise UsageError("challenge index must be 1-based and positive")
@@ -176,9 +174,18 @@ class Digest:
             raise UsageError("attached family does not match the stored fingerprint")
 
     def with_family(self, fam: HashFamilyDescriptor) -> "Digest":
-        """Return a copy with ``fam`` attached, checking the fingerprint."""
+        """Return a copy with ``fam`` attached, checking the fingerprint, the
+        challenge against n, and each expected value against the alphabet
+        at the challenge (q for the polynomial kind, which linear and
+        rs-parity require)."""
         if family_fingerprint(fam) != self.fingerprint:
             raise UsageError("family fingerprint mismatch")
+        if self.beta > fam.n:
+            raise UsageError(f"challenge index {self.beta} exceeds the family size n={fam.n}")
+        limit = fam.alphabet(self.beta)
+        for gamma in self.gammas:
+            if not 0 <= gamma < limit:
+                raise UsageError(f"expected value {gamma} outside the alphabet [0, {limit})")
         return replace(self, family=fam)
 
 
@@ -193,7 +200,7 @@ def digest_to_bytes(digest: Digest) -> bytes:
     head = _DIGEST_HEADER.pack(
         _DIGEST_MAGIC,
         _DIGEST_VERSION,
-        _VARIANT_TAGS[digest.variant],
+        VARIANTS[digest.variant].tag,
         digest.fingerprint,
         digest.beta,
         len(digest.gammas),
@@ -231,14 +238,18 @@ def _draw_challenge(fam: HashFamilyDescriptor, rng_seed: int) -> int:
     return random.Random(rng_seed).randrange(fam.n) + 1
 
 
-# --- single prover ---------------------------------------------------------
+def _whole_message_plan(fam: HashFamilyDescriptor, provers: int) -> ChunkPlan:
+    return ChunkPlan(provers, fam.k)
 
 
-def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: int) -> Digest:
-    """Sample a challenge and store the one expected hash value."""
-    beta = _draw_challenge(fam, rng_seed)
-    gamma = hash_eval(fam, x, beta)
-    return Digest(VARIANT_SINGLE, beta, (gamma,), family_fingerprint(fam), family=fam)
+def _need_plan(plan: Optional[ChunkPlan]) -> None:
+    if plan is None:
+        raise UsageError("multi-prover variants need a chunk plan")
+
+
+def _own(digest: Digest, variant: str) -> None:
+    if digest.variant != variant:
+        raise UsageError(f"digest is for variant {digest.variant!r}")
 
 
 def _check_answer_range(digest: Digest, answer: int) -> None:
@@ -249,9 +260,25 @@ def _check_answer_range(digest: Digest, answer: int) -> None:
         )
 
 
-def single_verify(digest: Digest, answer: Optional[int]) -> Verdict:
-    if digest.variant != VARIANT_SINGLE:
-        raise UsageError(f"digest is for variant {digest.variant!r}")
+# --- single prover ---------------------------------------------------------
+
+
+def _single_shares(fam, x, plan):
+    if plan is not None and plan.provers != 1:
+        raise UsageError("the single variant has exactly one prover")
+    return [(validate_message(fam, x), None)]
+
+
+def _single_check(digest, provers, r=None, e=None):
+    _own(digest, VARIANT_SINGLE)
+    if provers != 1:
+        raise UsageError("the single variant audits exactly one prover")
+    return digest
+
+
+def _single_verify(digest, answers):
+    _single_check(digest, len(answers))
+    answer = answers[0]
     if answer is None:
         return Verdict(OUTCOME_REJECTED, erased=frozenset({1}))
     _check_answer_range(digest, answer)
@@ -263,48 +290,40 @@ def single_verify(digest: Digest, answer: Optional[int]) -> Verdict:
 # --- s provers, one expected value per chunk -------------------------------
 
 
-def multi_trivial_preprocess(
-    chunk_fam: HashFamilyDescriptor,
-    x: Message,
-    plan: ChunkPlan,
-    rng_seed: int,
-) -> Digest:
-    """One shared challenge, one expected value per chunk.
-
-    ``chunk_fam`` describes a single chunk.  For the polynomial kind, ``x``
-    is the whole ``plan.symbols``-long message and each prover hashes its
-    own chunk; for Karp-Rabin, ``x`` is a sequence of ``plan.provers``
-    numbers, one per prover.
-    """
-    chunks = chunk_messages(chunk_fam, x, plan)
-    beta = _draw_challenge(chunk_fam, rng_seed)
-    gammas = tuple(hash_eval(chunk_fam, chunk, beta) for chunk in chunks)
-    return Digest(
-        VARIANT_TRIVIAL, beta, gammas, family_fingerprint(chunk_fam), family=chunk_fam
-    )
+def _trivial_plan(chunk_fam, provers):
+    """s chunks of k symbols each, or s values for karp-rabin."""
+    symbols = provers * chunk_fam.k if chunk_fam.kind == KIND_POLYNOMIAL else provers
+    return ChunkPlan(provers, symbols)
 
 
-def chunk_messages(chunk_fam, x, plan):
-    """Split ``x`` into the per-prover messages of the trivial variant."""
+def _trivial_shares(chunk_fam, x, plan):
+    """One whole message of ``chunk_fam`` per prover: for the polynomial
+    kind, ``x`` is the ``plan.symbols``-long message and each prover keeps
+    its own chunk; for karp-rabin, ``x`` holds one number per prover."""
+    _need_plan(plan)
     if chunk_fam.kind == KIND_POLYNOMIAL:
         if plan.chunk_len != chunk_fam.k:
             raise UsageError(
                 f"plan chunks have {plan.chunk_len} symbols but the chunk "
                 f"family hashes {chunk_fam.k}"
             )
-        return plan.split(x)
-    if len(x) != plan.provers:
+        chunks = plan.split(x)
+    elif len(x) != plan.provers:
         raise UsageError(f"expected {plan.provers} chunk values, got {len(x)}")
-    return [validate_message(chunk_fam, value) for value in x]
+    else:
+        chunks = x
+    return [(validate_message(chunk_fam, chunk), None) for chunk in chunks]
+
+
+def _trivial_check(digest, provers, r=None, e=None):
+    _own(digest, VARIANT_TRIVIAL)
+    if provers < 1 or provers != len(digest.gammas):
+        raise UsageError(f"digest expects {len(digest.gammas)} provers, got {provers}")
+    return digest
 
 
 def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    if digest.variant != VARIANT_TRIVIAL:
-        raise UsageError(f"digest is for variant {digest.variant!r}")
-    if len(answers) != len(digest.gammas):
-        raise UsageError(
-            f"expected {len(digest.gammas)} answers, got {len(answers)}"
-        )
+    _trivial_check(digest, len(answers))
     accused, erased = set(), set()
     for index, (answer, gamma) in enumerate(zip(answers, digest.gammas), start=1):
         if answer is None:
@@ -318,92 +337,96 @@ def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Ve
     return Verdict(OUTCOME_ACCEPTED)
 
 
-# --- s provers, answers sum to the whole-message hash ----------------------
+# --- s provers over one polynomial message: linear and rs-parity -----------
 
 
-def _require_polynomial(fam: HashFamilyDescriptor, variant: str) -> None:
+def _offset_shares(fam, x, plan):
+    """Each prover's chunk of the one message ``x`` and its symbol offset;
+    the prover answers for ``x`` zeroed outside its chunk."""
     if fam.kind != KIND_POLYNOMIAL:
         raise UnsupportedVariantError(
-            f"the {variant} variant needs a linear hash family; "
-            f"only the polynomial kind qualifies"
+            "the linear and rs-parity variants need a linear hash family; "
+            "only the polynomial kind qualifies"
         )
-
-
-def multi_linear_preprocess(
-    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: int
-) -> Digest:
-    """One expected value total: the hash of the whole message.  Each prover
-    later answers with the hash of its zero-extended chunk; by linearity the
-    honest answers sum to the stored value."""
-    _require_polynomial(fam, VARIANT_LINEAR)
+    _need_plan(plan)
     if plan.symbols != fam.k:
         raise UsageError(f"plan covers {plan.symbols} symbols but the family hashes {fam.k}")
-    beta = _draw_challenge(fam, rng_seed)
-    gamma = hash_eval(fam, x, beta)
-    return Digest(VARIANT_LINEAR, beta, (gamma,), family_fingerprint(fam), family=fam)
+    symbols = validate_message(fam, x)
+    return [(symbols[start:stop], start) for start, stop in plan.all_bounds()]
+
+
+def _check_field(variant, digest, provers, r=None, e=None):
+    """The linear check, and the start of the rs-parity one: a polynomial
+    family is attached and at least one prover answers."""
+    _own(digest, variant)
+    if digest.family is None:
+        raise UsageError("digest has no family attached (field size unknown)")
+    if digest.family.kind != KIND_POLYNOMIAL:
+        raise UnsupportedVariantError(f"the {variant} variant needs the polynomial kind")
+    if provers < 1:
+        raise UsageError("at least one answer required")
+    return digest
+
+
+def _linear_expected(fam, shares, plan, r=None, e=None):
+    """The whole-message hash, hashed on its own so that the check does not
+    rest on the chunk hashes."""
+    whole = unchecked_hasher(fam, tuple(chain.from_iterable(data for data, _ in shares)))
+    return lambda beta, answers: (whole(beta),)
 
 
 def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    if digest.variant != VARIANT_LINEAR:
-        raise UsageError(f"digest is for variant {digest.variant!r}")
-    if not answers:
-        raise UsageError("at least one answer required")
+    _check_field(VARIANT_LINEAR, digest, len(answers))
     erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
     if erased:
         return Verdict(OUTCOME_REJECTED, erased=erased)
     for answer in answers:
         _check_answer_range(digest, answer)
-    if digest.family is not None:
-        total = sum(answers) % digest.family.q
-    else:
-        raise UsageError("digest has no family attached (field size unknown)")
-    if total == digest.gammas[0]:
+    if sum(answers) % digest.family.q == digest.gammas[0]:
         return Verdict(OUTCOME_ACCEPTED)
     return Verdict(OUTCOME_REJECTED)
 
 
-# --- s provers with Reed-Solomon parities and cheater identification -------
-
-
-def multi_rs_preprocess(
-    fam: HashFamilyDescriptor,
-    x: Message,
-    plan: ChunkPlan,
-    r: int,
-    e: int,
-    rng_seed: int,
-) -> Digest:
-    """Store 2r+e Reed-Solomon parity symbols over the per-chunk hashes.
-
-    During verification the s answers and the parities form a received word
-    of the [s+2r+e, s] code over F_q; decoding corrects up to r wrong
-    answers (identifying the cheaters) while tolerating up to e silent
-    provers.  Requires s + 2r + e <= q.
-    """
-    _require_polynomial(fam, VARIANT_RS)
-    if plan.symbols != fam.k:
-        raise UsageError(f"plan covers {plan.symbols} symbols but the family hashes {fam.k}")
+def _rs_block_len(provers, r, e, q):
+    if r is None or e is None:
+        raise UsageError("the rs-parity variant needs r and e")
     if r < 0 or e < 0:
         raise UsageError("r and e must be non-negative")
-    block_len = plan.provers + 2 * r + e
-    if block_len > fam.q:
+    block_len = provers + 2 * r + e
+    if block_len > q:
         raise UsageError(
-            f"s + 2r + e = {block_len} exceeds the field size {fam.q}; "
+            f"s + 2r + e = {block_len} exceeds the field size {q}; "
             f"choose a larger field or a smaller budget"
         )
-    hashers = chunk_hashers(fam, x, plan.all_bounds())
-    beta = _draw_challenge(fam, rng_seed)
-    code = SystematicRSCode(plan.provers, block_len, fam.q)
-    codeword = rs_encode_systematic(code, [hash_at(beta) for hash_at in hashers])
-    gammas = codeword[plan.provers:]
-    return Digest(
-        VARIANT_RS,
-        beta,
-        gammas,
-        family_fingerprint(fam),
-        family=fam,
-        parity_budget=(r, e),
-    )
+    return block_len
+
+
+def _rs_expected(fam, shares, plan, r=None, e=None):
+    """The 2r+e Reed-Solomon parities of the s honest answers."""
+    s = plan.provers
+    code = SystematicRSCode(s, _rs_block_len(s, r, e, fam.q), fam.q)
+    return lambda beta, answers: rs_encode_systematic(code, tuple(answers))[s:]
+
+
+def _rs_check(digest, provers, r=None, e=None):
+    """Returns the digest with its budget: (r, e) when given, else the one
+    it carries from preprocessing."""
+    _check_field(VARIANT_RS, digest, provers)
+    if (r is None) != (e is None):
+        raise UsageError("supply both r and e or neither")
+    if r is None:
+        if digest.parity_budget is None:
+            raise UsageError("digest carries no (r, e) budget; pass r= and e=")
+        r, e = digest.parity_budget
+    _rs_block_len(provers, r, e, digest.family.q)
+    if 2 * r + e != len(digest.gammas):
+        raise UsageError(
+            f"budget (r={r}, e={e}) needs {2 * r + e} parity symbols, "
+            f"digest stores {len(digest.gammas)}"
+        )
+    if digest.parity_budget == (r, e):
+        return digest
+    return replace(digest, parity_budget=(r, e))
 
 
 def multi_rs_verify(
@@ -413,44 +436,23 @@ def multi_rs_verify(
     e: Optional[int] = None,
 ) -> Verdict:
     """Decode answers + stored parities; accuse the wrong-answer positions.
+    The budget is (r, e) when given, else the digest's own.
 
     Returns ``undecidable`` (rather than rejecting anyone) when more than e
     provers are silent or when no codeword lies within the corruption
     budget — the audit then carries no attributable evidence.
     """
-    if digest.variant != VARIANT_RS:
-        raise UsageError(f"digest is for variant {digest.variant!r}")
-    if digest.family is None:
-        raise UsageError("digest has no family attached (field size unknown)")
-    if (r is None) != (e is None):
-        raise UsageError("supply both r and e or neither")
-    if r is None:
-        if digest.parity_budget is None:
-            raise UsageError("digest carries no (r, e) budget; pass r= and e=")
-        r, e = digest.parity_budget
-    if r < 0 or e < 0:
-        raise UsageError("r and e must be non-negative")
-    if 2 * r + e != len(digest.gammas):
-        raise UsageError(
-            f"budget (r={r}, e={e}) needs {2 * r + e} parity symbols, "
-            f"digest stores {len(digest.gammas)}"
-        )
-    s = len(answers)
-    if s < 1:
-        raise UsageError("at least one answer required")
-    q = digest.family.q
-    block_len = s + len(digest.gammas)
-    if block_len > q:
-        raise UsageError(f"s + 2r + e = {block_len} exceeds the field size {q}")
+    digest = _rs_check(digest, len(answers), r, e)
+    e = digest.parity_budget[1]
+    s, q = len(answers), digest.family.q
     erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
     if len(erased) > e:
         return Verdict(OUTCOME_UNDECIDABLE, erased=erased)
     for answer in answers:
         if answer is not None and not 0 <= answer < q:
             raise UsageError(f"answer {answer} outside the field [0, {q})")
-    received = list(answers) + list(digest.gammas)
-    code = SystematicRSCode(s, block_len, q)
-    decoded = rs_decode_errors_erasures(code, received)
+    code = SystematicRSCode(s, s + len(digest.gammas), q)
+    decoded = rs_decode_errors_erasures(code, list(answers) + list(digest.gammas))
     if decoded is None:
         return Verdict(OUTCOME_UNDECIDABLE, erased=erased)
     _, error_positions = decoded
@@ -458,6 +460,132 @@ def multi_rs_verify(
     if error_positions:
         return Verdict(OUTCOME_REJECTED, accused=accused, erased=erased)
     return Verdict(OUTCOME_ACCEPTED, erased=erased)
+
+
+# --- the variant table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Variant:
+    """What one audit variant knows, and nothing else does.
+
+    - ``tag``: its byte in the digest format.
+    - ``provers``: the prover count when the variant fixes it, else None.
+    - ``chunk_family``: the family hashes one chunk, and the data holds every
+      prover's chunk (trivial), rather than hashing the whole message.
+    - ``chunk_plan(fam, s)``: how the data splits across s provers.
+    - ``shares(fam, x, plan)``: each prover's data, checked, and its symbol
+      offset (None when the data is a whole message of ``fam``).
+    - ``expected(fam, shares, plan, r, e)``: None when the honest answers
+      are the digest values; otherwise a function (beta, answers) -> the
+      digest values, given an iterable of the honest answers at beta.
+    - ``check(digest, provers, r, e)``: everything that can be checked
+      before a challenge is sent; returns the digest ready to verify.
+    - ``verify(digest, answers)``: the verdict on one answer (or None, for
+      silence) per prover.
+    """
+
+    tag: int
+    provers: Optional[int]
+    chunk_family: bool
+    chunk_plan: Callable
+    shares: Callable
+    expected: Optional[Callable]
+    check: Callable
+    verify: Callable
+
+
+def answerers(fam: HashFamilyDescriptor, shares: Sequence) -> list:
+    """One honest answer function, beta -> h_beta, per share of
+    :attr:`Variant.shares`."""
+    return [unchecked_hasher(fam, data, start) for data, start in shares]
+
+
+VARIANTS = {
+    VARIANT_SINGLE: Variant(1, 1, False, _whole_message_plan, _single_shares,
+                            None, _single_check, _single_verify),
+    VARIANT_TRIVIAL: Variant(2, None, True, _trivial_plan, _trivial_shares,
+                             None, _trivial_check, multi_trivial_verify),
+    VARIANT_LINEAR: Variant(3, None, False, _whole_message_plan, _offset_shares,
+                            _linear_expected, partial(_check_field, VARIANT_LINEAR),
+                            multi_linear_verify),
+    VARIANT_RS: Variant(4, None, False, _whole_message_plan, _offset_shares,
+                        _rs_expected, _rs_check, multi_rs_verify),
+}
+_TAG_VARIANTS = {variant.tag: name for name, variant in VARIANTS.items()}
+
+
+def lookup_variant(name: str) -> Variant:
+    """The table entry of ``name``; a :class:`UsageError` for unknown names."""
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise UsageError(f"unknown variant {name!r}") from None
+
+
+def preprocess(
+    variant: str,
+    fam: HashFamilyDescriptor,
+    x: Message,
+    plan: Optional[ChunkPlan],
+    rng_seed: int,
+    r: Optional[int] = None,
+    e: Optional[int] = None,
+) -> Digest:
+    """Sample a challenge and store the variant's expected values there.
+
+    ``plan`` may be None for the single variant; (r, e) is the rs-parity
+    budget, which needs s + 2r + e <= q, and is kept on the digest.
+    """
+    spec = lookup_variant(variant)
+    shares = spec.shares(fam, x, plan)
+    extra = spec.expected and spec.expected(fam, shares, plan, r, e)
+    hashers = answerers(fam, shares)
+    beta = _draw_challenge(fam, rng_seed)
+    answers = (hash_at(beta) for hash_at in hashers)  # linear never reads them
+    gammas = answers if extra is None else extra(beta, answers)
+    budget = None if r is None and e is None else (r, e)
+    return Digest(variant, beta, tuple(gammas), family_fingerprint(fam), family=fam,
+                  parity_budget=budget)
+
+
+def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: int) -> Digest:
+    """Sample a challenge and store the one expected hash value."""
+    return preprocess(VARIANT_SINGLE, fam, x, None, rng_seed)
+
+
+def single_verify(digest: Digest, answer: Optional[int]) -> Verdict:
+    return _single_verify(digest, (answer,))
+
+
+def multi_trivial_preprocess(
+    chunk_fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: int
+) -> Digest:
+    """One shared challenge, one expected value per chunk; ``chunk_fam``
+    describes a single chunk."""
+    return preprocess(VARIANT_TRIVIAL, chunk_fam, x, plan, rng_seed)
+
+
+def multi_linear_preprocess(
+    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: int
+) -> Digest:
+    """One expected value total: the hash of the whole message.  Each prover
+    later answers with the hash of its zero-extended chunk; by linearity the
+    honest answers sum to the stored value."""
+    return preprocess(VARIANT_LINEAR, fam, x, plan, rng_seed)
+
+
+def multi_rs_preprocess(
+    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, r: int, e: int, rng_seed: int
+) -> Digest:
+    """Store 2r+e Reed-Solomon parity symbols over the per-chunk hashes.
+
+    During verification the s answers and the parities form a received word
+    of the [s+2r+e, s] code over F_q; decoding corrects up to r wrong
+    answers (identifying the cheaters) while tolerating up to e silent
+    provers.  Requires s + 2r + e <= q.
+    """
+    return preprocess(VARIANT_RS, fam, x, plan, rng_seed, r, e)
 
 
 # --- storage bound ---------------------------------------------------------

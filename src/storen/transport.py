@@ -25,9 +25,10 @@ silent.  Protocol violations (ERROR frames, garbage, out-of-alphabet
 answers, handshake mismatches) raise :class:`ProtocolError` instead: they
 are evidence of a broken or hostile peer, not of missing data.
 
-A challenge digest is spent the moment it is sent: the module keeps a
-per-process registry of consumed digests and refuses to audit with the
-same one twice (:func:`reset_consumed_digests` clears it, for tests).
+A challenge digest is spent the moment it is sent, and only after the
+variant's pre-flight check has passed: the module keeps a per-process
+registry of consumed digests and refuses to audit with the same one twice
+(:func:`reset_consumed_digests` clears it, for tests).
 The client-side timeout defaults to 5000 ms and can be set with the
 ``STOREN_TIMEOUT_MS`` environment variable or per call.
 """
@@ -44,19 +45,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ProtocolError, UsageError
 from .hash_families import HashFamilyDescriptor, Message, chunk_hasher, family_fingerprint
-from .protocol import (
-    VARIANT_LINEAR,
-    VARIANT_RS,
-    VARIANT_SINGLE,
-    VARIANT_TRIVIAL,
-    Digest,
-    Verdict,
-    digest_to_bytes,
-    multi_linear_verify,
-    multi_rs_verify,
-    multi_trivial_verify,
-    single_verify,
-)
+from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes
 
 PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT_MS = 5000
@@ -362,16 +351,13 @@ def run_verifier_client(
     timeout_ms: Optional[int] = None,
 ) -> Verdict:
     """Audit the provers at ``addresses`` (one per prover, in prover order)
-    with the digest's challenge, concurrently, and return the verdict."""
+    with the digest's challenge, concurrently, and return the verdict.
+
+    The variant's pre-flight check (prover count, family, rs-parity budget)
+    runs before the digest is spent, so a misused audit sends nothing."""
     addresses = [tuple(a) for a in addresses]
-    if not addresses:
-        raise UsageError("at least one prover address required")
-    if digest.variant == VARIANT_SINGLE and len(addresses) != 1:
-        raise UsageError("the single variant audits exactly one prover")
-    if digest.variant == VARIANT_TRIVIAL and len(addresses) != len(digest.gammas):
-        raise UsageError(
-            f"digest expects {len(digest.gammas)} provers, got {len(addresses)}"
-        )
+    spec = VARIANTS[digest.variant]
+    digest = spec.check(digest, len(addresses), r, e)
     _mark_consumed(digest)
     fingerprint = digest.fingerprint
     with ThreadPoolExecutor(max_workers=len(addresses)) as pool:
@@ -388,10 +374,4 @@ def run_verifier_client(
                 raise ProtocolError(
                     f"answer {answer} outside the challenge alphabet [0, {limit})"
                 )
-    if digest.variant == VARIANT_SINGLE:
-        return single_verify(digest, answers[0])
-    if digest.variant == VARIANT_TRIVIAL:
-        return multi_trivial_verify(digest, answers)
-    if digest.variant == VARIANT_LINEAR:
-        return multi_linear_verify(digest, answers)
-    return multi_rs_verify(digest, answers, r=r, e=e)
+    return spec.verify(digest, answers)

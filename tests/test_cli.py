@@ -12,22 +12,35 @@ import pytest
 
 import storen
 from storen.adversary import ZeroAnswerer, run_experiment
-from storen.cli import main, synthesize_message
+from storen.cli import build_parser, main, synthesize_message
 from storen.hash_families import (
+    KIND_KARP_RABIN,
+    KIND_POLYNOMIAL,
     derive_family,
     descriptor_from_bytes,
     descriptor_to_bytes,
+    hash_eval,
     karp_rabin_family,
     polynomial_family,
 )
 from storen.protocol import (
+    VARIANTS,
+    ChunkPlan,
     Digest,
     digest_from_bytes,
+    multi_linear_preprocess,
+    multi_rs_preprocess,
+    multi_trivial_preprocess,
     single_preprocess,
     digest_to_bytes,
 )
 from storen.hash_families import family_fingerprint
-from storen.transport import ProverServer, honest_answerer, reset_consumed_digests
+from storen.transport import (
+    ProverServer,
+    honest_answerer,
+    query_prover,
+    reset_consumed_digests,
+)
 
 from _oracles import decodable_codewords
 
@@ -168,6 +181,56 @@ def test_audit_usage_and_io_exit_codes(tmp_path, capsys):
         "audit", "--digest", str(tmp_path / "missing.bin"), "--prover", "127.0.0.1:1",
     ]) == 4
     capsys.readouterr()
+
+
+def _counting(answer_fn, calls):
+    def answer(beta):
+        calls.append(beta)
+        return answer_fn(beta)
+
+    return answer
+
+
+def test_audit_without_budget_exits_2_and_leaves_the_digest_unspent(tmp_path, capsys):
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(FAM))
+    plan = ChunkPlan(2, 2)
+    digest_file = tmp_path / "digest.bin"
+    digest_file.write_bytes(digest_to_bytes(multi_rs_preprocess(FAM, (1, 2), plan, 1, 0, 4)))
+    calls = []
+    a1 = _counting(honest_answerer(FAM, plan.zero_extended((1, 2), 1)), calls)
+    a2 = _counting(honest_answerer(FAM, plan.zero_extended((1, 2), 2)), calls)
+    with ProverServer(FAM, a1) as s1, ProverServer(FAM, a2) as s2:
+        argv = ["audit", "--digest", str(digest_file), "--family", str(fam_file),
+                "--prover", "%s:%d" % s1.address, "--prover", "%s:%d" % s2.address]
+        assert main(argv) == 2
+        assert calls == []
+        assert main(argv + ["--r", "1", "--e", "0"]) == 0
+    assert len(calls) == 2
+    assert "outcome: accepted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant, beta, gammas, message", [
+    ("single", 5, (2,), "exceeds the family size n=4"),
+    ("single", 2, (5,), "outside the alphabet [0, 5)"),
+    ("rs-parity", 1, (3, 5), "outside the alphabet [0, 5)"),
+], ids=["beta-past-n", "single-value-past-q", "parity-past-q"])
+def test_audit_range_checks_the_digest_file(tmp_path, capsys, variant, beta, gammas, message):
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(FAM))
+    digest_file = tmp_path / "digest.bin"
+    digest_file.write_bytes(digest_to_bytes(
+        Digest(variant, beta=beta, gammas=gammas, fingerprint=family_fingerprint(FAM))
+    ))
+    calls = []
+    with ProverServer(FAM, _counting(lambda beta: 0, calls)) as server:
+        assert main([
+            "audit", "--digest", str(digest_file), "--family", str(fam_file),
+            "--r", "1", "--e", "0", "--prover", "%s:%d" % server.address,
+            "--prover", "%s:%d" % server.address,
+        ]) == 2
+    assert calls == []
+    assert message in capsys.readouterr().err
 
 
 def test_data_file_validation(tmp_path, capsys):
@@ -377,3 +440,86 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "challenges: 4" in proc.stdout
+
+
+# The variant table, through the CLI: every variant on every family kind it
+# supports.  Polynomial data is 4 symbols over F_7 (two chunks of 2 for the
+# trivial chunk family); karp-rabin data is one value below 2 * 3 = 6, or
+# one per prover for trivial.
+_POLY = polynomial_family(k=4, n=7, q=7)
+_POLY_CHUNK = polynomial_family(k=2, n=7, q=7)
+_KR = karp_rabin_family(k=2, n=4)
+_LIBRARY = {
+    "single": lambda fam, x, plan: single_preprocess(fam, x, 3),
+    "trivial": lambda fam, x, plan: multi_trivial_preprocess(fam, x, plan, 3),
+    "linear": lambda fam, x, plan: multi_linear_preprocess(fam, x, plan, 3),
+    "rs-parity": lambda fam, x, plan: multi_rs_preprocess(fam, x, plan, 1, 1, 3),
+}
+_TABLE_CASES = [(variant, KIND_POLYNOMIAL) for variant in _LIBRARY] + [
+    ("single", KIND_KARP_RABIN), ("trivial", KIND_KARP_RABIN),
+]
+
+
+def _table_case(variant, kind):
+    """(family, whole data, data file bytes, plan, each prover's message as
+    an independent reference: its chunk, zero-extended where the variant's
+    provers answer for the whole message)."""
+    if kind == KIND_KARP_RABIN:
+        if variant == "trivial":
+            return _KR, (4, 5), bytes([4, 5]), ChunkPlan(2, 2), [4, 5]
+        return _KR, 5, bytes([5]), None, [5]
+    x = (3, 0, 6, 1)
+    plan = ChunkPlan(2, 4)
+    if variant == "trivial":
+        return _POLY_CHUNK, x, bytes(x), plan, plan.split(x)
+    if variant == "single":
+        return _POLY, x, bytes(x), None, [x]
+    return _POLY, x, bytes(x), plan, [plan.zero_extended(x, i) for i in (1, 2)]
+
+
+@pytest.mark.parametrize("variant, kind", _TABLE_CASES)
+def test_every_variant_preprocesses_and_serves_like_the_library(tmp_path, capsys, variant, kind):
+    fam, x, raw, plan, messages = _table_case(variant, kind)
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(fam))
+    data = tmp_path / "data.bin"
+    data.write_bytes(raw)
+    digest_file = tmp_path / "digest.bin"
+    assert main([
+        "preprocess", "--family", str(fam_file), "--variant", variant,
+        "--data", str(data), "--seed", "3", "--provers", "2", "--r", "1", "--e", "1",
+        "--out", str(digest_file),
+    ]) == 0
+    assert digest_file.read_bytes() == digest_to_bytes(_LIBRARY[variant](fam, x, plan))
+
+    fingerprint = family_fingerprint(fam)
+    for index, message in enumerate(messages, start=1):
+        port = free_port()
+        thread = threading.Thread(target=main, args=([
+            "serve", "--family", str(fam_file), "--data", str(data),
+            "--variant", variant, "--chunks", str(len(messages)),
+            "--chunk-index", str(index), "--port", str(port),
+            "--max-sessions", str(fam.n),
+        ],), daemon=True)
+        thread.start()
+        wait_for_server(port)
+        answers = [query_prover(("127.0.0.1", port), beta, fingerprint)
+                   for beta in range(1, fam.n + 1)]
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert answers == [hash_eval(fam, message, beta) for beta in range(1, fam.n + 1)]
+    capsys.readouterr()
+
+
+def test_digest_tags_and_cli_choices_are_the_table():
+    fp = family_fingerprint(FAM)
+    tagged = {
+        digest_from_bytes(digest_to_bytes(Digest(name, 1, (0, 0), fp))).variant
+        for name in VARIANTS
+    }
+    assert tagged == set(VARIANTS)
+    assert len({spec.tag for spec in VARIANTS.values()}) == len(VARIANTS)
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command in ("preprocess", "serve"):
+        (option,) = [a for a in commands[command]._actions if a.dest == "variant"]
+        assert list(option.choices) == list(VARIANTS)

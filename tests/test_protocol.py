@@ -324,6 +324,22 @@ def test_digest_with_family_checks_fingerprint():
         digest.with_family(karp_rabin_family(k=2, n=4))
 
 
+def test_digest_with_family_range_checks_challenge_and_values():
+    for variant, gammas in (("single", (4,)), ("linear", (0,)), ("rs-parity", (4, 0))):
+        assert Digest(variant, 5, gammas, FP).with_family(FAM).family == FAM
+        with pytest.raises(UsageError, match="exceeds the family size"):
+            Digest(variant, 6, gammas, FP).with_family(FAM)
+        with pytest.raises(UsageError, match=r"outside the alphabet \[0, 5\)"):
+            Digest(variant, 5, gammas[:-1] + (5,), FP).with_family(FAM)
+    # karp-rabin alphabets differ per challenge: 2, 3, 5, 7
+    kr = karp_rabin_family(k=2, n=4)
+    trivial = Digest("trivial", 1, (1, 0), family_fingerprint(kr))
+    assert trivial.with_family(kr).family == kr
+    with pytest.raises(UsageError, match=r"\[0, 2\)"):
+        Digest("trivial", 1, (1, 2), family_fingerprint(kr)).with_family(kr)
+    assert Digest("trivial", 4, (6, 2), family_fingerprint(kr)).with_family(kr)
+
+
 def test_digest_payload_bits_formulas():
     assert digest_payload_bits(single_preprocess(FAM, (1, 2), 0)) == 3 + 3
     chunk_fam = polynomial_family(k=1, n=5, q=5)

@@ -15,6 +15,8 @@ from storen.hash_families import (
 )
 from storen.protocol import (
     ChunkPlan,
+    digest_from_bytes,
+    digest_to_bytes,
     multi_linear_preprocess,
     multi_rs_preprocess,
     multi_rs_verify,
@@ -284,3 +286,46 @@ def test_max_sessions_stops_the_server():
         assert server.wait_closed(timeout=5)
     finally:
         server.close()
+
+
+def _counting(answer_fn, calls, index):
+    """``answer_fn`` that records ``index`` on every challenge it answers."""
+
+    def answer(beta):
+        calls.append(index)
+        return answer_fn(beta)
+
+    return answer
+
+
+def test_misused_audits_send_no_challenge_and_leave_the_digest_unspent():
+    plan = ChunkPlan(2, 2)
+    digest = multi_rs_preprocess(FAM, X, plan, r=1, e=0, rng_seed=6)
+    from_disk = digest_from_bytes(digest_to_bytes(digest))  # no family, no budget
+    attached = from_disk.with_family(FAM)
+    single = single_preprocess(FAM, X, 6)
+    trivial = multi_trivial_preprocess(polynomial_family(k=1, n=5, q=5), X, plan, 6)
+    calls = []
+    a1 = _counting(honest_answerer(FAM, plan.zero_extended(X, 1)), calls, 1)
+    a2 = _counting(honest_answerer(FAM, plan.zero_extended(X, 2)), calls, 2)
+    with ProverServer(FAM, a1) as s1, ProverServer(FAM, a2) as s2:
+        two = [s1.address, s2.address]
+        misuses = [
+            (attached, two, {}),  # no (r, e) budget
+            (attached, two, {"r": 1}),  # half a budget
+            (attached, two, {"r": 0, "e": 0}),  # 2r + e differs from the parity count
+            (attached, two * 2, {"r": 1, "e": 0}),  # s + 2r + e = 6 > q = 5
+            (from_disk, two, {"r": 1, "e": 0}),  # no family: the field is unknown
+            (single, two, {}),  # the single variant has one prover
+            (trivial, [s1.address], {}),  # the digest stores two expected values
+            (attached, [], {"r": 1, "e": 0}),  # nobody to audit
+        ]
+        for misused, addresses, budget in misuses:
+            with pytest.raises(UsageError):
+                run_verifier_client(misused, addresses, **budget)
+        assert calls == []
+        verdict = run_verifier_client(attached, two, r=1, e=0)
+    assert (verdict.outcome, verdict.accused, verdict.erased) == (
+        "accepted", frozenset(), frozenset(),
+    )
+    assert sorted(calls) == [1, 2]
