@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from storen.algebra import first_n_primes, is_prime, next_prime_at_least, poly_eval_mod
+from storen.algebra import (
+    DIGIT_BASE,
+    first_n_primes,
+    is_prime,
+    next_prime_at_least,
+    poly_eval_mod,
+)
 from storen.errors import CapacityError, UsageError
+from storen.hash_families import KIND_KARP_RABIN, derive_family, hash_eval_stream
 
-from _oracles import first_primes, naive_poly_eval, sieve_upto
+from _oracles import bignat_digits_msf, digits_mod, first_primes, naive_poly_eval, sieve_upto
 
 
 def test_is_prime_matches_sieve_below_10000():
@@ -78,3 +85,49 @@ def test_first_n_primes_validates():
         first_n_primes(0)
     with pytest.raises(CapacityError):
         first_n_primes(10**9)
+
+
+# A big natural streamed as base-2**32 digits, most significant first, is
+# reduced by the karp-rabin branch of hash_eval_stream; h_i reduces mod the
+# i-th prime, so h_3 is the residue mod 5.  k = 512 admits 5 191-bit messages.
+_KR = derive_family(KIND_KARP_RABIN, k=512, epsilon=0.5)
+
+
+def test_bignat_digits_msf_round_trip():
+    assert bignat_digits_msf(0) == ()
+    assert bignat_digits_msf(2**64) == (1, 0, 0)
+    x = 123456789012345678901234567890
+    digits = bignat_digits_msf(x)
+    assert all(0 <= d < DIGIT_BASE for d in digits) and digits[0] != 0
+    assert sum(d << (32 * j) for j, d in enumerate(reversed(digits))) == x
+
+
+def test_bignat_mod_stream_fixed_value():
+    # 2**64 has digit stream (1, 0, 0); 2**64 mod 5 = 1.
+    assert _KR.primes[2] == 5
+    assert hash_eval_stream(_KR, (1, 0, 0), 3) == 1
+    assert hash_eval_stream(_KR, (), 3) == 0
+
+
+def test_bignat_mod_stream_matches_int_mod():
+    rng = random.Random(0xC0FFEE)
+    for _ in range(50):
+        x = rng.getrandbits(4096)
+        i = rng.randrange(1, _KR.n + 1)
+        p = _KR.primes[i - 1]
+        digits = bignat_digits_msf(x)
+        assert hash_eval_stream(_KR, digits, i) == x % p
+        assert digits_mod(digits, p) == x % p
+
+
+def test_bignat_mod_stream_consumes_a_one_shot_iterator():
+    digits = iter(bignat_digits_msf(2**64))
+    assert hash_eval_stream(_KR, digits, 3) == 1
+
+
+def test_bignat_mod_stream_rejects_bad_digit():
+    for bad in (DIGIT_BASE, -1, 1.0):
+        with pytest.raises(UsageError):
+            hash_eval_stream(_KR, [bad], 3)
+        with pytest.raises(UsageError):
+            hash_eval_stream(_KR, iter((1, bad)), 3)

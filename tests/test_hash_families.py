@@ -28,7 +28,7 @@ from storen.hash_families import (
 )
 from storen.protocol import ChunkPlan
 
-from _oracles import bignat_digits_msf, crt_reconstruct, digits_mod, naive_poly_eval
+from _oracles import bignat_digits_msf, crt_reconstruct, naive_poly_eval
 
 
 def test_derive_polynomial_fixed_point():
@@ -159,23 +159,6 @@ def test_stream_equals_batch_random():
         x = rng.randrange(message_space_size(kr))
         i = rng.randrange(1, kr.n + 1)
         assert hash_eval_stream(kr, iter(bignat_digits_msf(x)), i) == hash_eval(kr, x, i)
-
-
-def test_stream_karp_rabin_digits():
-    # the residue of a natural streamed most significant digit first
-    kr = derive_family(KIND_KARP_RABIN, k=16, epsilon=0.5)
-    assert bignat_digits_msf(2**64) == (1, 0, 0) and bignat_digits_msf(0) == ()
-    assert hash_eval_stream(kr, iter((1, 0, 0)), 3) == 2**64 % 5 == 1  # a one-shot iterator
-    assert hash_eval_stream(kr, iter(()), 3) == 0
-    rng = random.Random(0xC0FFEE)
-    for _ in range(50):
-        x = rng.randrange(message_space_size(kr))
-        i = rng.randrange(1, kr.n + 1)
-        digits = bignat_digits_msf(x)
-        assert hash_eval_stream(kr, iter(digits), i) == digits_mod(digits, kr.primes[i - 1])
-    for bad in (2**32, -1, 1.0):
-        with pytest.raises(UsageError):
-            hash_eval_stream(kr, iter((1, bad)), 1)
 
 
 def test_stream_length_mismatch_rejected():
