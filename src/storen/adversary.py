@@ -1,14 +1,20 @@
 """Adversarial prover strategies and the audit simulation harness.
 
 A *strategy* is a frozen description of what a prover keeps and how it
-answers challenges.  :func:`build_store` turns a strategy into a
-:class:`ProverStore` whose ``retained_bits`` counts exactly the payload the
-prover keeps: zero for stores that keep nothing, otherwise a 40-bit header
-(one tag byte plus a 32-bit symbol count) plus the sum of per-symbol widths.
-This makes retention strictly monotone in the number of kept symbols.
+answers challenges.  Each concrete strategy owns both of its rules:
+``store(fam, data, start, honest)`` builds its :class:`ProverStore` over one
+prover's checked share of the data (``honest`` is the function
+beta -> h_beta of that share), and ``rate(fam, x)`` is its exact
+single-prover pass rate.  A store is a frozen ``(retained_bits, answer)``
+record.  ``retained_bits`` counts exactly the payload the prover keeps: zero
+for stores that keep nothing, otherwise a 40-bit header (one tag byte plus
+a 32-bit symbol count) plus the sum of per-symbol widths.  This makes
+retention strictly monotone in the number of kept symbols.
 
 :func:`run_experiment` replays many independent audits against a strategy
-and reports empirical pass rates next to exact analytic ones.  Trials are
+and reports empirical pass rates next to exact analytic ones.  Its stores
+answer through the experiment's memo of honest values, so a call hashes
+each prover's data at most once per distinct challenge.  Trials are
 reproducible: trial ``i`` of master seed ``m`` uses the seed
 ``sha256("storen.trial:m:i")`` (as a big-endian integer), the challenge is
 drawn first, then prover answers in prover order.  Stores draw from the
@@ -22,7 +28,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .algebra import poly_eval_mod
 from .errors import UnsupportedVariantError, UsageError
@@ -33,7 +39,6 @@ from .hash_families import (
     chunk_hasher,
     family_fingerprint,
     message_space_size,
-    validate_message,
 )
 from .protocol import (
     RNG_ALGORITHM,
@@ -47,13 +52,74 @@ from .protocol import (
 _HEADER_BITS = 40  # tag byte + u32 symbol count, charged once per non-empty store
 
 
+@dataclass(frozen=True)
+class ProverStore:
+    """What one prover keeps, and how it answers.
+
+    ``retained_bits`` is 0 for an empty store and header + sum of symbol
+    widths otherwise.  ``answer(beta, rng)`` is the answer to challenge
+    ``beta``, or None for silence; any guess is drawn from ``rng``.
+    """
+
+    retained_bits: int
+    answer: Callable[[int, random.Random], Optional[int]]
+
+
+def _retained(count: int, payload_bits: int) -> int:
+    """Retained bits of a store keeping ``count`` symbols, ``payload_bits`` in all."""
+    return _HEADER_BITS + payload_bits if count else 0
+
+
+def _data_bits(fam: HashFamilyDescriptor, data) -> int:
+    """Retained bits of a prover keeping its share: its symbols, or for
+    karp-rabin its one natural."""
+    if fam.kind == KIND_POLYNOMIAL:
+        return _retained(len(data), len(data) * fam.symbol_bits)
+    return _retained(1, (message_space_size(fam) - 1).bit_length())
+
+
+def _guess_mass(fam: HashFamilyDescriptor, t: int) -> Fraction:
+    """Sum of 1/|alphabet| over the challenges t+1..n, which a prover can
+    only guess uniformly: (n - t)/q for the polynomial kind, whose
+    alphabets are all q."""
+    if fam.kind == KIND_POLYNOMIAL:
+        return Fraction(fam.n - t, fam.q)
+    return sum(
+        (Fraction(1, fam.alphabet(i)) for i in range(t + 1, fam.n + 1)),
+        Fraction(0),
+    )
+
+
 class Strategy:
-    """Marker base class for prover strategies."""
+    """Base class for prover strategies.
+
+    A concrete single-prover strategy defines both of its rules:
+
+    - ``store(fam, data, start, honest)``: its :class:`ProverStore` over one
+      prover's share as :attr:`protocol.Variant.shares` gives it (checked
+      data, and its symbol offset or None for a whole message).  ``honest``
+      is the function beta -> h_beta of that share; stores call it only
+      from ``answer``, for the challenge being answered.
+    - ``rate(fam, x)``: its exact pass probability over the challenge draw
+      (and any guessing), as the one prover of message ``x``.
+    """
+
+    def store(self, fam, data, start, honest) -> ProverStore:
+        raise UsageError(f"{self!r} is not a single-prover strategy")
+
+    def rate(self, fam, x) -> Fraction:
+        raise UsageError(f"{self!r} is not a single-prover strategy")
 
 
 @dataclass(frozen=True)
 class Honest(Strategy):
     """Keeps the whole message and always answers correctly."""
+
+    def store(self, fam, data, start, honest):
+        return ProverStore(_data_bits(fam, data), lambda beta, rng: honest(beta))
+
+    def rate(self, fam, x):
+        return Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -65,6 +131,24 @@ class PartialCodeword(Strategy):
     def __post_init__(self):
         if self.t < 0:
             raise UsageError("t must be non-negative")
+
+    def store(self, fam, data, start, honest):
+        t = self.t
+        if t > fam.n:
+            raise UsageError(f"t={t} exceeds the family size n={fam.n}")
+        widths = sum((fam.alphabet(i) - 1).bit_length() for i in range(1, t + 1))
+
+        def answer(beta, rng):
+            if beta <= t:
+                return honest(beta)  # a kept value
+            return rng.randrange(fam.alphabet(beta))
+
+        return ProverStore(_retained(t, widths), answer)
+
+    def rate(self, fam, x):
+        n = fam.n
+        t = min(self.t, n)
+        return Fraction(t, n) + _guess_mass(fam, t) / n
 
 
 @dataclass(frozen=True)
@@ -78,15 +162,63 @@ class PartialRaw(Strategy):
         if self.t < 0:
             raise UsageError("t must be non-negative")
 
+    def store(self, fam, data, start, honest):
+        if fam.kind != KIND_POLYNOMIAL:
+            raise UnsupportedVariantError(
+                "raw-prefix retention is defined for the polynomial kind only"
+            )
+        t, k, q = self.t, fam.k, fam.q
+        if t > k:
+            raise UsageError(f"t={t} exceeds the message length k={k}")
+        # the prefix of the zero-extended message, less any trailing zeros,
+        # which add nothing to the hash
+        prefix = ((0,) * (start or 0) + tuple(data))[:t]
+
+        def answer(beta, rng):
+            point = beta - 1
+            value = poly_eval_mod(prefix, point, q)
+            if t == k:
+                return value
+            if point == 0:
+                # the suffix never reaches the evaluation point 0; the prefix
+                # pins the answer when it covers the constant term
+                return value if t >= 1 else rng.randrange(q)
+            # a uniform suffix contributes a uniform field element at any
+            # nonzero point, so one draw suffices
+            return (value + rng.randrange(q)) % q
+
+        return ProverStore(_retained(t, t * fam.symbol_bits), answer)
+
+    def rate(self, fam, x):
+        n = fam.n
+        if self.t == fam.k:
+            return Fraction(1)
+        determined = 1 if self.t >= 1 else 0
+        return Fraction(determined, n) + Fraction(n - determined, n) / fam.q
+
 
 @dataclass(frozen=True)
 class UniformGuesser(Strategy):
     """Keeps nothing; answers a uniform element of the challenge alphabet."""
 
+    def store(self, fam, data, start, honest):
+        return ProverStore(0, lambda beta, rng: rng.randrange(fam.alphabet(beta)))
+
+    def rate(self, fam, x):
+        return _guess_mass(fam, 0) / fam.n
+
 
 @dataclass(frozen=True)
 class ZeroAnswerer(Strategy):
     """Keeps nothing; always answers zero."""
+
+    def store(self, fam, data, start, honest):
+        return ProverStore(0, lambda beta, rng: 0)
+
+    def rate(self, fam, x):
+        hash_at = chunk_hasher(fam, x)
+        zeros = sum(1 for beta in range(1, fam.n + 1) if hash_at(beta) == 0)
+        return Fraction(zeros, fam.n)
 
 
 @dataclass(frozen=True)
@@ -99,6 +231,19 @@ class Unresponsive(Strategy):
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise UsageError("probability must lie in [0, 1]")
+
+    def store(self, fam, data, start, honest):
+        probability = self.probability
+
+        def answer(beta, rng):
+            if rng.random() < probability:
+                return None
+            return honest(beta)
+
+        return ProverStore(_data_bits(fam, data), answer)
+
+    def rate(self, fam, x):
+        return 1 - Fraction(self.probability)
 
 
 @dataclass(frozen=True)
@@ -141,128 +286,6 @@ def per_prover_strategies(provers: int, strategy) -> Tuple[Strategy, ...]:
     return strategies
 
 
-# --- stores -----------------------------------------------------------------
-
-
-class ProverStore:
-    """What one prover keeps, plus its answering behavior.
-
-    ``stored`` is the list of ``(width_bits, value)`` symbols the prover
-    physically retains; ``retained_bits`` is 0 for an empty store and
-    header + sum of widths otherwise.
-    """
-
-    def __init__(self, fam: HashFamilyDescriptor, stored):
-        self.family = fam
-        self.stored = list(stored)
-
-    @property
-    def retained_bits(self) -> int:
-        if not self.stored:
-            return 0
-        return _HEADER_BITS + sum(width for width, _ in self.stored)
-
-    def answer(self, beta: int, rng: random.Random) -> Optional[int]:
-        raise NotImplementedError
-
-
-def _payload_symbols(fam: HashFamilyDescriptor, x, start=None) -> list:
-    """(width, value) pairs for the raw data an honest prover keeps: the
-    whole message, or with ``start`` its (already validated) chunk."""
-    if fam.kind == KIND_POLYNOMIAL:
-        width = fam.symbol_bits
-        symbols = x if start is not None else validate_message(fam, x)
-        return [(width, sym) for sym in symbols]
-    value = validate_message(fam, x)
-    return [((message_space_size(fam) - 1).bit_length(), value)]
-
-
-class _HonestStore(ProverStore):
-    def __init__(self, fam, x, start):
-        self._hash = chunk_hasher(fam, x, start)
-        super().__init__(fam, _payload_symbols(fam, x, start))
-
-    def answer(self, beta, rng):
-        return self._hash(beta)
-
-    def _share(self, hash_at):
-        """Answer with ``hash_at`` instead of this store's own Horner pass.
-
-        For a caller that already holds this prover's honest values, such as
-        :func:`run_experiment`'s per-challenge memo.
-        """
-        self._hash = hash_at
-
-
-class _PartialCodewordStore(ProverStore):
-    def __init__(self, fam, x, t, start):
-        hash_at = chunk_hasher(fam, x, start)
-        self._prefix = [hash_at(i) for i in range(1, t + 1)]
-        super().__init__(fam, [
-            ((fam.alphabet(i) - 1).bit_length(), value)
-            for i, value in enumerate(self._prefix, start=1)
-        ])
-
-    def answer(self, beta, rng):
-        if beta <= len(self._prefix):
-            return self._prefix[beta - 1]
-        return rng.randrange(self.family.alphabet(beta))
-
-
-class _PartialRawStore(ProverStore):
-    def __init__(self, fam, x, t, start):
-        if start is not None:
-            # the prefix is taken from the zero-extended message
-            x = (0,) * start + tuple(x) + (0,) * (fam.k - start - len(x))
-        symbols = validate_message(fam, x)
-        width = fam.symbol_bits
-        super().__init__(fam, [(width, sym) for sym in symbols[:t]])
-        self._prefix = symbols[:t]
-        self._k = fam.k
-
-    def answer(self, beta, rng):
-        q = self.family.q
-        point = beta - 1
-        value = poly_eval_mod(self._prefix, point, q)
-        t = len(self._prefix)
-        if t == self._k:
-            return value
-        if point == 0:
-            # the suffix never reaches the evaluation point 0; the prefix
-            # pins the answer when it covers the constant term
-            return value if t >= 1 else rng.randrange(q)
-        # a uniform suffix contributes a uniform field element at any
-        # nonzero point, so one draw suffices
-        return (value + rng.randrange(q)) % q
-
-
-class _UniformStore(ProverStore):
-    def __init__(self, fam):
-        super().__init__(fam, [])
-
-    def answer(self, beta, rng):
-        return rng.randrange(self.family.alphabet(beta))
-
-
-class _ZeroStore(ProverStore):
-    def __init__(self, fam):
-        super().__init__(fam, [])
-
-    def answer(self, beta, rng):
-        return 0
-
-
-class _UnresponsiveStore(_HonestStore):
-    def __init__(self, fam, x, start, probability):
-        super().__init__(fam, x, start)
-        self._probability = probability
-
-    def answer(self, beta, rng):
-        if rng.random() < self._probability:
-            return None
-        return self._hash(beta)
-
-
 def build_store(
     fam: HashFamilyDescriptor,
     x: Message,
@@ -274,49 +297,15 @@ def build_store(
     With ``start``, ``x`` is one prover's chunk: the symbols
     [start, start + len(x)) of a polynomial message that is zero elsewhere
     (how the linear and rs-parity variants split the data).  An honest (or
-    unresponsive) prover is charged with keeping that chunk.  Stores answer
-    from the data they keep; none builds a whole codeword.
+    unresponsive) prover is charged with keeping that chunk.  The store's
+    honest values come from one Horner pass over ``x`` per answer; none
+    builds a whole codeword.
     """
-    if isinstance(strategy, Colluding):
-        raise UsageError("colluding is a multi-prover wrapper; expand it first")
     if not isinstance(strategy, Strategy):
         raise UsageError(f"not a strategy: {strategy!r}")
-    if isinstance(strategy, Honest):
-        return _HonestStore(fam, x, start)
-    if isinstance(strategy, Unresponsive):
-        return _UnresponsiveStore(fam, x, start, strategy.probability)
-    if isinstance(strategy, PartialCodeword):
-        if strategy.t > fam.n:
-            raise UsageError(f"t={strategy.t} exceeds the family size n={fam.n}")
-        return _PartialCodewordStore(fam, x, strategy.t, start)
-    if isinstance(strategy, PartialRaw):
-        if fam.kind != KIND_POLYNOMIAL:
-            raise UnsupportedVariantError(
-                "raw-prefix retention is defined for the polynomial kind only"
-            )
-        if strategy.t > fam.k:
-            raise UsageError(f"t={strategy.t} exceeds the message length k={fam.k}")
-        return _PartialRawStore(fam, x, strategy.t, start)
-    if isinstance(strategy, UniformGuesser):
-        return _UniformStore(fam)
-    if isinstance(strategy, ZeroAnswerer):
-        return _ZeroStore(fam)
-    raise UsageError(f"unknown strategy {strategy!r}")
-
-
-# --- analytics --------------------------------------------------------------
-
-
-def _guess_mass(fam: HashFamilyDescriptor, t: int) -> Fraction:
-    """Sum of 1/|alphabet| over the challenges t+1..n, which a prover can
-    only guess uniformly: (n - t)/q for the polynomial kind, whose
-    alphabets are all q."""
-    if fam.kind == KIND_POLYNOMIAL:
-        return Fraction(fam.n - t, fam.q)
-    return sum(
-        (Fraction(1, fam.alphabet(i)) for i in range(t + 1, fam.n + 1)),
-        Fraction(0),
-    )
+    honest = chunk_hasher(fam, x, start)  # checks x, and the chunk's offset
+    data = x if isinstance(x, int) else tuple(x)
+    return strategy.store(fam, data, start, honest)
 
 
 def analytic_pass_rate(
@@ -339,28 +328,9 @@ def analytic_pass_rate(
         if all(isinstance(s, Honest) for s in strategies):
             return Fraction(1)
         return None
-    n = fam.n
-    if isinstance(strategy, Honest):
-        return Fraction(1)
-    if isinstance(strategy, PartialCodeword):
-        t = min(strategy.t, n)
-        return Fraction(t, n) + _guess_mass(fam, t) / n
-    if isinstance(strategy, PartialRaw):
-        if strategy.t == fam.k:
-            return Fraction(1)
-        determined = 1 if strategy.t >= 1 else 0
-        return Fraction(determined, n) + Fraction(n - determined, n) / fam.q
-    if isinstance(strategy, UniformGuesser):
-        return _guess_mass(fam, 0) / n
-    if isinstance(strategy, ZeroAnswerer):
-        hash_at = chunk_hasher(fam, x)
-        zeros = sum(1 for beta in range(1, n + 1) if hash_at(beta) == 0)
-        return Fraction(zeros, n)
-    if isinstance(strategy, Unresponsive):
-        return 1 - Fraction(strategy.probability)
-    if isinstance(strategy, Colluding):
-        raise UsageError("colluding applies to multi-prover variants only")
-    raise UsageError(f"unknown strategy {strategy!r}")
+    if not isinstance(strategy, Strategy):
+        raise UsageError(f"not a strategy: {strategy!r}")
+    return strategy.rate(fam, x)
 
 
 # --- experiment engine ------------------------------------------------------
@@ -407,11 +377,11 @@ def run_experiment(
     collects the answers, and runs the real verifier.  The first time a
     challenge is drawn in this call, each prover's data is hashed once at
     it; the honest answers and the expected values derived from them are
-    kept as one compact word and reused by the verifier and by the honest
-    (and unresponsive) stores in every later trial.  A call therefore costs
-    one evaluation per chunk per distinct challenge, not per trial, and no
-    codeword is built.  ``retained_bits`` totals the stores across all
-    provers.
+    kept as one compact word and reused by the verifier and, as their
+    ``honest`` function, by the stores in every later trial.  A call
+    therefore checks the data once and costs one evaluation per chunk per
+    distinct challenge, not per trial, and no codeword is built.
+    ``retained_bits`` totals the stores across all provers.
     """
     if trials < 1:
         raise UsageError("at least one trial required")
@@ -419,9 +389,17 @@ def run_experiment(
     shares = spec.shares(fam, x, plan)
     provers = len(shares)
     strategies = per_prover_strategies(provers, strategy)
+    # words[beta - 1] is the honest word of a challenge, computed the first
+    # time it is drawn and shared by the verifier and the stores: a call
+    # costs one evaluation per chunk per distinct challenge, never a
+    # codeword.  Machine words take about a third of the memory of a tuple
+    # of ints at the rs-parity shape, and the memo is part of every call's
+    # peak memory.
+    n = fam.n
+    words = [None] * n
     stores = [
-        build_store(fam, data, strat, start=start)
-        for (data, start), strat in zip(shares, strategies)
+        strat.store(fam, data, start, lambda beta, column=column: words[beta - 1][column])
+        for column, ((data, start), strat) in enumerate(zip(shares, strategies))
     ]
     hashers = answerers(fam, shares)
     extra = spec.expected and spec.expected(fam, shares, plan, r, e)
@@ -439,17 +417,6 @@ def run_experiment(
         return array("Q", word)
 
     first_gamma = 0 if extra is None else provers
-    # words[beta - 1] is the honest word of a challenge, computed the first
-    # time it is drawn and shared by the verifier and the honest stores: a
-    # call costs one evaluation per chunk per distinct challenge, never a
-    # codeword.  Machine words take about a third of the memory of a tuple
-    # of ints at the rs-parity shape, and the memo is part of every call's
-    # peak memory.
-    n = fam.n
-    words = [None] * n
-    for column, store in enumerate(stores):
-        if isinstance(store, _HonestStore):
-            store._share(lambda beta, column=column: words[beta - 1][column])
     passes = undecidable = 0
     accused_counts = [0] * provers
     for index in range(trials):

@@ -201,8 +201,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_audit(args) -> int:
     digest = digest_from_bytes(Path(args.digest).read_bytes())
-    if args.family:
-        digest = digest.with_family(_load_family(args.family))
+    digest = digest.with_family(_load_family(args.family))
     addresses = [_parse_hostport(p) for p in args.prover]
     verdict = run_verifier_client(
         digest, addresses, r=args.r, e=args.e, timeout_ms=args.timeout_ms
@@ -424,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="challenge provers over TCP")
     p.add_argument("--digest", required=True, help="digest file")
-    p.add_argument("--family", help="family descriptor file (needed for "
-                   "linear/rs-parity and for answer range checks)")
+    p.add_argument("--family", required=True, help="family descriptor file "
+                   "(range-checks the challenge and the answers)")
     p.add_argument("--prover", action="append", required=True,
                    help="host:port, one per prover in prover order")
     p.add_argument("--r", type=int, help="cheater budget (rs-parity)")

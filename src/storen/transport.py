@@ -49,6 +49,7 @@ from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes
 
 PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT_MS = 5000
+MAX_VERIFIER_THREADS = 16  # provers queried at once by one audit
 TIMEOUT_ENV_VAR = "STOREN_TIMEOUT_MS"
 
 FRAME_HELLO = 0x00
@@ -353,25 +354,27 @@ def run_verifier_client(
     """Audit the provers at ``addresses`` (one per prover, in prover order)
     with the digest's challenge, concurrently, and return the verdict.
 
-    The variant's pre-flight check (prover count, family, rs-parity budget)
-    runs before the digest is spent, so a misused audit sends nothing."""
+    The digest must have its family attached (:meth:`Digest.with_family`),
+    which range-checks the challenge.  That and the variant's pre-flight
+    check (prover count, family kind, rs-parity budget) run before the
+    digest is spent, so a misused audit sends nothing.  At most
+    :data:`MAX_VERIFIER_THREADS` provers are queried at once."""
+    if digest.family is None:
+        raise UsageError("digest has no family attached; audit it with its family")
     addresses = [tuple(a) for a in addresses]
     spec = VARIANTS[digest.variant]
     digest = spec.check(digest, len(addresses), r, e)
     _mark_consumed(digest)
     fingerprint = digest.fingerprint
-    with ThreadPoolExecutor(max_workers=len(addresses)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(addresses), MAX_VERIFIER_THREADS)) as pool:
         answers = tuple(
             pool.map(
                 lambda addr: query_prover(addr, digest.beta, fingerprint, timeout_ms),
                 addresses,
             )
         )
-    if digest.family is not None:
-        limit = digest.family.alphabet(digest.beta)
-        for answer in answers:
-            if answer is not None and not 0 <= answer < limit:
-                raise ProtocolError(
-                    f"answer {answer} outside the challenge alphabet [0, {limit})"
-                )
+    limit = digest.family.alphabet(digest.beta)
+    for answer in answers:
+        if answer is not None and not 0 <= answer < limit:
+            raise ProtocolError(f"answer {answer} outside the challenge alphabet [0, {limit})")
     return spec.verify(digest, answers)

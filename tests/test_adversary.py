@@ -128,6 +128,9 @@ def test_stateless_stores():
 def test_build_store_rejects_colluding():
     with pytest.raises(UsageError):
         build_store(FAM, X, Colluding(members=frozenset({1}), inner=ZeroAnswerer()))
+    for not_a_strategy in ("honest", None, Honest):
+        with pytest.raises(UsageError):
+            build_store(FAM, X, not_a_strategy)
 
 
 def test_per_prover_strategies():
@@ -163,6 +166,11 @@ def test_analytic_rates_single():
     assert analytic_pass_rate(KR, 4, PartialCodeword(t=2)) == (
         Fraction(2, 4) + (Fraction(1, 5) + Fraction(1, 7)) / 4
     )
+    for not_a_strategy in ("honest", None, Honest):
+        with pytest.raises(UsageError):
+            analytic_pass_rate(FAM, X, not_a_strategy)
+    with pytest.raises(UsageError):
+        analytic_pass_rate(FAM, X, Colluding(frozenset({1}), ZeroAnswerer()))
 
 
 def test_analytic_rates_multi():
@@ -389,9 +397,17 @@ def test_run_experiment_reports_are_pinned(
     assert report.empirical_rate == Fraction(passes, 300)
 
 
-@pytest.mark.parametrize("variant, per_challenge", [("rs-parity", 3), ("linear", 4)])
-def test_run_experiment_hashes_each_chunk_once_per_challenge(monkeypatch, variant, per_challenge):
-    # three chunk hashes per challenge, plus the whole-message hash for linear
+@pytest.mark.parametrize("variant, kwargs, per_challenge", [
+    pytest.param("rs-parity", dict(strategy=_MIXED, plan=_PLAN, r=1, e=1), 3, id="rs-parity-3"),
+    pytest.param("linear", dict(strategy=_MIXED, plan=_PLAN), 4, id="linear-4"),
+    # the kept prefix is answered from the same memo, not hashed up front
+    pytest.param("single", dict(strategy=PartialCodeword(7)), 1, id="single-partial-codeword-1"),
+])
+def test_run_experiment_hashes_each_chunk_once_per_challenge(
+    monkeypatch, variant, kwargs, per_challenge
+):
+    # one hash per chunk per challenge: three chunks, plus the whole-message
+    # hash for linear; the single variant's one message
     calls = []
 
     def counting(coeffs, point, p):
@@ -400,13 +416,11 @@ def test_run_experiment_hashes_each_chunk_once_per_challenge(monkeypatch, varian
 
     monkeypatch.setattr(storen.hash_families, "poly_eval_mod", counting)
     fam = polynomial_family(k=6, n=11, q=11)
-    extra = {"r": 1, "e": 1} if variant == "rs-parity" else {}
     counts = {}
     for trials in (5, 200, 2000):
         calls.clear()
         run_experiment(
-            fam, (3, 0, 7, 10, 1, 5), [Honest(), ZeroAnswerer(), Unresponsive(0.5)],
-            trials=trials, master_seed=4, variant=variant, plan=ChunkPlan(3, 6), **extra,
+            fam, (3, 0, 7, 10, 1, 5), trials=trials, master_seed=4, variant=variant, **kwargs
         )
         drawn = {
             random.Random(trial_seed(4, i)).randrange(fam.n) + 1 for i in range(trials)

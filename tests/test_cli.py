@@ -131,7 +131,8 @@ def test_audit_rejects_wrong_data(tmp_path, capsys):
     with ProverServer(FAM, honest_answerer(FAM, (3, 3))) as server:
         host, port = server.address
         code = main([
-            "audit", "--digest", str(digest_file), "--prover", f"{host}:{port}",
+            "audit", "--digest", str(digest_file), "--family", str(fam_file),
+            "--prover", f"{host}:{port}",
         ])
     assert code == 1
     out = capsys.readouterr().out
@@ -171,14 +172,15 @@ def test_audit_usage_and_io_exit_codes(tmp_path, capsys):
     digest_file.write_bytes(digest_to_bytes(
         Digest("rs-parity", beta=1, gammas=(3, 4), fingerprint=family_fingerprint(FAM))
     ))
-    # rs-parity without a family file: the field size is unknown
+    # without a family file, neither the challenge nor the field is known
     code = main([
         "audit", "--digest", str(digest_file), "--r", "1", "--e", "0",
         "--prover", "127.0.0.1:1",
     ])
     assert code == 2
     assert main([
-        "audit", "--digest", str(tmp_path / "missing.bin"), "--prover", "127.0.0.1:1",
+        "audit", "--digest", str(tmp_path / "missing.bin"), "--family", str(fam_file),
+        "--prover", "127.0.0.1:1",
     ]) == 4
     capsys.readouterr()
 

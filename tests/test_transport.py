@@ -1,10 +1,13 @@
+import contextlib
 import errno
 import socket
 import struct
+import threading
 import time
 
 import pytest
 
+import storen.transport
 from storen.codes import encode
 from storen.errors import ProtocolError, UsageError
 from storen.hash_families import (
@@ -277,6 +280,38 @@ def test_challenges_run_concurrently():
     assert elapsed < 0.95
 
 
+def test_verifier_threads_have_a_fixed_limit(monkeypatch):
+    monkeypatch.setattr(storen.transport, "MAX_VERIFIER_THREADS", 2)
+    chunk_fam = polynomial_family(k=1, n=5, q=5)
+    chunks = [(1,), (2,), (3,), (4,), (0,)]
+    digest = multi_trivial_preprocess(
+        chunk_fam, tuple(sym for chunk in chunks for sym in chunk), ChunkPlan(5, 5), rng_seed=3
+    )
+    lock = threading.Lock()
+    running, peak = [0], [0]
+
+    def slow(answer_fn):
+        def answer(beta):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)
+            with lock:
+                running[0] -= 1
+            return answer_fn(beta)
+
+        return answer
+
+    with contextlib.ExitStack() as stack:
+        servers = [
+            stack.enter_context(ProverServer(chunk_fam, slow(honest_answerer(chunk_fam, c))))
+            for c in chunks
+        ]
+        verdict = run_verifier_client(digest, [server.address for server in servers])
+    assert verdict.outcome == "accepted"
+    assert 1 <= peak[0] <= 2
+
+
 def test_max_sessions_stops_the_server():
     digest = single_preprocess(FAM, X, 7)
     server = ProverServer(FAM, honest_answerer(FAM, X), max_sessions=1)
@@ -316,6 +351,8 @@ def test_misused_audits_send_no_challenge_and_leave_the_digest_unspent():
             (attached, two, {"r": 0, "e": 0}),  # 2r + e differs from the parity count
             (attached, two * 2, {"r": 1, "e": 0}),  # s + 2r + e = 6 > q = 5
             (from_disk, two, {"r": 1, "e": 0}),  # no family: the field is unknown
+            # no family: the challenge index read from disk is unchecked
+            (digest_from_bytes(digest_to_bytes(single)), [s1.address], {}),
             (single, two, {}),  # the single variant has one prover
             (trivial, [s1.address], {}),  # the digest stores two expected values
             (attached, [], {"r": 1, "e": 0}),  # nobody to audit
