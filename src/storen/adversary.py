@@ -277,7 +277,10 @@ def per_prover_strategies(provers: int, strategy) -> Tuple[Strategy, ...]:
         )
     if isinstance(strategy, Strategy):
         return (strategy,) * provers
-    strategies = tuple(strategy)
+    try:
+        strategies = tuple(strategy)
+    except TypeError:
+        raise UsageError(f"not a strategy or a sequence of strategies: {strategy!r}") from None
     if len(strategies) != provers:
         raise UsageError(f"expected {provers} strategies, got {len(strategies)}")
     for s in strategies:
@@ -329,7 +332,7 @@ def analytic_pass_rate(
             return Fraction(1)
         return None
     if not isinstance(strategy, Strategy):
-        raise UsageError(f"not a strategy: {strategy!r}")
+        (strategy,) = per_prover_strategies(1, strategy)
     return strategy.rate(fam, x)
 
 

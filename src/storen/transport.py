@@ -31,16 +31,26 @@ registry of consumed digests and refuses to audit with the same one twice
 (:func:`reset_consumed_digests` clears it, for tests).
 The client-side timeout defaults to 5000 ms and can be set with the
 ``STOREN_TIMEOUT_MS`` environment variable or per call.
+
+Threads are started once and reused, at both ends.  The verifier queries
+provers on one process-wide pool of at most :data:`MAX_VERIFIER_THREADS`
+threads, started by the first audit and shared by every later one (a
+forked child starts its own).  A :class:`ProverServer` hands each accepted
+connection to a queue served by at most :data:`MAX_SERVER_THREADS` worker
+threads, started only when no worker is idle and stopped when the server
+closes; further connections wait in the queue.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import socketserver
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ProtocolError, UsageError
@@ -49,7 +59,8 @@ from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes
 
 PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT_MS = 5000
-MAX_VERIFIER_THREADS = 16  # provers queried at once by one audit
+MAX_VERIFIER_THREADS = 16  # provers queried at once by all audits of a process
+MAX_SERVER_THREADS = 16  # connections one prover server handles at once
 TIMEOUT_ENV_VAR = "STOREN_TIMEOUT_MS"
 
 FRAME_HELLO = 0x00
@@ -133,9 +144,52 @@ def honest_answerer(
     return chunk_hasher(fam, x, start)
 
 
-class _Server(socketserver.ThreadingTCPServer):
+class _Server(socketserver.TCPServer):
+    """A TCP server whose connections are handled by reused worker threads.
+
+    The accept loop queues each connection; a new daemon worker starts only
+    when none is idle and fewer than :data:`MAX_SERVER_THREADS` exist, and
+    :meth:`server_close` stops them all."""
+
     allow_reuse_address = True
-    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._connections = queue.SimpleQueue()
+        self._idle = threading.Semaphore(0)  # one release per finished connection
+        self._workers = []
+
+    def process_request(self, request, client_address):
+        # only the accept loop runs this, so the worker list needs no lock
+        if not self._idle.acquire(blocking=False) and len(self._workers) < MAX_SERVER_THREADS:
+            worker = threading.Thread(
+                target=self._work, name=f"storen-prover_{len(self._workers)}", daemon=True
+            )
+            self._workers.append(worker)
+            worker.start()
+        self._connections.put((request, client_address))
+
+    def _work(self):
+        while True:
+            item = self._connections.get()
+            if item is None:
+                return
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            self._idle.release()
+
+    def server_close(self):
+        super().server_close()
+        for _ in self._workers:
+            self._connections.put(None)
+        deadline = time.monotonic() + 2.0
+        for worker in self._workers:
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class ProverServer:
@@ -344,6 +398,28 @@ def _mark_consumed(digest: Digest) -> None:
         _consumed_digests.add(key)
 
 
+_pool = None
+_pool_key = None
+_pool_lock = threading.Lock()
+
+
+def _verifier_pool() -> ThreadPoolExecutor:
+    """The process's verifier pool, started on first use.
+
+    It is keyed on the process id and the thread limit: a forked child,
+    which has none of its parent's threads, or a changed limit gets a fresh
+    pool, and a pool replaced in the process that started it is shut down."""
+    global _pool, _pool_key
+    key = (os.getpid(), MAX_VERIFIER_THREADS)
+    with _pool_lock:
+        if _pool_key != key:
+            if _pool is not None and _pool_key[0] == key[0]:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(MAX_VERIFIER_THREADS, thread_name_prefix="storen-verifier")
+            _pool_key = key
+        return _pool
+
+
 def run_verifier_client(
     digest: Digest,
     addresses: Sequence[Tuple[str, int]],
@@ -357,22 +433,22 @@ def run_verifier_client(
     The digest must have its family attached (:meth:`Digest.with_family`),
     which range-checks the challenge.  That and the variant's pre-flight
     check (prover count, family kind, rs-parity budget) run before the
-    digest is spent, so a misused audit sends nothing.  At most
-    :data:`MAX_VERIFIER_THREADS` provers are queried at once."""
+    digest is spent, so a misused audit sends nothing.  The queries run on
+    the process's verifier pool, so at most :data:`MAX_VERIFIER_THREADS`
+    provers are queried at once, over all audits the process runs."""
     if digest.family is None:
         raise UsageError("digest has no family attached; audit it with its family")
     addresses = [tuple(a) for a in addresses]
     spec = VARIANTS[digest.variant]
     digest = spec.check(digest, len(addresses), r, e)
     _mark_consumed(digest)
-    fingerprint = digest.fingerprint
-    with ThreadPoolExecutor(max_workers=min(len(addresses), MAX_VERIFIER_THREADS)) as pool:
-        answers = tuple(
-            pool.map(
-                lambda addr: query_prover(addr, digest.beta, fingerprint, timeout_ms),
-                addresses,
-            )
-        )
+    pool = _verifier_pool()
+    futures = [
+        pool.submit(query_prover, address, digest.beta, digest.fingerprint, timeout_ms)
+        for address in addresses
+    ]
+    wait(futures)  # no query outlives the audit, even when one of them raised
+    answers = tuple(future.result() for future in futures)
     limit = digest.family.alphabet(digest.beta)
     for answer in answers:
         if answer is not None and not 0 <= answer < limit:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -146,6 +147,9 @@ def test_per_prover_strategies():
         per_prover_strategies(2, (Honest(),))
     with pytest.raises(UsageError):
         per_prover_strategies(2, Colluding(frozenset({1}), Colluding(frozenset({1}), Honest())))
+    for neither in (42, None, Honest):
+        with pytest.raises(UsageError):
+            per_prover_strategies(2, neither)
 
 
 def test_analytic_rates_single():
@@ -171,6 +175,11 @@ def test_analytic_rates_single():
             analytic_pass_rate(FAM, X, not_a_strategy)
     with pytest.raises(UsageError):
         analytic_pass_rate(FAM, X, Colluding(frozenset({1}), ZeroAnswerer()))
+    # one prover's list, as per_prover_strategies(1, ...) takes it
+    assert analytic_pass_rate(FAM, X, [ZeroAnswerer()]) == Fraction(1, 5)
+    for misfit in ([Honest(), Honest()], [Colluding(frozenset({1}), Honest())]):
+        with pytest.raises(UsageError):
+            analytic_pass_rate(FAM, X, misfit)
 
 
 def test_analytic_rates_multi():
@@ -277,6 +286,14 @@ def test_run_experiment_validation():
         run_experiment(FAM, X, Honest(), trials=10, master_seed=1, variant="linear")
     with pytest.raises(UsageError):
         run_experiment(FAM, X, Honest(), trials=10, master_seed=1, variant="sideways")
+    with pytest.raises(UsageError):
+        run_experiment(FAM, X, 42, trials=10, master_seed=1, variant="linear", plan=ChunkPlan(2, 2))
+    with pytest.raises(UsageError):
+        run_experiment(FAM, X, Colluding(frozenset({1}), ZeroAnswerer()), trials=10, master_seed=1)
+    listed = run_experiment(FAM, X, [ZeroAnswerer()], trials=50, master_seed=1)
+    plain = run_experiment(FAM, X, ZeroAnswerer(), trials=50, master_seed=1)
+    assert listed.strategy_label == "[ZeroAnswerer()]"
+    assert dataclasses.replace(listed, strategy_label=plain.strategy_label) == plain
 
 
 def test_sweep_is_deterministic_and_ordered():

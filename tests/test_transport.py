@@ -1,9 +1,11 @@
 import contextlib
 import errno
+import os
 import socket
 import struct
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -310,6 +312,133 @@ def test_verifier_threads_have_a_fixed_limit(monkeypatch):
         verdict = run_verifier_client(digest, [server.address for server in servers])
     assert verdict.outcome == "accepted"
     assert 1 <= peak[0] <= 2
+
+
+CHUNK_FAM = polynomial_family(k=1, n=5, q=5)
+
+
+def _record_query_threads(monkeypatch):
+    """Patch ``query_prover`` to list the thread each query runs on."""
+    threads = []
+    query = storen.transport.query_prover
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return query(*args, **kwargs)
+
+    monkeypatch.setattr(storen.transport, "query_prover", recorded)
+    return threads
+
+
+@contextlib.contextmanager
+def _four_provers():
+    """Four in-process provers of one symbol each, and a fresh trivial
+    digest of their data per call of the yielded function."""
+    chunks = [(1,), (2,), (3,), (4,)]
+    x = tuple(sym for chunk in chunks for sym in chunk)
+    with contextlib.ExitStack() as stack:
+        addresses = [
+            stack.enter_context(ProverServer(CHUNK_FAM, honest_answerer(CHUNK_FAM, c))).address
+            for c in chunks
+        ]
+
+        def audit(seed):
+            reset_consumed_digests()  # n = 5 challenges repeat across seeds
+            digest = multi_trivial_preprocess(CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=seed)
+            return run_verifier_client(digest, addresses)
+
+        yield audit
+
+
+def test_audits_reuse_the_verifier_threads(monkeypatch):
+    # a limit no other test uses gives this test a pool of its own, and one
+    # above 4, so only reuse keeps 30 audits on 4 threads
+    monkeypatch.setattr(storen.transport, "MAX_VERIFIER_THREADS", 8)
+    threads = _record_query_threads(monkeypatch)
+    with _four_provers() as audit:
+        for seed in range(30):
+            assert audit(seed).outcome == "accepted"
+    assert len(threads) == 120
+    # thread objects, not idents: the system can reuse a joined thread's ident
+    assert len(set(threads)) <= 4
+
+
+def test_a_forked_process_starts_its_own_verifier_pool(monkeypatch):
+    threads = _record_query_threads(monkeypatch)
+    with _four_provers() as audit:
+        assert audit(0).accepted
+        parent = set(threads)
+        monkeypatch.setattr(os, "getpid", lambda: -1)
+        assert audit(1).accepted
+    assert parent.isdisjoint(threads[4:])
+
+
+def test_server_threads_have_a_fixed_limit(monkeypatch):
+    monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 2)
+    lock = threading.Lock()
+    running, peak = [0], [0]
+    honest = honest_answerer(FAM, X)
+
+    def slow(beta):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.05)
+        with lock:
+            running[0] -= 1
+        return honest(beta)
+
+    fingerprint = family_fingerprint(FAM)
+    with ProverServer(FAM, slow) as server, ThreadPoolExecutor(5) as clients:
+        futures = [
+            clients.submit(query_prover, server.address, beta, fingerprint)
+            for beta in range(1, 6)
+        ]
+        answers = [future.result() for future in futures]
+    assert answers == [hash_eval(FAM, X, beta) for beta in range(1, 6)]
+    assert 1 <= peak[0] <= 2
+
+
+def test_closing_the_server_stops_its_workers():
+    workers = set()
+    honest = honest_answerer(FAM, X)
+
+    def answer(beta):
+        workers.add(threading.current_thread())
+        time.sleep(0.02)
+        return honest(beta)
+
+    fingerprint = family_fingerprint(FAM)
+    server = ProverServer(FAM, answer).start()
+    try:
+        with ThreadPoolExecutor(3) as clients:
+            futures = [
+                clients.submit(query_prover, server.address, beta, fingerprint)
+                for beta in range(1, 4)
+            ]
+            assert all(future.result() is not None for future in futures)
+    finally:
+        server.close()
+    assert workers
+    assert not any(worker.is_alive() for worker in workers)
+
+
+def test_a_protocol_error_waits_for_every_query():
+    digest = multi_trivial_preprocess(CHUNK_FAM, X, ChunkPlan(2, 2), rng_seed=0)
+    answered = threading.Event()
+    honest = honest_answerer(CHUNK_FAM, (2,))
+
+    def slow(beta):
+        time.sleep(0.2)
+        answered.set()
+        return honest(beta)
+
+    other = polynomial_family(k=1, n=5, q=7)
+    with ProverServer(other, honest_answerer(other, (1,))) as s1, \
+            ProverServer(CHUNK_FAM, slow) as s2:
+        with pytest.raises(ProtocolError):
+            run_verifier_client(digest, [s1.address, s2.address])
+        assert answered.is_set()
 
 
 def test_max_sessions_stops_the_server():
