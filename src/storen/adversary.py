@@ -28,9 +28,9 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
-from .algebra import poly_eval_mod
+from .algebra import poly_eval_mod, tree_reduce
 from .errors import UnsupportedVariantError, UsageError
 from .hash_families import (
     KIND_POLYNOMIAL,
@@ -38,7 +38,6 @@ from .hash_families import (
     Message,
     chunk_hasher,
     family_fingerprint,
-    message_space_size,
 )
 from .protocol import (
     RNG_ALGORITHM,
@@ -50,6 +49,7 @@ from .protocol import (
 )
 
 _HEADER_BITS = 40  # tag byte + u32 symbol count, charged once per non-empty store
+EXACT_RATE_TERMS = 2**14  # most 1/p terms an exact karp-rabin guessing rate sums
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,23 @@ def _data_bits(fam: HashFamilyDescriptor, data) -> int:
     karp-rabin its one natural."""
     if fam.kind == KIND_POLYNOMIAL:
         return _retained(len(data), len(data) * fam.symbol_bits)
-    return _retained(1, (message_space_size(fam) - 1).bit_length())
+    return _retained(1, (fam.message_space - 1).bit_length())
 
 
-def _guess_mass(fam: HashFamilyDescriptor, t: int) -> Fraction:
+def _guess_mass(fam: HashFamilyDescriptor, t: int) -> Optional[Fraction]:
     """Sum of 1/|alphabet| over the challenges t+1..n, which a prover can
-    only guess uniformly: (n - t)/q for the polynomial kind, whose
-    alphabets are all q."""
+    only guess uniformly: (n - t)/q for the polynomial kind.  For karp-rabin,
+    the sum of 1/p_i, i > t, as a/b + c/d = (ad + cb)/bd by a balanced tree;
+    distinct primes leave it in lowest terms, but the Fraction's gcd is
+    quadratic, so past :data:`EXACT_RATE_TERMS` terms it is None."""
     if fam.kind == KIND_POLYNOMIAL:
         return Fraction(fam.n - t, fam.q)
-    return sum(
-        (Fraction(1, fam.alphabet(i)) for i in range(t + 1, fam.n + 1)),
-        Fraction(0),
-    )
+    if fam.n - t > EXACT_RATE_TERMS:
+        return None
+    if t == fam.n:
+        return Fraction(0)
+    add = lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+    return Fraction(*tree_reduce(add, fam.primes[t:], lambda p: (1, p)))
 
 
 class Strategy:
@@ -101,13 +105,13 @@ class Strategy:
       is the function beta -> h_beta of that share; stores call it only
       from ``answer``, for the challenge being answered.
     - ``rate(fam, x)``: its exact pass probability over the challenge draw
-      (and any guessing), as the one prover of message ``x``.
+      (and any guessing) as the one prover of message ``x``, or None.
     """
 
     def store(self, fam, data, start, honest) -> ProverStore:
         raise UsageError(f"{self!r} is not a single-prover strategy")
 
-    def rate(self, fam, x) -> Fraction:
+    def rate(self, fam, x) -> Optional[Fraction]:
         raise UsageError(f"{self!r} is not a single-prover strategy")
 
 
@@ -136,7 +140,8 @@ class PartialCodeword(Strategy):
         t = self.t
         if t > fam.n:
             raise UsageError(f"t={t} exceeds the family size n={fam.n}")
-        widths = sum((fam.alphabet(i) - 1).bit_length() for i in range(1, t + 1))
+        widths = (t * fam.symbol_bits if fam.kind == KIND_POLYNOMIAL
+                  else sum((p - 1).bit_length() for p in fam.primes[:t]))
 
         def answer(beta, rng):
             if beta <= t:
@@ -148,7 +153,8 @@ class PartialCodeword(Strategy):
     def rate(self, fam, x):
         n = fam.n
         t = min(self.t, n)
-        return Fraction(t, n) + _guess_mass(fam, t) / n
+        mass = _guess_mass(fam, t)
+        return None if mass is None else Fraction(t, n) + mass / n
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,8 @@ class UniformGuesser(Strategy):
         return ProverStore(0, lambda beta, rng: rng.randrange(fam.alphabet(beta)))
 
     def rate(self, fam, x):
-        return _guess_mass(fam, 0) / fam.n
+        mass = _guess_mass(fam, 0)
+        return None if mass is None else mass / fam.n
 
 
 @dataclass(frozen=True)
@@ -320,9 +327,9 @@ def analytic_pass_rate(
 ) -> Optional[Fraction]:
     """Exact pass probability over the challenge draw (and any guessing).
 
-    Covers every single-prover strategy.  For multi-prover variants only the
-    all-honest population has a pinned closed form (1); anything else
-    returns None and must be measured empirically.
+    Covers every single-prover strategy but karp-rabin guessing past
+    :data:`EXACT_RATE_TERMS` primes; for multi-prover variants, only the
+    all-honest population (1).  Anything else is None: measure it.
     """
     if lookup_variant(variant).provers is None:
         if plan is None:
@@ -451,23 +458,3 @@ def run_experiment(
         accused_counts=tuple(accused_counts),
         master_seed=master_seed,
     )
-
-
-def sweep(
-    fam: HashFamilyDescriptor,
-    x: Message,
-    strategies: Sequence,
-    trials: int,
-    master_seed: int,
-    variant: str = VARIANT_SINGLE,
-    plan: Optional[ChunkPlan] = None,
-    r: Optional[int] = None,
-    e: Optional[int] = None,
-) -> list:
-    """Run one experiment per strategy.  Every strategy replays the same
-    challenge sequence (common random numbers), which makes rate comparisons
-    across strategies sharper."""
-    return [
-        run_experiment(fam, x, s, trials, master_seed, variant, plan, r, e)
-        for s in strategies
-    ]

@@ -8,7 +8,8 @@ digit first.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import compress
+from typing import Callable, Sequence
 
 from .errors import CapacityError, UsageError
 
@@ -56,7 +57,7 @@ def next_prime_at_least(n: int) -> int:
 
 
 def first_n_primes(count: int) -> tuple[int, ...]:
-    """The first `count` primes, by sieve of Eratosthenes."""
+    """The first `count` primes, by a sieve of Eratosthenes over odd numbers."""
     if count < 1:
         raise UsageError("prime count must be at least 1")
     if count > _FIRST_N_PRIMES_CAP:
@@ -67,15 +68,26 @@ def first_n_primes(count: int) -> tuple[int, ...]:
         # p_n < n(ln n + ln ln n) for n >= 6
         limit = int(count * (math.log(count) + math.log(math.log(count)))) + 1
     while True:
-        flags = bytearray([1]) * (limit + 1)
-        flags[0:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(limit) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-        primes = [i for i, f in enumerate(flags) if f]
+        odds = range(1, limit + 1, 2)  # flags[i] stands for 2i + 1
+        flags = bytearray([0]) + bytearray([1]) * (len(odds) - 1)
+        for p in range(3, math.isqrt(limit) + 1, 2):
+            if flags[p // 2]:
+                flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odds), p)))
+        primes = [2, *compress(odds, flags)]
         if len(primes) >= count:
             return tuple(primes[:count])
         limit *= 2
+
+
+def tree_reduce(op: Callable, items: Sequence, leaf: Callable = lambda item: item):
+    """Combine ``leaf(item)`` over a non-empty sequence with the associative
+    ``op``, by halves and depth first, so that big operands grow evenly:
+    Bernstein's product tree ("Fast multiplication and its applications",
+    2008) multiplies m word-sized numbers in quasi-linear time, not O(m**2)."""
+    if len(items) == 1:
+        return leaf(items[0])
+    half = len(items) // 2
+    return op(tree_reduce(op, items[:half], leaf), tree_reduce(op, items[half:], leaf))
 
 
 def poly_eval_mod(coeffs: Sequence[int], point: int, p: int) -> int:

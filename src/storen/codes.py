@@ -28,7 +28,6 @@ from .hash_families import (
     KIND_POLYNOMIAL,
     enumerate_messages,
     hash_all,
-    message_space_size,
 )
 
 # A received word holds one symbol per coordinate, None marking an erasure.
@@ -57,7 +56,7 @@ def hamming_distance(u: ReceivedWord, v: ReceivedWord) -> int:
 
 def min_distance_exhaustive(fam: HashFamilyDescriptor) -> int:
     """Exact minimum pairwise distance, by enumerating every codeword pair."""
-    count = message_space_size(fam)
+    count = fam.message_space
     if count > _DISTANCE_CAP_MESSAGES:
         raise CapacityError(
             f"distance check enumerates {count} messages, above the cap of"
@@ -109,7 +108,7 @@ def brute_force_list_decode(
             raise UsageError(f"symbol {sym!r} at position {i + 1} out of range")
     if radius < 0:
         raise UsageError(f"radius must be non-negative, got {radius}")
-    count = message_space_size(fam)
+    count = fam.message_space
     if count > _LIST_DECODE_CAP_MESSAGES:
         raise CapacityError(
             f"list decoding cycles {count} messages, above the cap of"

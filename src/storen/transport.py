@@ -38,7 +38,8 @@ threads, started by the first audit and shared by every later one (a
 forked child starts its own).  A :class:`ProverServer` hands each accepted
 connection to a queue served by at most :data:`MAX_SERVER_THREADS` worker
 threads, started only when no worker is idle and stopped when the server
-closes; further connections wait in the queue.
+closes; further connections wait in the queue.  A worker waits at most
+:data:`PEER_TIMEOUT_S` for each read from its peer, so idle peers free it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT_MS = 5000
 MAX_VERIFIER_THREADS = 16  # provers queried at once by all audits of a process
 MAX_SERVER_THREADS = 16  # connections one prover server handles at once
+PEER_TIMEOUT_S = 2.0  # a server's wait for each read from a peer, then it hangs up
 TIMEOUT_ENV_VAR = "STOREN_TIMEOUT_MS"
 
 FRAME_HELLO = 0x00
@@ -253,7 +255,7 @@ class ProverServer:
     def _handle(self, sock):
         counted = False
         try:
-            sock.settimeout(30.0)
+            sock.settimeout(PEER_TIMEOUT_S)
             frame = _recv_type(sock)
             if frame is None:
                 return  # probe or dead peer; not a session

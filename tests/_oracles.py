@@ -35,6 +35,11 @@ def first_primes(count):
         limit *= 2
 
 
+def guess_mass(fam, t):
+    """Sum of 1/|alphabet| over the challenges t+1..n, one Fraction at a time."""
+    return sum((Fraction(1, fam.alphabet(i)) for i in range(t + 1, fam.n + 1)), Fraction(0))
+
+
 def bignat_digits_msf(x):
     """Base-2**32 digits of the natural x, most significant first; () for 0."""
     digits = []

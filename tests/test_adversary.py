@@ -9,6 +9,7 @@ import storen.algebra
 import storen.codes
 import storen.hash_families
 from storen.adversary import (
+    EXACT_RATE_TERMS,
     Colluding,
     Honest,
     PartialCodeword,
@@ -20,12 +21,12 @@ from storen.adversary import (
     build_store,
     per_prover_strategies,
     run_experiment,
-    sweep,
     trial_seed,
 )
 from storen.codes import encode
 from storen.errors import UnsupportedVariantError, UsageError
 from storen.hash_families import (
+    KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
     derive_family,
     hash_eval,
@@ -36,7 +37,7 @@ from storen.protocol import ChunkPlan, Digest, multi_rs_preprocess, single_verif
 from storen.transport import honest_answerer
 from storen.hash_families import family_fingerprint
 
-from _oracles import wilson_free_halfwidth
+from _oracles import guess_mass, wilson_free_halfwidth
 
 FAM = polynomial_family(k=2, n=5, q=5)
 KR = karp_rabin_family(k=2, n=4)
@@ -296,15 +297,6 @@ def test_run_experiment_validation():
     assert dataclasses.replace(listed, strategy_label=plain.strategy_label) == plain
 
 
-def test_sweep_is_deterministic_and_ordered():
-    reports = sweep(
-        FAM, X, [Honest(), ZeroAnswerer()], trials=100, master_seed=7
-    )
-    assert [r.strategy_label for r in reports] == ["Honest()", "ZeroAnswerer()"]
-    assert reports[0].passes == 100
-    assert reports == sweep(FAM, X, [Honest(), ZeroAnswerer()], trials=100, master_seed=7)
-
-
 def test_serving_and_experiments_build_no_codeword(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a whole codeword was built")
@@ -346,16 +338,55 @@ def test_analytic_guess_rates_closed_form_equals_the_sum():
     ]
     for fam in fams:
         n, x = fam.n, (0,) * fam.k
-
-        def guess_sum(t):
-            return sum((Fraction(1, fam.alphabet(i)) for i in range(t + 1, n + 1)), Fraction(0))
-
         for t in sorted({0, 1, n // 3, n - 1, n, n + 5}):
             kept = min(t, n)
             assert analytic_pass_rate(fam, x, PartialCodeword(t)) == (
-                Fraction(kept, n) + guess_sum(kept) / n
+                Fraction(kept, n) + guess_mass(fam, kept) / n
             )
-        assert analytic_pass_rate(fam, x, UniformGuesser()) == guess_sum(0) / n
+        assert analytic_pass_rate(fam, x, UniformGuesser()) == guess_mass(fam, 0) / n
+
+
+def test_karp_rabin_guess_rates_tree_equals_the_sum():
+    fams = [
+        karp_rabin_family(k=2, n=4),
+        karp_rabin_family(k=5, n=37),  # halves of unequal length
+        derive_family(KIND_KARP_RABIN, 64, Fraction(1, 4)),  # n = 1024
+    ]
+    for fam in fams:
+        n, x = fam.n, 1
+        for t in sorted({0, 1, n // 3, n - 1, n, n + 5}):
+            kept = min(t, n)
+            assert analytic_pass_rate(fam, x, PartialCodeword(t)) == (
+                Fraction(kept, n) + guess_mass(fam, kept) / n
+            )
+        assert analytic_pass_rate(fam, x, UniformGuesser()) == guess_mass(fam, 0) / n
+
+
+def test_karp_rabin_guess_rates_past_the_exact_size_are_none():
+    n = EXACT_RATE_TERMS + 1
+    fam = karp_rabin_family(k=1, n=n)
+    assert analytic_pass_rate(fam, 1, PartialCodeword(0)) is None
+    assert analytic_pass_rate(fam, 1, UniformGuesser()) is None
+    assert analytic_pass_rate(fam, 1, PartialCodeword(1)) == (
+        Fraction(1, n) + guess_mass(fam, 1) / n
+    )
+    assert analytic_pass_rate(fam, 1, PartialCodeword(n - 16)) == (
+        Fraction(n - 16, n) + guess_mass(fam, n - 16) / n
+    )
+    report = run_experiment(fam, 1, PartialCodeword(0), trials=20, master_seed=1)
+    assert report.analytic_rate is None and report.trials == 20
+    # closed forms stay exact at any size
+    poly = polynomial_family(k=1, n=n)
+    assert analytic_pass_rate(poly, (0,), PartialCodeword(0)) == Fraction(1, poly.q)
+
+
+def test_partial_codeword_widths_equal_the_per_index_sum():
+    fams = [FAM, KR, karp_rabin_family(k=5, n=37), derive_family(KIND_POLYNOMIAL, 16, Fraction(1, 4))]
+    for fam in fams:
+        x = 1 if fam.kind == KIND_KARP_RABIN else (0,) * fam.k
+        for t in (1, fam.n // 2, fam.n):
+            widths = sum((fam.alphabet(i) - 1).bit_length() for i in range(1, t + 1))
+            assert build_store(fam, x, PartialCodeword(t)).retained_bits == 40 + widths
 
 
 # Complete reports at master seed 17, 300 trials: (label, family, message,

@@ -1,13 +1,18 @@
+import math
+import operator
 import random
+import types
 
 import pytest
 
+import storen.algebra
 from storen.algebra import (
     DIGIT_BASE,
     first_n_primes,
     is_prime,
     next_prime_at_least,
     poly_eval_mod,
+    tree_reduce,
 )
 from storen.errors import CapacityError, UsageError
 from storen.hash_families import KIND_KARP_RABIN, derive_family, hash_eval_stream
@@ -70,6 +75,26 @@ def test_first_n_primes_against_sieve():
     assert first_n_primes(1) == (2,)
     assert list(first_n_primes(1000)) == first_primes(1000)
     assert first_n_primes(1000)[-1] == 7919
+
+
+def test_first_n_primes_small_counts_and_the_doubling_retry(monkeypatch):
+    for count in range(1, 8):
+        assert list(first_n_primes(count)) == first_primes(count)
+    # halved logarithms start the sieve below p_n, so it must double its limit
+    halved = types.SimpleNamespace(log=lambda v: math.log(v) / 2, isqrt=math.isqrt)
+    monkeypatch.setattr(storen.algebra, "math", halved)
+    for count in (6, 7, 1000):
+        first_limit = int(count * (halved.log(count) + halved.log(halved.log(count)))) + 1
+        assert first_limit < first_primes(count)[-1]
+        assert list(first_n_primes(count)) == first_primes(count)
+
+
+def test_tree_reduce_folds_in_order():
+    assert tree_reduce(operator.add, ["a", "b", "c", "d", "e"]) == "abcde"
+    assert tree_reduce(operator.add, "abc", str.upper) == "ABC"
+    assert tree_reduce(operator.mul, [7]) == 7
+    values = list(range(1, 40))
+    assert tree_reduce(operator.mul, values) == math.prod(values)
 
 
 def test_first_n_primes_growth_bound():

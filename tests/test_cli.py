@@ -6,12 +6,13 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import storen
-from storen.adversary import ZeroAnswerer, run_experiment
+from storen.adversary import PartialCodeword, ZeroAnswerer, analytic_pass_rate, run_experiment
 from storen.cli import build_parser, main, synthesize_message
 from storen.hash_families import (
     KIND_KARP_RABIN,
@@ -410,6 +411,34 @@ def test_experiment_matches_library(capsys):
     report = run_experiment(fam, x, ZeroAnswerer(), trials=100, master_seed=3)
     assert rows[1][3] == str(report.passes)
     assert rows[1][5] == str(report.analytic_rate)
+
+
+def test_experiment_past_the_exact_size_prints_no_analytic_rate(capsys):
+    # n = ceil(1025 / (1/4)**2) = 16 400 primes, past EXACT_RATE_TERMS
+    assert main([
+        "experiment", "kind=karp-rabin", "k=1025", "epsilon=1/4",
+        "strategy=partial-codeword", "t=0,16384", "trials=20", "seed=1",
+    ]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[0] for row in rows[1:]] == ["0", "16384"]
+    assert rows[1][5] == ""
+    assert Fraction(rows[2][5]) > Fraction(16384, 16400)
+
+
+def test_experiment_prints_long_exact_rates(capsys):
+    # at k = 256, eps = 1/4 a karp-rabin guessing rate has about 18 000
+    # digits, past the interpreter's default limit for int-to-str conversion
+    limit = sys.get_int_max_str_digits()
+    try:
+        assert main([
+            "experiment", "kind=karp-rabin", "k=256", "epsilon=1/4",
+            "strategy=partial-codeword", "t=0", "trials=20", "seed=1",
+        ]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        fam = derive_family(KIND_KARP_RABIN, 256, Fraction(1, 4))
+        assert Fraction(rows[1][5]) == analytic_pass_rate(fam, 0, PartialCodeword(0))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_experiment_rejects_unknown_keys(capsys):

@@ -19,7 +19,6 @@ from storen.codes import (
 from storen.errors import CapacityError, UsageError
 from storen.hash_families import (
     karp_rabin_family,
-    message_space_size,
     polynomial_family,
 )
 
@@ -308,7 +307,7 @@ def test_brute_force_list_decode_lexicographic_and_complete():
 
 def test_brute_force_list_decode_karp_rabin():
     fam = karp_rabin_family(k=2, n=4)
-    for x in range(message_space_size(fam)):
+    for x in range(fam.message_space):
         assert x in brute_force_list_decode(fam, encode(fam, x), 1)
 
 

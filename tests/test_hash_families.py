@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import re
 import struct
@@ -21,7 +22,6 @@ from storen.hash_families import (
     hash_eval_stream,
     karp_rabin_family,
     collision_probability_exact,
-    message_space_size,
     polynomial_family,
     unchecked_hasher,
     validate_message,
@@ -120,7 +120,7 @@ def test_karp_rabin_residues_reconstruct_message():
     fam = karp_rabin_family(k=3, n=8)
     rng = random.Random(11)
     for _ in range(50):
-        x = rng.randrange(message_space_size(fam))
+        x = rng.randrange(fam.message_space)
         residues = [hash_eval(fam, x, i) for i in range(1, 4)]
         assert crt_reconstruct(residues, fam.message_primes) == x
 
@@ -156,7 +156,7 @@ def test_stream_equals_batch_random():
         assert hash_eval_stream(fam, iter(x), i) == hash_eval(fam, x, i)
     kr = derive_family(KIND_KARP_RABIN, k=16, epsilon=0.5)
     for _ in range(200):
-        x = rng.randrange(message_space_size(kr))
+        x = rng.randrange(kr.message_space)
         i = rng.randrange(1, kr.n + 1)
         assert hash_eval_stream(kr, iter(bignat_digits_msf(x)), i) == hash_eval(kr, x, i)
 
@@ -261,7 +261,7 @@ def test_chunk_hasher_equals_hash_of_zero_extended_chunk():
     assert [whole(b) for b in range(1, 12)] == list(hash_all(fam, x))
 
     kr = karp_rabin_family(k=3, n=6)
-    for value in (0, 17, message_space_size(kr) - 1):
+    for value in (0, 17, kr.message_space - 1):
         hash_at = chunk_hasher(kr, value)
         assert [hash_at(b) for b in range(1, 7)] == list(hash_all(kr, value))
 
@@ -284,11 +284,17 @@ def test_message_space_is_computed_once_per_descriptor():
     kr = karp_rabin_family(k=3, n=6)
     assert "message_space" not in vars(kr)
     validate_message(kr, 5)
-    assert vars(kr)["message_space"] == 2 * 3 * 5 == message_space_size(kr)
+    assert vars(kr)["message_space"] == 2 * 3 * 5 == kr.message_space
     # the cached bound is not part of the descriptor's identity
     fresh = karp_rabin_family(k=3, n=6)
     assert kr == fresh and hash(kr) == hash(fresh)
     assert descriptor_to_bytes(kr) == descriptor_to_bytes(fresh)
+
+
+def test_karp_rabin_message_space_is_the_product_of_the_message_primes():
+    for k in [*range(1, 301), 5000]:
+        fam = karp_rabin_family(k=k, n=k)
+        assert fam.message_space == math.prod(fam.message_primes)
 
 
 def test_fingerprint_is_computed_once_per_descriptor():

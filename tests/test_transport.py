@@ -399,6 +399,23 @@ def test_server_threads_have_a_fixed_limit(monkeypatch):
     assert 1 <= peak[0] <= 2
 
 
+def test_idle_peers_do_not_hold_the_server_workers(monkeypatch):
+    monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 2)
+    monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.3)
+    fingerprint = family_fingerprint(FAM)
+    with ProverServer(FAM, honest_answerer(FAM, X)) as server, contextlib.ExitStack() as idle:
+        # two peers that connect and send nothing take both workers
+        for _ in range(2):
+            idle.enter_context(socket.create_connection(server.address, timeout=2))
+        time.sleep(0.1)
+        start = time.monotonic()
+        answer = query_prover(server.address, 3, fingerprint, timeout_ms=5000)
+        elapsed = time.monotonic() - start
+    assert answer == hash_eval(FAM, X, 3)
+    # the query waits for one idle peer's read timeout, then is answered
+    assert elapsed < 0.3 + 1.0
+
+
 def test_closing_the_server_stops_its_workers():
     workers = set()
     honest = honest_answerer(FAM, X)
