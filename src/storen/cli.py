@@ -149,10 +149,9 @@ def _parse_hostport(text: str):
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise UsageError(f"prover address {text!r} is not host:port")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise UsageError(f"prover address {text!r} has a non-numeric port")
+    if not port.isdecimal() or not 1 <= int(port) <= 65535:
+        raise UsageError(f"prover address {text!r} needs a port number in 1-65535")
+    return host, int(port)
 
 
 def _require(value, flag: str):

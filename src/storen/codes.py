@@ -9,15 +9,16 @@ redundancy, reporting the exact error positions.
 
 The codec is a set of linear maps kept per code shape: encoding multiplies
 the message by a parity matrix, O(m * (l - m)) for m message and l block
-symbols.  Decoding returns a clean word after one re-encoding and
-otherwise runs Gao's algorithm (S. Gao, "A new algorithm for decoding
-Reed-Solomon codes", 2003) in O(l**2).
+symbols.  Decoding punctures the code to the word's non-erased positions,
+computes the syndromes against check rows kept per erasure pattern, and
+locates any errors by Berlekamp-Massey (J. L. Massey, "Shift-register
+synthesis and BCH decoding", IEEE Trans. IT, 1969), in O(l * (l - m)).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Optional, Sequence
 
@@ -31,7 +32,6 @@ from .hash_families import (
 )
 
 # A received word holds one symbol per coordinate, None marking an erasure.
-ERASED = None
 ReceivedWord = Sequence[Optional[int]]
 
 _DISTANCE_CAP_MESSAGES = 2048
@@ -139,15 +139,20 @@ class SystematicRSCode:
     def __post_init__(self):
         _code_tables(self.message_len, self.block_len, self.q)
 
+    @classmethod
+    @lru_cache(maxsize=_CACHED_SHAPES)
+    def cached(cls, message_len: int, block_len: int, q: int) -> "SystematicRSCode":
+        """The code of this shape, made once while the shape stays cached."""
+        return cls(message_len, block_len, q)
+
 
 @lru_cache(maxsize=_CACHED_SHAPES)
 def _code_tables(m: int, ell: int, q: int):
-    """Validate a code shape; return its parity matrix and power rows.
+    """Validate a code shape; return its parity matrix.
 
     Parity row j holds L_i(m + j) for the Lagrange basis L_0..L_{m-1} on the
     points 0..m-1, so the parity symbols of a message v are the row-by-v
-    products.  Power row a holds a**0..a**(m-1), so the codeword of a
-    polynomial of degree below m is the row-by-coefficient products.
+    products.
     """
     if not 1 <= m <= ell:
         raise UsageError(f"need 1 <= message_len <= block_len, got {m}, {ell}")
@@ -169,13 +174,7 @@ def _code_tables(m: int, ell: int, q: int):
         for j in range(m):
             full = full * (a - j) % q
         parity.append(tuple(full * inv[a - i] * inv_den[i] % q for i in range(m)))
-    powers = []
-    for a in range(ell):
-        row = [1] * m
-        for t in range(1, m):
-            row[t] = row[t - 1] * a % q
-        powers.append(tuple(row))
-    return tuple(parity), tuple(powers)
+    return tuple(parity)
 
 
 def rs_encode_systematic(code: SystematicRSCode, v: Sequence[int]) -> tuple[int, ...]:
@@ -187,62 +186,52 @@ def rs_encode_systematic(code: SystematicRSCode, v: Sequence[int]) -> tuple[int,
         if not isinstance(sym, int) or not 0 <= sym < q:
             raise UsageError(f"symbol {sym!r} outside [0, {q})")
     v = tuple(v)
-    parity, _ = _code_tables(code.message_len, code.block_len, q)
+    parity = _code_tables(code.message_len, code.block_len, q)
     return v + tuple(sum(map(mul, row, v)) % q for row in parity)
 
 
 @lru_cache(maxsize=_CACHED_PATTERNS)
-def _interpolation_tables(points: tuple[int, ...], q: int):
-    """prod (X - a) over the points, and the Lagrange basis by coefficient.
+def _pattern_tables(known: tuple[int, ...], m: int, q: int):
+    """Check rows of the code punctured to the N known points, each point's
+    index and weight w_a, and (i, row on the first m values) per erased i.
 
-    Column t holds the X**t coefficients of the basis polynomials, so the
-    interpolant of values y has coefficient t equal to column t times y.
+    With w_a = prod_{b != a} (a - b) over a point set, the sum of g(a) / w_a
+    vanishes for every g of degree below the set's size minus 1.  So the
+    rows a**j / w_a (j < N - m) check the punctured code, and the sum over
+    the first m known points and an erased message position i rebuilds i.
     """
-    vanishing = [1]
-    for a in points:
-        vanishing = [(lo - a * hi) % q for lo, hi in zip([0] + vanishing, vanishing + [0])]
-    basis = []
-    for a in points:
-        # vanishing / (X - a) by synthetic division, scaled to 1 at a
-        quot = [0] * len(points)
-        carry = 0
-        for t in range(len(points), 0, -1):
-            carry = quot[t - 1] = (vanishing[t] + a * carry) % q
-        at_a = 1
-        for b in points:
-            if b != a:
-                at_a = at_a * (a - b) % q
-        scale = pow(at_a, -1, q)
-        basis.append([c * scale % q for c in quot])
-    return tuple(vanishing), tuple(zip(*basis))
+
+    def weights(points):  # reduced at every step: an exact product costs O(N**3)
+        return [reduce(lambda w, b: w * (a - b) % q if b != a else w, points, 1) for a in points]
+
+    w = weights(known)
+    row = [pow(d, -1, q) for d in w]
+    checks = []
+    for _ in range(len(known) - m):
+        checks.append(tuple(row))
+        row = [c * a % q for c, a in zip(row, known)]
+    rebuild = []
+    for i in sorted(set(range(m)) - set(known)):
+        *base, at_i = weights(known[:m] + (i,))
+        rebuild.append((i, tuple(-at_i * pow(d, -1, q) % q for d in base)))
+    return tuple(checks), {a: t for t, a in enumerate(known)}, tuple(w), tuple(rebuild)
 
 
-def _trim(poly: list[int]) -> list[int]:
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(
-    num: Sequence[int], den: Sequence[int], q: int
-) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of ascending-coefficient polynomials mod q."""
-    den = _trim(list(den))
-    if not den:
-        raise UsageError("division by the zero polynomial")
-    rem = _trim([c % q for c in num])
-    if len(rem) < len(den):
-        return [], rem
-    quot = [0] * (len(rem) - len(den) + 1)
-    lead_inv = pow(den[-1], -1, q)
-    for d in range(len(rem) - 1, len(den) - 2, -1):
-        factor = rem[d] * lead_inv % q
-        quot[d - len(den) + 1] = factor
-        if factor:
-            off = d - len(den) + 1
-            for t, c in enumerate(den):
-                rem[off + t] = (rem[off + t] - factor * c) % q
-    return quot, _trim(rem)
+def _berlekamp_massey(s: Sequence[int], q: int) -> tuple[list[int], int]:
+    """Shortest linear recurrence of s over F_q (J. L. Massey, 1969): (C, L)
+    with C[0] = 1 and sum_{i <= L} C[i] * s[j - i] = 0 for L <= j < len(s)."""
+    c, b = [1] + [0] * len(s), [1] + [0] * len(s)
+    length, shift, last_inv = 0, 1, 1
+    for j in range(len(s)):
+        d = sum(c[i] * s[j - i] for i in range(length + 1)) % q
+        if d:
+            prev, coef = c[:], d * last_inv % q
+            for i in range(len(s) + 1 - shift):
+                c[i + shift] = (c[i + shift] - coef * b[i]) % q
+            if 2 * length <= j:
+                length, b, last_inv, shift = j + 1 - length, prev, pow(d, -1, q), 0
+        shift += 1
+    return c, length
 
 
 def rs_decode_errors_erasures(
@@ -254,14 +243,12 @@ def rs_decode_errors_erasures(
     budget 2*errors + erasures <= block_len - message_len of z (that
     codeword is then unique), and None when none does.
 
-    A word with no erasures whose parities match its re-encoded message is
-    returned at once with no errors, at the cost of one encoding.  Any other
-    word goes to Gao's decoder on the code punctured to the N non-erased
-    positions: interpolate the received values, run the extended Euclidean
-    algorithm on that interpolant and prod (X - a) until the remainder's
-    degree drops below (N + message_len) / 2, then divide the remainder by
-    its cofactor.  That is O(block_len**2); the interpolation tables are
-    kept for the most recent erasure patterns.
+    It decodes the code punctured to the N non-erased positions, with check
+    rows kept per recent erasure pattern.  All-zero syndromes, one dot
+    product each, mean a codeword, clean or erasure-only.  Otherwise
+    Berlekamp-Massey gives the error locator, its roots among the known
+    points the error positions, and the first L syndromes the error values.
+    Erased message symbols are rebuilt from the first message_len values.
     """
     ell, m, q = code.block_len, code.message_len, code.q
     if len(z) != ell:
@@ -273,32 +260,42 @@ def rs_decode_errors_erasures(
         if not isinstance(sym, int) or not 0 <= sym < q:
             raise UsageError(f"symbol {sym!r} at position {a + 1} out of range")
         known.append(a)
-    parity, powers = _code_tables(m, ell, q)
-    if len(known) == ell:
-        message = tuple(z[:m])
-        if all(sum(map(mul, row, message)) % q == sym for row, sym in zip(parity, z[m:])):
-            return message, frozenset()
-    n_known = len(known)
-    if n_known < m:
+    if len(known) < m:
         return None
-    vanishing, columns = _interpolation_tables(tuple(known), q)
+    checks, index, w, rebuild = _pattern_tables(tuple(known), m, q)
     values = [z[a] for a in known]
-    r0, r1 = vanishing, _trim([sum(map(mul, col, values)) % q for col in columns])
-    v0, v1 = [], [1]
-    while 2 * (len(r1) - 1) >= n_known + m:
-        quot, rem = _poly_divmod(r0, r1, q)
-        v2 = v0 + [0] * (len(quot) + len(v1) - 1 - len(v0))
-        for i, c in enumerate(quot):
-            for j, d in enumerate(v1):
-                v2[i + j] -= c * d
-        r0, r1, v0, v1 = r1, rem, v1, _trim([c % q for c in v2])
-    poly, rem = _poly_divmod(r1, v1, q)
-    if rem or len(poly) > m:
-        return None
-    codeword = [sum(map(mul, row, poly)) % q for row in powers]
-    errors = frozenset(a + 1 for a in known if codeword[a] != z[a])
-    # The cofactor's degree, at most (N - m) / 2, already bounds the error
-    # count; the check states the decoder's contract outright.
-    if len(errors) > (n_known - m) // 2:
-        return None
-    return tuple(codeword[:m]), errors
+    syndromes = [sum(map(mul, row, values)) % q for row in checks]
+    errors = frozenset()
+    if any(syndromes):
+        # S_j sums error(a) * a**j / w_a over the error points a.  From C(x) =
+        # prod (1 - a*x), the locator x**L * C(1/x) keeps a root at 0 too.
+        c, length = _berlekamp_massey(syndromes, q)
+        if 2 * length > len(syndromes):
+            return None
+        sigma = c[: length + 1]  # x**L * C(1/x), highest power first
+        if length == 1:
+            roots = [a for a in (-sigma[1] % q,) if a in index]
+        else:
+            roots = [a for a in known if not reduce(lambda v, k: (v * a + k) % q, sigma, 0)]
+        if len(roots) < length:
+            return None
+        # error(a) / w_a = sum_j P_j * S_j for P = sigma / ((x - a) * sigma'(a)),
+        # which is 1 at a and 0 at the other roots.
+        scaled = []
+        for a in roots:
+            quot = [1]  # sigma / (x - a), by synthetic division
+            for k in sigma[1:-1]:
+                quot.append((quot[-1] * a + k) % q)
+            slope = math.prod(a - b for b in roots if b != a)
+            scaled.append(sum(map(mul, quot, syndromes[length - 1 :: -1])) * pow(slope, -1, q))
+        for j in range(length, len(syndromes)):  # true by construction; the contract
+            if sum(y * pow(a, j, q) for a, y in zip(roots, scaled)) % q != syndromes[j]:
+                return None
+        for a, y in zip(roots, scaled):
+            values[index[a]] = (values[index[a]] - y * w[index[a]]) % q
+        errors = frozenset(a + 1 for a in roots)
+    if not rebuild:
+        return tuple(values[:m]), errors
+    message = dict(zip(known, values))
+    message.update((i, sum(map(mul, row, values)) % q) for i, row in rebuild)
+    return tuple(message[i] for i in range(m)), errors

@@ -451,7 +451,7 @@ def multi_rs_verify(
     for answer in answers:
         if answer is not None and not 0 <= answer < q:
             raise UsageError(f"answer {answer} outside the field [0, {q})")
-    code = SystematicRSCode(s, s + len(digest.gammas), q)
+    code = SystematicRSCode.cached(s, s + len(digest.gammas), q)
     decoded = rs_decode_errors_erasures(code, list(answers) + list(digest.gammas))
     if decoded is None:
         return Verdict(OUTCOME_UNDECIDABLE, erased=erased)

@@ -123,13 +123,15 @@ def _recv_body(sock, count: int) -> bytes:
     return data
 
 
-def _timeout_seconds(timeout_ms: Optional[int]) -> float:
+def _timeout_ms(timeout_ms: Optional[int]) -> int:
     if timeout_ms is None:
-        raw = os.environ.get(TIMEOUT_ENV_VAR)
-        timeout_ms = int(raw) if raw else DEFAULT_TIMEOUT_MS
+        raw = os.environ.get(TIMEOUT_ENV_VAR) or str(DEFAULT_TIMEOUT_MS)
+        if not raw.isdecimal():
+            raise UsageError(f"{TIMEOUT_ENV_VAR}={raw!r} is not a number of milliseconds")
+        timeout_ms = int(raw)
     if timeout_ms <= 0:
         raise UsageError("timeout must be positive")
-    return timeout_ms / 1000.0
+    return timeout_ms
 
 
 # --- prover side -------------------------------------------------------------
@@ -341,7 +343,7 @@ def query_prover(
 ) -> Optional[int]:
     """Send one challenge; return the answer, or None if the prover is
     unreachable, times out, or declines to respond."""
-    timeout = _timeout_seconds(timeout_ms)
+    timeout = _timeout_ms(timeout_ms) / 1000.0
     try:
         with socket.create_connection(address, timeout=timeout) as sock:
             sock.settimeout(timeout)
@@ -433,16 +435,17 @@ def run_verifier_client(
     with the digest's challenge, concurrently, and return the verdict.
 
     The digest must have its family attached (:meth:`Digest.with_family`),
-    which range-checks the challenge.  That and the variant's pre-flight
-    check (prover count, family kind, rs-parity budget) run before the
-    digest is spent, so a misused audit sends nothing.  The queries run on
-    the process's verifier pool, so at most :data:`MAX_VERIFIER_THREADS`
+    which range-checks the challenge.  That, the variant's pre-flight check
+    (prover count, family kind, rs-parity budget) and the timeout run before
+    the digest is spent, so a misused audit sends nothing.  The queries run
+    on the process's verifier pool, so at most :data:`MAX_VERIFIER_THREADS`
     provers are queried at once, over all audits the process runs."""
     if digest.family is None:
         raise UsageError("digest has no family attached; audit it with its family")
     addresses = [tuple(a) for a in addresses]
     spec = VARIANTS[digest.variant]
     digest = spec.check(digest, len(addresses), r, e)
+    timeout_ms = _timeout_ms(timeout_ms)
     _mark_consumed(digest)
     pool = _verifier_pool()
     futures = [

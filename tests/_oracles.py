@@ -2,9 +2,10 @@
 
 Everything here is written the slow, obvious way on purpose: naive powering
 instead of Horner, full big-integer materialization instead of streaming,
-direct Lagrange evaluation instead of coefficient extraction, and exhaustive
-search instead of algebraic decoding.  Tests compare the package against
-these, never the other way around.
+direct Lagrange evaluation instead of coefficient extraction, exhaustive
+search instead of algebraic decoding, and Gao's decoder as an algebraic
+reference independent of the package's syndrome decoder.  Tests compare the
+package against these, never the other way around.
 """
 from __future__ import annotations
 
@@ -105,6 +106,78 @@ def decodable_codewords(message_len, block_len, p, received):
         if 2 * len(errs) + erased <= budget:
             out.append((msg, errs))
     return out
+
+
+def _trim(poly):
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = (out[i + j] + c * d) % p
+    return out
+
+
+def _poly_divmod(num, den, p):
+    """Quotient and remainder of ascending-coefficient polynomials mod p."""
+    den = _trim(list(den))
+    rem = _trim([c % p for c in num])
+    if len(rem) < len(den):
+        return [], rem
+    quot = [0] * (len(rem) - len(den) + 1)
+    lead_inv = pow(den[-1], -1, p)
+    for d in range(len(rem) - 1, len(den) - 2, -1):
+        factor = rem[d] * lead_inv % p
+        off = d - len(den) + 1
+        quot[off] = factor
+        for t, c in enumerate(den):
+            rem[off + t] = (rem[off + t] - factor * c) % p
+    return quot, _trim(rem)
+
+
+def gao_decode(message_len, block_len, p, received):
+    """Gao's errors-and-erasures decoder (S. Gao, "A new algorithm for
+    decoding Reed-Solomon codes", 2003) on the code evaluated at
+    0..block_len-1, punctured to the non-erased positions.
+
+    Returns (message, 1-based error positions) for the unique codeword
+    within the budget 2 * errors + erasures <= block_len - message_len,
+    or None.  The received word is not validated.
+    """
+    m = message_len
+    known = [a for a, z in enumerate(received) if z is not None]
+    if len(known) < m:
+        return None
+    vanishing = [1]
+    for a in known:
+        vanishing = _poly_mul(vanishing, [-a % p, 1], p)
+    interpolant = [0] * len(known)
+    for a in known:
+        # the Lagrange basis polynomial of a, times its received value
+        basis, _ = _poly_divmod(vanishing, [-a % p, 1], p)
+        scale = naive_poly_eval(basis, a, p)
+        factor = received[a] * pow(scale, -1, p) % p
+        for t, c in enumerate(basis):
+            interpolant[t] = (interpolant[t] + c * factor) % p
+    r0, r1 = vanishing, _trim(interpolant)
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= len(known) + m:
+        quot, rem = _poly_divmod(r0, r1, p)
+        v2 = _poly_mul(quot, v1, p)
+        v2 = [(x - y) % p for x, y in zip(v0 + [0] * len(v2), v2 + [0] * len(v0))]
+        r0, r1, v0, v1 = r1, rem, v1, _trim(v2)
+    poly, rem = _poly_divmod(r1, v1, p)
+    if rem or len(poly) > m:
+        return None
+    codeword = [naive_poly_eval(poly, a, p) for a in range(block_len)]
+    errors = frozenset(a + 1 for a in known if codeword[a] != received[a])
+    if len(errors) > (len(known) - m) // 2:
+        return None
+    return tuple(codeword[:m]), errors
 
 
 def pairwise_min_distance(codewords):

@@ -213,6 +213,44 @@ def test_audit_without_budget_exits_2_and_leaves_the_digest_unspent(tmp_path, ca
     assert "outcome: accepted" in capsys.readouterr().out
 
 
+def _single_audit_argv(tmp_path, seed):
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(FAM))
+    digest_file = tmp_path / "digest.bin"
+    digest_file.write_bytes(digest_to_bytes(single_preprocess(FAM, (1, 2), seed)))
+    return ["audit", "--digest", str(digest_file), "--family", str(fam_file)]
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "0", "-5", "http"])
+def test_audit_refuses_out_of_range_ports(tmp_path, capsys, port):
+    argv = _single_audit_argv(tmp_path, 3)
+    assert main(argv + ["--prover", f"127.0.0.1:{port}"]) == 2
+    assert "port number in 1-65535" in capsys.readouterr().err
+    calls = []
+    with ProverServer(FAM, _counting(honest_answerer(FAM, (1, 2)), calls)) as server:
+        assert main(argv + ["--prover", "%s:%d" % server.address]) == 0
+    assert len(calls) == 1
+
+
+def test_audit_with_a_bad_timeout_exits_2_and_leaves_the_digest_unspent(
+    tmp_path, capsys, monkeypatch
+):
+    argv = _single_audit_argv(tmp_path, 5)
+    calls = []
+    with ProverServer(FAM, _counting(honest_answerer(FAM, (1, 2)), calls)) as server:
+        argv += ["--prover", "%s:%d" % server.address]
+        assert main(argv + ["--timeout-ms", "0"]) == 2
+        assert "timeout must be positive" in capsys.readouterr().err
+        monkeypatch.setenv("STOREN_TIMEOUT_MS", "abc")
+        assert main(argv) == 2
+        assert "STOREN_TIMEOUT_MS" in capsys.readouterr().err
+        assert calls == []
+        monkeypatch.delenv("STOREN_TIMEOUT_MS")
+        assert main(argv) == 0
+    assert len(calls) == 1
+    assert "outcome: accepted" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("variant, beta, gammas, message", [
     ("single", 5, (2,), "exceeds the family size n=4"),
     ("single", 2, (5,), "outside the alphabet [0, 5)"),

@@ -22,7 +22,7 @@ from storen.hash_families import (
     polynomial_family,
 )
 
-from _oracles import decodable_codewords, lagrange_eval, rs_codeword
+from _oracles import decodable_codewords, gao_decode, lagrange_eval, rs_codeword
 
 
 def test_encode_fixed_values():
@@ -278,6 +278,86 @@ def test_rs_code_shape_is_validated_once(monkeypatch):
     for _ in range(2):  # a rejected shape is rejected every time
         with pytest.raises(UsageError):
             SystematicRSCode(message_len=3, block_len=10, q=10008)
+
+
+def test_rs_decode_matches_gao_oracle_on_random_words():
+    """The syndrome decoder gives Gao's result, None included, on words
+    with any number of errors and erasures; a tenth are fully random."""
+    rng = random.Random(1969)
+    outcomes = set()
+    for m, ell, q in [(8, 11, 2053), (4, 7, 8209), (3, 7, 7), (5, 12, 1031)]:
+        code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+        for _ in range(5000):
+            if rng.randrange(10):
+                v = [rng.randrange(q) for _ in range(m)]
+                n_err = rng.randrange(ell - m + 1)
+                n_erase = rng.randrange(ell - n_err + 1)
+                z, _ = _corrupt(rng, rs_encode_systematic(code, v), q, n_err, n_erase)
+            else:
+                z = [rng.randrange(q) for _ in range(ell)]
+            got = rs_decode_errors_erasures(code, z)
+            assert got == gao_decode(m, ell, q, z)
+            outcomes.add(None if got is None else len(got[1]))
+    assert {None, 0, 1, 2} <= outcomes
+
+
+@pytest.mark.parametrize(
+    "m, ell, q, wrong, erased",
+    [
+        (3, 6, 7, [0], []),  # alone
+        (3, 6, 7, [0], [4]),  # beside an erasure
+        (3, 7, 11, [0, 5], []),  # beside a second error, r = 2
+        (8, 11, 2053, [0], [9]),  # the workload shape
+    ],
+)
+def test_rs_decode_error_at_point_zero(m, ell, q, wrong, erased):
+    """Position 1 is the point 0, which the recurrence C(x) alone cannot
+    locate; the locator x**L * C(1/x) has it as a root."""
+    code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+    v = tuple(range(1, m + 1))
+    z = list(rs_encode_systematic(code, v))
+    for i in wrong:
+        z[i] = (z[i] + 3) % q
+    for i in erased:
+        z[i] = None
+    assert rs_decode_errors_erasures(code, z) == (v, frozenset(i + 1 for i in wrong))
+
+
+def test_rs_decode_rebuilds_an_erased_message_symbol_after_a_correction():
+    code = SystematicRSCode(message_len=4, block_len=9, q=13)
+    v = (5, 0, 12, 7)
+    z = list(rs_encode_systematic(code, v))
+    z[1] = None  # an erased message symbol
+    z[2] = (z[2] + 1) % 13  # a wrong one among the values it is rebuilt from
+    z[6] = (z[6] + 4) % 13  # and a wrong parity
+    assert rs_decode_errors_erasures(code, z) == (v, frozenset({3, 7}))
+
+
+@pytest.mark.parametrize(
+    "m, ell, q, points, erased",
+    [
+        (2, 5, 7, [6], []),  # a single root past the block
+        (2, 5, 7, [3], [3]),  # a single root at an erased point
+        (2, 7, 11, [8, 10], []),  # two roots past the block
+    ],
+)
+def test_rs_decode_locator_with_too_few_known_roots_gives_none(m, ell, q, points, erased):
+    """Adding sum_X 1/(X - a) at every point a gives syndromes c * X**j, so
+    the locator's roots are exactly the points X, none of them known."""
+    code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+    z = list(rs_encode_systematic(code, [1] * m))
+    for a in range(ell):
+        z[a] = None if a in erased else (z[a] + sum(pow(x - a, -1, q) for x in points)) % q
+    assert rs_decode_errors_erasures(code, z) is None
+    assert gao_decode(m, ell, q, z) is None
+
+
+def test_rs_code_cached_returns_one_code_per_shape():
+    code = SystematicRSCode.cached(3, 10, 10007)
+    assert code == SystematicRSCode(3, 10, 10007)
+    assert SystematicRSCode.cached(3, 10, 10007) is code
+    with pytest.raises(UsageError):
+        SystematicRSCode.cached(3, 10, 10008)
 
 
 def test_brute_force_list_decode_small():

@@ -512,3 +512,18 @@ def test_misused_audits_send_no_challenge_and_leave_the_digest_unspent():
         "accepted", frozenset(), frozenset(),
     )
     assert sorted(calls) == [1, 2]
+
+
+def test_bad_timeouts_send_no_challenge_and_leave_the_digest_unspent(monkeypatch):
+    digest = single_preprocess(FAM, X, 9)
+    calls = []
+    with ProverServer(FAM, _counting(honest_answerer(FAM, X), calls, 1)) as server:
+        for timeout_ms, env in [(0, None), (-5, None), (None, "abc"), (None, "0")]:
+            if env is not None:
+                monkeypatch.setenv("STOREN_TIMEOUT_MS", env)
+            with pytest.raises(UsageError, match="STOREN_TIMEOUT_MS" if env == "abc" else "positive"):
+                run_verifier_client(digest, [server.address], timeout_ms=timeout_ms)
+        assert calls == []
+        monkeypatch.delenv("STOREN_TIMEOUT_MS")
+        assert run_verifier_client(digest, [server.address]).accepted
+    assert calls == [1]
