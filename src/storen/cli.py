@@ -43,6 +43,7 @@ from .errors import ProtocolError, UsageError
 from .hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
+    CheckedSymbols,
     collision_probability_exact,
     derive_family,
     descriptor_from_bytes,
@@ -79,22 +80,15 @@ def _symbol_byte_width(q: int) -> int:
     return ((q - 1).bit_length() + 7) // 8
 
 
-def _read_polynomial_symbols(fam, raw: bytes, count: int) -> tuple:
+def _read_polynomial_symbols(fam, raw: bytes, count: int) -> CheckedSymbols:
     width = _symbol_byte_width(fam.q)
     if len(raw) != count * width:
         raise UsageError(
             f"data file holds {len(raw)} bytes; expected {count} symbols of "
             f"{width} byte(s) each ({count * width} bytes)"
         )
-    symbols = []
-    for i in range(count):
-        value = int.from_bytes(raw[i * width:(i + 1) * width], "big")
-        if value >= fam.q:
-            raise UsageError(
-                f"symbol {i + 1} is {value}, outside the field [0, {fam.q})"
-            )
-        symbols.append(value)
-    return tuple(symbols)
+    symbols = (int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width))
+    return CheckedSymbols(symbols, fam.q)  # names the position of a symbol out of range
 
 
 def _read_data(fam, raw: bytes, spec, plan):
@@ -131,7 +125,7 @@ def synthesize_message(fam, seed: int, count=None):
     label = f"storen.data:{seed}".encode()
     rng = random.Random(int.from_bytes(hashlib.sha256(label).digest(), "big"))
     if fam.kind == KIND_POLYNOMIAL:
-        return tuple(rng.randrange(fam.q) for _ in range(count or fam.k))
+        return CheckedSymbols((rng.randrange(fam.q) for _ in range(count or fam.k)), fam.q)
     space = fam.message_space
     if count is None:
         return rng.randrange(space)
@@ -161,7 +155,7 @@ def _require(value, flag: str):
 
 
 def cmd_derive(args) -> int:
-    fam = derive_family(args.kind, args.data_symbols, Fraction(args.epsilon))
+    fam = derive_family(args.kind, args.data_symbols, args.epsilon)
     print(f"kind: {fam.kind}")
     print(f"data symbols: {fam.k}")
     print(f"challenges: {fam.n}")
@@ -225,6 +219,10 @@ def _serve_answerer(args, fam):
 
 
 def cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise UsageError(f"--port {args.port} is outside 0-65535")
+    if args.max_sessions is not None and args.max_sessions < 1:
+        raise UsageError(f"--max-sessions must be at least 1, got {args.max_sessions}")
     fam = _load_family(args.family)
     server = ProverServer(
         fam,
@@ -275,7 +273,6 @@ def cmd_experiment(args) -> int:
         k = int(config["k"])
         trials = int(config["trials"])
         seed = int(config["seed"])
-        epsilon = Fraction(config["epsilon"])
         t_values = [int(v) for v in config["t"].split(",")] if "t" in config else None
         s = int(config["s"]) if "s" in config else None
         r = int(config["r"]) if "r" in config else None
@@ -284,7 +281,7 @@ def cmd_experiment(args) -> int:
         raise UsageError(f"bad experiment value: {exc}")
     variant = config.get("variant", "single")
     spec = lookup_variant(variant)
-    fam = derive_family(config["kind"], k, epsilon)
+    fam = derive_family(config["kind"], k, config["epsilon"])
     plan = _plan(spec, fam, s, "s")
     x = synthesize_message(fam, seed, count=plan.symbols if spec.chunk_family else None)
 

@@ -147,14 +147,18 @@ def karp_rabin_family(k: int, n: int, epsilon_target=None) -> HashFamilyDescript
 
 
 def derive_family(kind: str, k: int, epsilon) -> HashFamilyDescriptor:
-    """Pick the family size for a target enforcement gap epsilon in (0, 1].
+    """Pick the family size for a target enforcement gap epsilon in (0, 1],
+    given as anything :class:`~fractions.Fraction` takes, such as ``"1/4"``.
 
     n = ceil(k / epsilon**2); the polynomial kind then uses the smallest
     prime q >= n.  Arithmetic is exact, so boundary cases do not wobble.
     """
     if k < 1:
         raise UsageError(f"k must be at least 1, got {k}")
-    eps = Fraction(epsilon)
+    try:
+        eps = Fraction(epsilon)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise UsageError(f"epsilon {epsilon!r} is not a number") from None
     if not 0 < eps <= 1:
         raise UsageError(f"epsilon must lie in (0, 1], got {epsilon}")
     n = math.ceil(Fraction(k) / (eps * eps))
@@ -170,25 +174,57 @@ def _check_index(fam: HashFamilyDescriptor, i: int) -> None:
         raise UsageError(f"challenge index must lie in [1, {fam.n}], got {i}")
 
 
-def _check_symbols(fam: HashFamilyDescriptor, x) -> tuple[int, ...]:
-    """Range-check polynomial symbols: ints in [0, q)."""
+class CheckedSymbols(tuple):
+    """A tuple of symbols known to be ints in [0, ``bound``).
+
+    Building one checks every symbol, so a message checked once can be
+    passed on without being scanned again: :func:`validate_message` and
+    :func:`chunk_hasher` return it as it is when ``bound`` is at most the
+    family's q.  Equality and hashing are those of the tuple; ``bound`` is
+    read-only, and copies and pickles are rebuilt through the check.
+    """
+
+    def __new__(cls, symbols: Iterable[int], bound: int):
+        self = super().__new__(cls, symbols)
+        # Plain ints in range, checked at C speed; anything else (bools, a
+        # bad symbol) takes the loop, which also names the offending symbol.
+        if not (set(map(type, self)) == {int} and min(self) >= 0 and max(self) < bound):
+            for position, sym in enumerate(self, start=1):
+                if not isinstance(sym, int) or not 0 <= sym < bound:
+                    raise UsageError(
+                        f"symbol {position} is {sym!r}, outside the field [0, {bound})"
+                    )
+        object.__setattr__(self, "_bound", bound)
+        return self
+
+    @property
+    def bound(self) -> int:
+        return self._bound
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (tuple(self), self._bound)
+
+
+def _check_symbols(fam: HashFamilyDescriptor, x) -> CheckedSymbols:
+    """Range-check polynomial symbols: ints in [0, q).  Symbols already
+    checked against a bound no larger than q are returned unscanned."""
+    if isinstance(x, CheckedSymbols) and x.bound <= fam.q:
+        return x
     if isinstance(x, int):
         raise UsageError("polynomial messages are symbol sequences")
-    x = tuple(x)
-    # Plain ints in range, checked at C speed; anything else (bools, a bad
-    # symbol) takes the loop, which also names the offending symbol.
-    if set(map(type, x)) == {int} and min(x) >= 0 and max(x) < fam.q:
-        return x
-    for sym in x:
-        if not isinstance(sym, int) or not 0 <= sym < fam.q:
-            raise UsageError(f"symbol {sym!r} outside [0, {fam.q})")
-    return x
+    return CheckedSymbols(x, fam.q)
 
 
 def validate_message(fam: HashFamilyDescriptor, x: Message):
     """Normalize and range-check a message.
 
-    Polynomial: a sequence of exactly k ints in [0, q), returned as a tuple.
+    Polynomial: a sequence of exactly k ints in [0, q), returned as a
+    :class:`CheckedSymbols`, which later calls take without a scan.
     Karp-rabin: a natural below the product of the k message primes,
     returned as an int.
     """
@@ -210,7 +246,7 @@ def hash_eval(fam: HashFamilyDescriptor, x: Message, i: int) -> int:
     _check_index(fam, i)
     x = validate_message(fam, x)
     if fam.kind == KIND_POLYNOMIAL:
-        return poly_eval_mod(x, i - 1, fam.q)
+        return poly_eval_mod(tuple(x), i - 1, fam.q)  # exact: see unchecked_hasher
     return x % fam.primes[i - 1]
 
 
@@ -253,12 +289,14 @@ def unchecked_hasher(
     """:func:`chunk_hasher` for data its caller has already checked.
 
     For the polynomial kind, with t = beta - 1, the zeros below ``start``
-    shift the chunk's polynomial by t**start.
+    shift the chunk's polynomial by t**start.  The symbols are kept as an
+    exact tuple: Horner runs at half speed over a tuple subclass such as
+    :class:`CheckedSymbols`.
     """
     if fam.kind != KIND_POLYNOMIAL:
         primes = fam.primes
         return lambda beta: data % primes[beta - 1]
-    q, shift = fam.q, start or 0
+    q, shift, data = fam.q, start or 0, tuple(data)
 
     def hash_at(beta: int) -> int:
         point = beta - 1

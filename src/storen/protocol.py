@@ -404,7 +404,7 @@ def _rs_block_len(provers, r, e, q):
 def _rs_expected(fam, shares, plan, r=None, e=None):
     """The 2r+e Reed-Solomon parities of the s honest answers."""
     s = plan.provers
-    code = SystematicRSCode(s, _rs_block_len(s, r, e, fam.q), fam.q)
+    code = SystematicRSCode.cached(s, _rs_block_len(s, r, e, fam.q), fam.q)
     return lambda beta, answers: rs_encode_systematic(code, tuple(answers))[s:]
 
 

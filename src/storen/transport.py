@@ -158,10 +158,11 @@ class _Server(socketserver.TCPServer):
     allow_reuse_address = True
 
     def __init__(self, address, handler):
-        super().__init__(address, handler)
+        # set before binding: a failed bind calls server_close()
         self._connections = queue.SimpleQueue()
         self._idle = threading.Semaphore(0)  # one release per finished connection
         self._workers = []
+        super().__init__(address, handler)
 
     def process_request(self, request, client_address):
         # only the accept loop runs this, so the worker list needs no lock

@@ -13,10 +13,11 @@ import pytest
 
 import storen
 from storen.adversary import PartialCodeword, ZeroAnswerer, analytic_pass_rate, run_experiment
-from storen.cli import build_parser, main, synthesize_message
+from storen.cli import _read_data, build_parser, main, synthesize_message
 from storen.hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
+    CheckedSymbols,
     derive_family,
     descriptor_from_bytes,
     descriptor_to_bytes,
@@ -299,6 +300,63 @@ def test_data_file_validation(tmp_path, capsys):
         "--data", str(too_big), "--seed", "0", "--out", str(out),
     ]) == 2
     capsys.readouterr()
+
+
+def test_data_files_and_synthesized_messages_come_out_checked(tmp_path, capsys):
+    wide = polynomial_family(k=3, n=300, q=307)  # two bytes per symbol
+    for fam, raw, symbols in ((FAM, bytes([1, 4]), (1, 4)),
+                              (wide, bytes([1, 50, 0, 0, 1, 2]), (306, 0, 258))):
+        x = _read_data(fam, raw, VARIANTS["single"], ChunkPlan(1, fam.k))
+        assert type(x) is CheckedSymbols and x == symbols and x.bound == fam.q
+        for count in (None, 2 * fam.k):
+            made = synthesize_message(fam, 5, count=count)
+            assert type(made) is CheckedSymbols and made.bound == fam.q
+            assert len(made) == (count or fam.k)
+
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(wide))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes([0, 0, 1, 51, 0, 1]))  # symbol 2 is 307
+    assert main([
+        "preprocess", "--family", str(fam_file), "--variant", "single",
+        "--data", str(bad), "--seed", "0", "--out", str(tmp_path / "digest.bin"),
+    ]) == 2
+    assert "symbol 2 is 307, outside the field [0, 307)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["1/0", "abc", "nan", "inf"])
+def test_an_epsilon_that_is_not_a_number_exits_2(capsys, epsilon):
+    assert main(["derive", "--kind", "polynomial", "--data-symbols", "2",
+                 "--epsilon", epsilon]) == 2
+    assert main(["experiment", "kind=polynomial", "k=2", f"epsilon={epsilon}",
+                 "strategy=zero", "trials=10", "seed=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"epsilon {epsilon!r} is not a number") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--port", "70000"), ("--port", "-1"), ("--max-sessions", "0"),
+])
+def test_serve_refuses_bad_limits_before_reading_data(tmp_path, capsys, option, value):
+    missing = str(tmp_path / "missing")  # reading it would exit 4
+    assert main(["serve", "--family", missing, "--data", missing, option, value]) == 2
+    assert option in capsys.readouterr().err
+
+
+def test_serve_on_a_port_in_use_is_an_io_error(tmp_path, capsys):
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(FAM))
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes([1, 2]))
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        assert main(["serve", "--family", str(fam_file), "--data", str(data),
+                     "--port", str(port)]) == 4
+    err = capsys.readouterr().err
+    assert "Address already in use" in err and "Traceback" not in err
 
 
 def test_serve_cli_single(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 import re
 import struct
@@ -7,10 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+import storen.hash_families as hash_families
 from storen.errors import CapacityError, UsageError
 from storen.hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
+    CheckedSymbols,
     chunk_hasher,
     derive_family,
     descriptor_from_bytes,
@@ -64,6 +68,12 @@ def test_derive_validates_epsilon():
     for bad in (0, -0.5, 1.5):
         with pytest.raises(UsageError):
             derive_family(KIND_POLYNOMIAL, k=2, epsilon=bad)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "abc", float("nan"), float("inf")])
+def test_derive_names_an_epsilon_that_is_not_a_number(bad):
+    with pytest.raises(UsageError, match=re.escape(f"epsilon {bad!r} is not a number")):
+        derive_family(KIND_POLYNOMIAL, k=2, epsilon=bad)
 
 
 def test_polynomial_family_validates():
@@ -341,3 +351,76 @@ def test_symbol_check_accepts_and_rejects_the_same_inputs():
         validate_message(fam, 7)  # a number is not a symbol sequence
     with pytest.raises(UsageError):
         validate_message(fam, (0, 1))  # wrong length
+
+
+# --- checked symbols ---------------------------------------------------------
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts the scans of a symbol check: each fast scan calls ``max``."""
+    count = [0]
+
+    def counting_max(*args, **kwargs):
+        count[0] += 1
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(hash_families, "max", counting_max, raising=False)
+    return count
+
+
+def test_a_checked_message_is_passed_on_without_a_scan(scans):
+    fam = polynomial_family(k=3, n=5, q=5)
+    x = validate_message(fam, [0, 4, 2])
+    assert type(x) is CheckedSymbols and x.bound == 5 and scans[0] == 1
+    larger = polynomial_family(k=3, n=7, q=7)
+    for same in (validate_message(fam, x), validate_message(larger, x),
+                 hash_families._check_symbols(fam, x)):
+        assert same is x
+    chunk_hasher(fam, x)
+    chunk_hasher(larger, x[:2], 0)  # a slice is a plain tuple: checked again
+    assert scans[0] == 2
+
+
+def test_a_checked_message_is_checked_again_against_a_smaller_field(scans):
+    x = validate_message(polynomial_family(k=3, n=7, q=7), (0, 6, 2))
+    small = polynomial_family(k=3, n=5, q=5)
+    with pytest.raises(UsageError, match=re.escape("symbol 2 is 6, outside the field [0, 5)")):
+        validate_message(small, x)
+    with pytest.raises(UsageError, match="symbol 2 is 6"):
+        chunk_hasher(small, x, 0)
+    assert scans[0] == 3
+    fits = validate_message(small, validate_message(polynomial_family(k=3, n=7, q=7), (0, 4, 2)))
+    assert fits.bound == 5
+
+
+def test_unchecked_sequences_are_checked_in_full_on_every_call(scans):
+    fam = polynomial_family(k=3, n=5, q=5)
+    inputs = (lambda: [0, 4, 2], lambda: iter([0, 4, 2]), lambda: bytes([0, 4, 2]),
+              lambda: (0, 4, 2))
+    for make in inputs:
+        before = scans[0]
+        for _ in range(2):
+            assert validate_message(fam, make()) == (0, 4, 2)
+            chunk_hasher(fam, make(), 0)
+        assert scans[0] == before + 4
+
+
+def test_checked_symbols_are_a_read_only_tuple():
+    x = CheckedSymbols([3, 0, 1], 5)
+    assert x == (3, 0, 1) and hash(x) == hash((3, 0, 1)) and x[1:] == (0, 1)
+    with pytest.raises(AttributeError):
+        x.bound = 7
+    with pytest.raises(AttributeError):
+        del x.bound
+    assert x.bound == 5
+    with pytest.raises(UsageError, match="symbol 1 is 5"):
+        CheckedSymbols([5], 5)  # the constructor is the check
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))])
+def test_checked_symbols_survive_copy_and_pickle(clone):
+    x = CheckedSymbols([3, 0, 1], 5)
+    y = clone(x)
+    assert type(y) is CheckedSymbols and y == x and y.bound == 5

@@ -4,9 +4,11 @@ import struct
 
 import pytest
 
+from storen.adversary import Honest, run_experiment
 from storen.codes import encode, johnson_radius
 from storen.errors import UnsupportedVariantError, UsageError
 from storen.hash_families import (
+    CheckedSymbols,
     family_fingerprint,
     hash_eval,
     karp_rabin_family,
@@ -26,6 +28,7 @@ from storen.protocol import (
     multi_rs_verify,
     multi_trivial_preprocess,
     multi_trivial_verify,
+    preprocess,
     retrievability_extract,
     single_preprocess,
     single_verify,
@@ -405,3 +408,22 @@ def test_retrievability_extract_rejects_other_variants():
 
 def test_rng_algorithm_is_pinned():
     assert RNG_ALGORITHM == "mt19937-randrange-v1"
+
+
+@pytest.mark.parametrize("variant", ["single", "trivial", "linear", "rs-parity"])
+def test_a_checked_message_gives_the_digests_of_its_plain_tuple(variant):
+    fam = polynomial_family(k=6, n=13, q=13)
+    plan = None if variant == "single" else ChunkPlan(3, 6)
+    if variant == "trivial":
+        fam, plan = polynomial_family(k=2, n=13, q=13), ChunkPlan(3, 6)
+    rng = random.Random(variant)
+    for seed in range(12):
+        checked = CheckedSymbols([rng.randrange(13) for _ in range(6)], 13)
+        plain = tuple(checked)
+        assert type(plain) is tuple
+        digests = [digest_to_bytes(preprocess(variant, fam, x, plan, seed, r=1, e=1))
+                   for x in (checked, plain)]
+        assert digests[0] == digests[1]
+        reports = [run_experiment(fam, x, Honest(), 5, seed, variant, plan, r=1, e=1)
+                   for x in (checked, plain)]
+        assert reports[0] == reports[1]

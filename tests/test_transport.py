@@ -416,6 +416,17 @@ def test_idle_peers_do_not_hold_the_server_workers(monkeypatch):
     assert elapsed < 0.3 + 1.0
 
 
+def test_a_port_in_use_fails_start_with_the_bind_error():
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        server = ProverServer(FAM, honest_answerer(FAM, X), port=busy.getsockname()[1])
+        with pytest.raises(OSError) as info:
+            server.start()
+    assert info.value.errno == errno.EADDRINUSE
+    server.close()  # nothing was started, so nothing to stop
+
+
 def test_closing_the_server_stops_its_workers():
     workers = set()
     honest = honest_answerer(FAM, X)
