@@ -12,13 +12,18 @@ a 32-bit symbol count) plus the sum of per-symbol widths.  This makes
 retention strictly monotone in the number of kept symbols.
 
 :func:`run_experiment` replays many independent audits against a strategy
-and reports empirical pass rates next to exact analytic ones.  Its stores
-answer through the experiment's memo of honest values, so a call hashes
-each prover's data at most once per distinct challenge.  Trials are
-reproducible: trial ``i`` of master seed ``m`` uses the seed
-``sha256("storen.trial:m:i")`` (as a big-endian integer), the challenge is
-drawn first, then prover answers in prover order.  Stores draw from the
-trial generator only when they guess.
+and reports empirical pass rates next to exact analytic ones;
+:func:`run_sweep` does so for several strategy assignments at once, over
+the same audits.  A call keeps a memo: the first time a challenge is drawn,
+it hashes each prover's data there once and keeps the verifier's digest
+and the honest answers, which later trials reuse, the stores answering
+through it.  Trials are reproducible: trial ``i`` of master seed ``m``
+reseeds the call's one generator with ``sha256("storen.trial:m:i")`` (as a
+big-endian integer), which gives the stream of a fresh
+``random.Random`` of that seed; the challenge is drawn first, then prover
+answers in prover order.  Stores draw from the trial generator only when
+they guess, uniformly over the challenge's alphabet, and do not check the
+challenge, which the engine draws in 1..n.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 from .algebra import poly_eval_mod, tree_reduce
 from .errors import UnsupportedVariantError, UsageError
@@ -40,6 +46,8 @@ from .hash_families import (
     family_fingerprint,
 )
 from .protocol import (
+    OUTCOME_ACCEPTED,
+    OUTCOME_UNDECIDABLE,
     RNG_ALGORITHM,
     VARIANT_SINGLE,
     ChunkPlan,
@@ -142,11 +150,13 @@ class PartialCodeword(Strategy):
             raise UsageError(f"t={t} exceeds the family size n={fam.n}")
         widths = (t * fam.symbol_bits if fam.kind == KIND_POLYNOMIAL
                   else sum((p - 1).bit_length() for p in fam.primes[:t]))
+        q, primes = fam.q, fam.primes
 
         def answer(beta, rng):
             if beta <= t:
                 return honest(beta)  # a kept value
-            return rng.randrange(fam.alphabet(beta))
+            # q is None for karp-rabin, whose alphabet at beta is the beta-th prime
+            return rng.randrange(q or primes[beta - 1])
 
         return ProverStore(_retained(t, widths), answer)
 
@@ -208,7 +218,8 @@ class UniformGuesser(Strategy):
     """Keeps nothing; answers a uniform element of the challenge alphabet."""
 
     def store(self, fam, data, start, honest):
-        return ProverStore(0, lambda beta, rng: rng.randrange(fam.alphabet(beta)))
+        q, primes = fam.q, fam.primes
+        return ProverStore(0, lambda beta, rng: rng.randrange(q or primes[beta - 1]))
 
     def rate(self, fam, x):
         mass = _guess_mass(fam, 0)
@@ -380,81 +391,112 @@ def run_experiment(
     r: Optional[int] = None,
     e: Optional[int] = None,
 ) -> ExperimentReport:
-    """Replay ``trials`` independent audits of one strategy.
+    """Replay ``trials`` independent audits of one strategy assignment: the
+    one-assignment case of :func:`run_sweep`."""
+    (report,) = run_sweep(fam, x, [strategy], trials, master_seed, variant, plan, r, e)
+    return report
 
-    Each trial draws a fresh challenge with the pinned trial-seed recipe,
-    builds the verifier digest from the expected values at that challenge,
-    collects the answers, and runs the real verifier.  The first time a
-    challenge is drawn in this call, each prover's data is hashed once at
-    it; the honest answers and the expected values derived from them are
-    kept as one compact word and reused by the verifier and, as their
-    ``honest`` function, by the stores in every later trial.  A call
-    therefore checks the data once and costs one evaluation per chunk per
-    distinct challenge, not per trial, and no codeword is built.
-    ``retained_bits`` totals the stores across all provers.
+
+def run_sweep(
+    fam: HashFamilyDescriptor,
+    x: Message,
+    assignments: Sequence,
+    trials: int,
+    master_seed: int,
+    variant: str = VARIANT_SINGLE,
+    plan: Optional[ChunkPlan] = None,
+    r: Optional[int] = None,
+    e: Optional[int] = None,
+) -> Tuple[ExperimentReport, ...]:
+    """Replay the same ``trials`` audits of master seed ``master_seed``
+    against each strategy assignment; one report per assignment.
+
+    Each trial reseeds the call's one generator with the pinned trial-seed
+    recipe, draws a challenge, collects the answers, and runs the real
+    verifier on the digest of that challenge.  The first time a challenge
+    is drawn, each prover's data is hashed once there, and the digest and
+    the honest answers are kept for every later trial and assignment that
+    draws it; the stores read the answers as their ``honest`` function.  A
+    sweep therefore checks the data once and costs one evaluation per chunk
+    per distinct challenge, and no codeword is built.  Every assignment is
+    checked, and its stores built, before the first trial.
+    ``retained_bits`` totals an assignment's stores across all provers.
     """
     if trials < 1:
         raise UsageError("at least one trial required")
     spec = lookup_variant(variant)
     shares = spec.shares(fam, x, plan)
     provers = len(shares)
-    strategies = per_prover_strategies(provers, strategy)
-    # words[beta - 1] is the honest word of a challenge, computed the first
-    # time it is drawn and shared by the verifier and the stores: a call
-    # costs one evaluation per chunk per distinct challenge, never a
-    # codeword.  Machine words take about a third of the memory of a tuple
-    # of ints at the rs-parity shape, and the memo is part of every call's
-    # peak memory.
+    populations = [per_prover_strategies(provers, a) for a in assignments]
+    # digests[beta - 1] is the digest of a challenge and answers[beta - 1]
+    # its honest answers, one per prover, both made at its first draw;
+    # where the honest answers are the digest values (single, trivial), the
+    # digest holds them.  A list, and machine words for the answers, keep
+    # the memo small: it is part of every call's peak memory.
     n = fam.n
-    words = [None] * n
-    stores = [
-        strat.store(fam, data, start, lambda beta, column=column: words[beta - 1][column])
-        for column, ((data, start), strat) in enumerate(zip(shares, strategies))
-    ]
-    hashers = answerers(fam, shares)
+    digests = [None] * n
     extra = spec.expected and spec.expected(fam, shares, plan, r, e)
-    analytic_rate = analytic_pass_rate(fam, x, strategy, variant, plan)
+    if extra is None:
+        honest = lambda beta, column: digests[beta - 1].gammas[column]
+    else:
+        answers = [None] * n
+        honest = lambda beta, column: answers[beta - 1][column]
+    store_sets = [
+        [strat.store(fam, data, start, partial(honest, column=column))
+         for column, ((data, start), strat) in enumerate(zip(shares, strategies))]
+        for strategies in populations
+    ]
+    rates = [analytic_pass_rate(fam, x, a, variant, plan) for a in assignments]
+    hashers = answerers(fam, shares)
     budget = None if r is None and e is None else (r, e)
     fingerprint = family_fingerprint(fam)
-    verify = spec.verify
 
-    def honest_word(beta):
-        """The honest answers at ``beta``, one per prover, then any further
-        expected values the variant derives from them."""
+    def digest_at(beta):
+        """The digest of ``beta``, made and memoized at its first draw."""
         word = [hash_at(beta) for hash_at in hashers]
-        if extra is not None:
-            word += extra(beta, word)
-        return array("Q", word)
+        if extra is None:
+            gammas = word
+        else:
+            answers[beta - 1] = array("Q", word)
+            gammas = extra(beta, word)
+        digest = digests[beta - 1] = Digest(
+            variant, beta, tuple(gammas), fingerprint, family=fam, parity_budget=budget)
+        return digest
 
-    first_gamma = 0 if extra is None else provers
-    passes = undecidable = 0
-    accused_counts = [0] * provers
-    for index in range(trials):
-        rng = random.Random(trial_seed(master_seed, index))
-        beta = rng.randrange(n) + 1
-        word = words[beta - 1]
-        if word is None:
-            word = words[beta - 1] = honest_word(beta)
-        gammas = tuple(word[first_gamma:] if first_gamma else word)
-        digest = Digest(variant, beta, gammas, fingerprint, family=fam, parity_budget=budget)
-        answers = tuple(store.answer(beta, rng) for store in stores)
-        verdict = verify(digest, answers)
-        if verdict.accepted:
-            passes += 1
-        elif verdict.outcome == "undecidable":
-            undecidable += 1
-        for accused in verdict.accused:
-            accused_counts[accused - 1] += 1
-
-    return ExperimentReport(
-        variant=variant,
-        strategy_label=repr(strategy),
-        trials=trials,
-        passes=passes,
-        undecidable=undecidable,
-        retained_bits=sum(store.retained_bits for store in stores),
-        empirical_rate=Fraction(passes, trials),
-        analytic_rate=analytic_rate,
-        accused_counts=tuple(accused_counts),
-        master_seed=master_seed,
-    )
+    verify = spec.verify
+    rng = random.Random()
+    seed = super(random.Random, rng).seed  # Random.seed, less its type dispatch
+    randrange = rng.randrange
+    reports = []
+    for assignment, stores, rate in zip(assignments, store_sets, rates):
+        answer_fns = [store.answer for store in stores]
+        passes = undecidable = 0
+        accused_counts = [0] * provers
+        for index in range(trials):
+            # for an int, Random.seed is these two steps, so the stream is
+            # that of random.Random(trial_seed(master_seed, index))
+            seed(trial_seed(master_seed, index))
+            rng.gauss_next = None
+            beta = randrange(n) + 1
+            verdict = verify(digests[beta - 1] or digest_at(beta),
+                             [answer(beta, rng) for answer in answer_fns])
+            outcome = verdict.outcome
+            if outcome == OUTCOME_ACCEPTED:
+                passes += 1
+            elif outcome == OUTCOME_UNDECIDABLE:
+                undecidable += 1
+            for accused in verdict.accused:
+                accused_counts[accused - 1] += 1
+        reports.append(ExperimentReport(
+            variant=variant,
+            strategy_label=repr(assignment),
+            trials=trials,
+            passes=passes,
+            undecidable=undecidable,
+            retained_bits=sum(store.retained_bits for store in stores),
+            empirical_rate=Fraction(passes, trials),
+            analytic_rate=rate,
+            accused_counts=tuple(accused_counts),
+            master_seed=master_seed,
+        ))
+    return tuple(reports)

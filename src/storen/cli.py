@@ -37,6 +37,7 @@ from .adversary import (
     Unresponsive,
     ZeroAnswerer,
     run_experiment,
+    run_sweep,
 )
 from .codes import SystematicRSCode, rs_decode_errors_erasures, rs_encode_systematic
 from .errors import ProtocolError, UsageError
@@ -302,15 +303,15 @@ def cmd_experiment(args) -> int:
             raise UsageError(f"unknown strategy {name!r}")
         plans = [("", flat[name])]
 
+    # every t is checked, and every store built, before the first line
+    reports = run_sweep(fam, x, [strategy for _, strategy in plans], trials, seed,
+                        variant=variant, plan=plan, r=r, e=e)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # an exact karp-rabin rate runs to 10**5 digits
     writer = csv.writer(sys.stdout)
     writer.writerow(["t", "retained_bits", "trials", "passes",
                      "empirical_rate", "analytic_rate"])
-    for t_label, strategy in plans:
-        report = run_experiment(
-            fam, x, strategy, trials, seed, variant=variant, plan=plan, r=r, e=e
-        )
+    for (t_label, _), report in zip(plans, reports):
         writer.writerow([
             t_label,
             report.retained_bits,

@@ -201,6 +201,14 @@ class CheckedSymbols(tuple):
     def bound(self) -> int:
         return self._bound
 
+    def part(self, start: int, stop: int) -> "CheckedSymbols":
+        """The symbols [start, stop), checked against the same bound.  The
+        one way to build a checked instance without a scan: its symbols
+        were scanned when this one was built."""
+        part = tuple.__new__(CheckedSymbols, self[start:stop])
+        object.__setattr__(part, "_bound", self._bound)
+        return part
+
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
@@ -210,9 +218,10 @@ class CheckedSymbols(tuple):
         return type(self), (tuple(self), self._bound)
 
 
-def _check_symbols(fam: HashFamilyDescriptor, x) -> CheckedSymbols:
-    """Range-check polynomial symbols: ints in [0, q).  Symbols already
-    checked against a bound no larger than q are returned unscanned."""
+def check_symbols(fam: HashFamilyDescriptor, x) -> CheckedSymbols:
+    """Range-check polynomial symbols, any number of them: ints in [0, q).
+    Symbols already checked against a bound no larger than q are returned
+    unscanned."""
     if isinstance(x, CheckedSymbols) and x.bound <= fam.q:
         return x
     if isinstance(x, int):
@@ -229,7 +238,7 @@ def validate_message(fam: HashFamilyDescriptor, x: Message):
     returned as an int.
     """
     if fam.kind == KIND_POLYNOMIAL:
-        symbols = _check_symbols(fam, x)
+        symbols = check_symbols(fam, x)
         if len(symbols) != fam.k:
             raise UsageError(f"message must have {fam.k} symbols, got {len(symbols)}")
         return symbols
@@ -274,7 +283,7 @@ def chunk_hasher(
         return unchecked_hasher(fam, validate_message(fam, x))
     if fam.kind != KIND_POLYNOMIAL:
         raise UsageError("symbol offsets apply to the polynomial kind only")
-    chunk = _check_symbols(fam, x)
+    chunk = check_symbols(fam, x)
     if not isinstance(start, int) or not 0 <= start <= fam.k - len(chunk):
         raise UsageError(
             f"a chunk of {len(chunk)} symbols at offset {start} does not fit "

@@ -46,8 +46,10 @@ from .codes import (
 from .errors import UnsupportedVariantError, UsageError
 from .hash_families import (
     KIND_POLYNOMIAL,
+    CheckedSymbols,
     HashFamilyDescriptor,
     Message,
+    check_symbols,
     family_fingerprint,
     hash_eval,
     unchecked_hasher,
@@ -98,6 +100,12 @@ class Verdict:
         return self.outcome == OUTCOME_ACCEPTED
 
 
+# Verdicts that carry nothing of their audit, built once: a Verdict is frozen.
+_ACCEPTED = Verdict(OUTCOME_ACCEPTED)
+_SOLE_PROVER_ACCUSED = Verdict(OUTCOME_REJECTED, accused=frozenset({1}))
+_SOLE_PROVER_ERASED = Verdict(OUTCOME_REJECTED, erased=frozenset({1}))
+
+
 @dataclass(frozen=True)
 class ChunkPlan:
     """How a k-symbol message is split across ``provers`` equal chunks."""
@@ -130,8 +138,12 @@ class ChunkPlan:
         return [self.bounds(i) for i in range(1, self.provers + 1)]
 
     def split(self, symbols: Sequence[int]) -> list:
+        """The chunks in prover order; those of a :class:`CheckedSymbols`
+        come out checked, without a scan."""
         if len(symbols) != self.symbols:
             raise UsageError(f"expected {self.symbols} symbols, got {len(symbols)}")
+        if isinstance(symbols, CheckedSymbols):
+            return [symbols.part(start, stop) for start, stop in self.all_bounds()]
         return [tuple(symbols[start:stop]) for start, stop in self.all_bounds()]
 
     def zero_extended(self, symbols: Sequence[int], index: int) -> tuple:
@@ -280,11 +292,11 @@ def _single_verify(digest, answers):
     _single_check(digest, len(answers))
     answer = answers[0]
     if answer is None:
-        return Verdict(OUTCOME_REJECTED, erased=frozenset({1}))
+        return _SOLE_PROVER_ERASED
     _check_answer_range(digest, answer)
     if answer == digest.gammas[0]:
-        return Verdict(OUTCOME_ACCEPTED)
-    return Verdict(OUTCOME_REJECTED, accused=frozenset({1}))
+        return _ACCEPTED
+    return _SOLE_PROVER_ACCUSED
 
 
 # --- s provers, one expected value per chunk -------------------------------
@@ -307,7 +319,7 @@ def _trivial_shares(chunk_fam, x, plan):
                 f"plan chunks have {plan.chunk_len} symbols but the chunk "
                 f"family hashes {chunk_fam.k}"
             )
-        chunks = plan.split(x)
+        chunks = plan.split(check_symbols(chunk_fam, x))  # one scan for every chunk
     elif len(x) != plan.provers:
         raise UsageError(f"expected {plan.provers} chunk values, got {len(x)}")
     else:
@@ -334,7 +346,7 @@ def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Ve
             accused.add(index)
     if accused or erased:
         return Verdict(OUTCOME_REJECTED, frozenset(accused), frozenset(erased))
-    return Verdict(OUTCOME_ACCEPTED)
+    return _ACCEPTED
 
 
 # --- s provers over one polynomial message: linear and rs-parity -----------
@@ -383,7 +395,7 @@ def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Ver
     for answer in answers:
         _check_answer_range(digest, answer)
     if sum(answers) % digest.family.q == digest.gammas[0]:
-        return Verdict(OUTCOME_ACCEPTED)
+        return _ACCEPTED
     return Verdict(OUTCOME_REJECTED)
 
 

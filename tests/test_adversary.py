@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import storen.adversary
 import storen.algebra
 import storen.codes
 import storen.hash_families
@@ -14,6 +15,8 @@ from storen.adversary import (
     Honest,
     PartialCodeword,
     PartialRaw,
+    ProverStore,
+    Strategy,
     UniformGuesser,
     Unresponsive,
     ZeroAnswerer,
@@ -21,8 +24,10 @@ from storen.adversary import (
     build_store,
     per_prover_strategies,
     run_experiment,
+    run_sweep,
     trial_seed,
 )
+from storen.cli import synthesize_message
 from storen.codes import encode
 from storen.errors import UnsupportedVariantError, UsageError
 from storen.hash_families import (
@@ -477,3 +482,100 @@ def test_run_experiment_hashes_each_chunk_once_per_challenge(
         counts[trials] = len(calls)
     # every challenge is drawn within 200 trials, so more trials cost nothing
     assert counts[200] == counts[2000] == per_challenge * fam.n
+
+
+class _Recorder(Strategy):
+    """Answers honestly, and records what it draws from the trial generator
+    after the challenge."""
+
+    def __init__(self):
+        self.draws = []
+
+    def store(self, fam, data, start, honest):
+        def answer(beta, rng):
+            self.draws.append((beta, rng.randrange(fam.q), rng.random(),
+                               rng.getrandbits(77), rng.gauss(0, 1)))
+            return honest(beta)
+
+        return ProverStore(0, answer)
+
+    def rate(self, fam, x):
+        return None
+
+
+def test_trials_draw_what_a_fresh_generator_draws():
+    # gauss draws two normals and keeps the second for the next call, so a
+    # trial that did not reset it would replay the last trial's spare
+    fam = derive_family(KIND_POLYNOMIAL, 16, Fraction(1, 4))
+    recorder = _Recorder()
+    report = run_experiment(fam, (0,) * fam.k, recorder, trials=1000, master_seed=6)
+    assert report.passes == 1000
+    expected = []
+    for index in range(1000):
+        rng = random.Random(trial_seed(6, index))
+        expected.append((rng.randrange(fam.n) + 1, rng.randrange(fam.q), rng.random(),
+                         rng.getrandbits(77), rng.gauss(0, 1)))
+    assert recorder.draws == expected
+
+
+_SWEEPS = [
+    ("single", _F11, _X11, [Honest(), PartialCodeword(4), PartialRaw(2), UniformGuesser(),
+                            ZeroAnswerer(), Unresponsive(0.3), PartialCodeword(11)], {}),
+    ("single karp-rabin", _KR3, 28, [PartialCodeword(0), PartialCodeword(3),
+                                     UniformGuesser(), ZeroAnswerer()], {}),
+    ("trivial", _CHUNK11, _X11, [Honest(), _MIXED, [UniformGuesser(), PartialCodeword(5),
+                                                     Honest()]],
+     dict(variant="trivial", plan=_PLAN)),
+    ("trivial karp-rabin", _KR2, (4, 5), [Honest(), [UniformGuesser(), Unresponsive(0.5)]],
+     dict(variant="trivial", plan=ChunkPlan(2, 4))),
+    ("linear", _F11, _X11, [Honest(), _MIXED, Colluding({2}, UniformGuesser())],
+     dict(variant="linear", plan=_PLAN)),
+    ("rs-parity", _F11, _X11, [Honest(), _MIXED, Colluding({1, 3}, ZeroAnswerer())],
+     dict(variant="rs-parity", plan=_PLAN, r=1, e=1)),
+]
+
+
+@pytest.mark.parametrize("fam, x, assignments, kwargs", [case[1:] for case in _SWEEPS],
+                         ids=[case[0] for case in _SWEEPS])
+def test_a_sweep_reports_what_separate_calls_report(fam, x, assignments, kwargs):
+    swept = run_sweep(fam, x, assignments, 300, 17, **kwargs)
+    assert swept == tuple(run_experiment(fam, x, a, 300, 17, **kwargs) for a in assignments)
+    assert len({report.passes for report in swept}) > 1
+
+
+def test_a_sweep_hashes_each_drawn_challenge_once(monkeypatch):
+    calls = []
+
+    def counting(coeffs, point, p):
+        calls.append(point)
+        return storen.algebra.poly_eval_mod(coeffs, point, p)
+
+    monkeypatch.setattr(storen.hash_families, "poly_eval_mod", counting)
+    fam = polynomial_family(k=6, n=101, q=101)
+    ts = [0, 25, 50, 100]
+    reports = run_sweep(fam, _X11, [PartialCodeword(t) for t in ts], 60, 9)
+    drawn = {random.Random(trial_seed(9, i)).randrange(fam.n) + 1 for i in range(60)}
+    assert len(drawn) < 60 and len(calls) == len(drawn)
+    assert [r.passes for r in reports] == [
+        run_experiment(fam, _X11, PartialCodeword(t), 60, 9).passes for t in ts]
+
+
+def test_a_sweep_checks_every_assignment_before_its_first_trial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(storen.adversary, "trial_seed", refuse)
+    with pytest.raises(UsageError, match="t=12 exceeds"):
+        run_sweep(_F11, _X11, [PartialCodeword(1), PartialCodeword(12)], 5, 1)
+    with pytest.raises(UsageError, match="at least one trial"):
+        run_sweep(_F11, _X11, [PartialCodeword(1)], 0, 1)
+
+
+def test_each_call_hashes_its_own_message():
+    # as the CLI does, each master seed synthesizes its own message: a memo
+    # kept past its call would check the answers against the last one
+    fam = derive_family(KIND_POLYNOMIAL, 8, Fraction(1, 2))
+    for master in (1, 2):
+        x = synthesize_message(fam, master)
+        (kept,) = run_sweep(fam, x, [PartialRaw(fam.k)], 200, master)
+        assert kept.passes == 200

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import socket
@@ -540,6 +541,59 @@ def test_experiment_prints_long_exact_rates(capsys):
 def test_experiment_rejects_unknown_keys(capsys):
     assert main(["experiment", "kind=polynomial", "k=2", "epsilon=1/2",
                  "strategy=zero", "trials=10", "seed=1", "bogus=1"]) == 2
+    capsys.readouterr()
+
+
+# sha256 of recorded ``storen experiment`` outputs: the CLI runs of the
+# experiment-single and experiment-rs-cheaters benchmarks, and a karp-rabin
+# sweep.  Any change to the trial recipe, a store or a verifier shows here.
+_RECORDED_CSVS = [
+    ("kind=polynomial k=256 epsilon=1/4 variant=single strategy=partial-codeword "
+     "t=0,1024,2048,3072 trials=2000 seed=7",
+     "8d6f588937ddcc3223c5ae96ee040b745270997f5203f2e0d54b0963dc6e8627"),
+    ("kind=polynomial k=512 epsilon=1/2 variant=rs-parity s=8 r=1 e=1 strategy=honest "
+     "trials=200 seed=7",
+     "0b2738497b3c245196506e9312f74406dbe65a1f36ac4680a47e3e7ab80377b3"),
+    ("kind=karp-rabin k=64 epsilon=1/4 variant=single strategy=partial-codeword "
+     "t=0,256,512,1024 trials=500 seed=3",
+     "1e6ebc8a205b1ddb9fea3168d48bb49f0e4dd74b5d0ca5c030a2e28299835308"),
+]
+
+
+@pytest.mark.parametrize("args, sha256", _RECORDED_CSVS,
+                         ids=["experiment-single", "experiment-rs-cheaters", "karp-rabin"])
+def test_experiment_output_is_byte_identical_to_the_record(capsys, args, sha256):
+    limit = sys.get_int_max_str_digits()
+    try:
+        assert main(["experiment", *args.split()]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("bad", ["trials=5 t=1,99", "trials=0 t=1"])
+def test_a_failing_experiment_prints_no_csv(capsys, bad):
+    assert main(["experiment", "kind=polynomial", "k=4", "epsilon=1/2", "variant=single",
+                 "strategy=partial-codeword", "seed=1", *bad.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_trivial_preprocess_scans_the_data_once(tmp_path, capsys, scans):
+    fam = polynomial_family(k=3, n=7, q=7)
+    plan = ChunkPlan(2, 6)
+    x = [1, 6, 0, 2, 5, 3]
+    library = multi_trivial_preprocess(fam, x, plan, 4)
+    assert scans[0] == 1
+    fam_file, data, out = tmp_path / "family.desc", tmp_path / "data.bin", tmp_path / "d.bin"
+    fam_file.write_bytes(descriptor_to_bytes(fam))
+    data.write_bytes(bytes(x))
+    assert main(["preprocess", "--family", str(fam_file), "--variant", "trivial",
+                 "--provers", "2", "--data", str(data), "--seed", "4",
+                 "--out", str(out)]) == 0
+    assert scans[0] == 2
+    assert out.read_bytes() == digest_to_bytes(library)
     capsys.readouterr()
 
 
