@@ -166,6 +166,8 @@ class Digest:
     serialized, neither participates in equality; a digest loaded from bytes
     must be re-attached to its family with :meth:`with_family` (and the
     rs-parity budget re-supplied to the verifier) before use.
+    ``answer_limit``, the size of the answer alphabet at the challenge, is
+    found once, when a digest with a family is made (None without one).
     """
 
     variant: str
@@ -174,6 +176,7 @@ class Digest:
     fingerprint: bytes
     family: Optional[HashFamilyDescriptor] = field(default=None, compare=False)
     parity_budget: Optional[Tuple[int, int]] = field(default=None, compare=False)
+    answer_limit: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -182,8 +185,12 @@ class Digest:
             raise UsageError("challenge index must be 1-based and positive")
         if len(self.fingerprint) != 32:
             raise UsageError("fingerprint must be 32 bytes")
-        if self.family is not None and family_fingerprint(self.family) != self.fingerprint:
-            raise UsageError("attached family does not match the stored fingerprint")
+        limit = None
+        if self.family is not None:
+            if family_fingerprint(self.family) != self.fingerprint:
+                raise UsageError("attached family does not match the stored fingerprint")
+            limit = self.family.alphabet(self.beta)
+        object.__setattr__(self, "answer_limit", limit)
 
     def with_family(self, fam: HashFamilyDescriptor) -> "Digest":
         """Return a copy with ``fam`` attached, checking the fingerprint, the
@@ -264,12 +271,11 @@ def _own(digest: Digest, variant: str) -> None:
         raise UsageError(f"digest is for variant {digest.variant!r}")
 
 
-def _check_answer_range(digest: Digest, answer: int) -> None:
-    if digest.family is not None and not 0 <= answer < digest.family.alphabet(digest.beta):
-        raise UsageError(
-            f"answer {answer} outside the challenge's alphabet "
-            f"[0, {digest.family.alphabet(digest.beta)})"
-        )
+def _check_answer_range(digest: Digest, answers: Sequence[Optional[int]]) -> None:
+    limit = digest.answer_limit
+    for answer in answers:
+        if answer is not None and limit is not None and not 0 <= answer < limit:
+            raise UsageError(f"answer {answer} outside the challenge's alphabet [0, {limit})")
 
 
 # --- single prover ---------------------------------------------------------
@@ -293,7 +299,7 @@ def _single_verify(digest, answers):
     answer = answers[0]
     if answer is None:
         return _SOLE_PROVER_ERASED
-    _check_answer_range(digest, answer)
+    _check_answer_range(digest, answers)
     if answer == digest.gammas[0]:
         return _ACCEPTED
     return _SOLE_PROVER_ACCUSED
@@ -336,13 +342,12 @@ def _trivial_check(digest, provers, r=None, e=None):
 
 def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
     _trivial_check(digest, len(answers))
+    _check_answer_range(digest, answers)
     accused, erased = set(), set()
     for index, (answer, gamma) in enumerate(zip(answers, digest.gammas), start=1):
         if answer is None:
             erased.add(index)
-            continue
-        _check_answer_range(digest, answer)
-        if answer != gamma:
+        elif answer != gamma:
             accused.add(index)
     if accused or erased:
         return Verdict(OUTCOME_REJECTED, frozenset(accused), frozenset(erased))
@@ -392,8 +397,7 @@ def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Ver
     erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
     if erased:
         return Verdict(OUTCOME_REJECTED, erased=erased)
-    for answer in answers:
-        _check_answer_range(digest, answer)
+    _check_answer_range(digest, answers)
     if sum(answers) % digest.family.q == digest.gammas[0]:
         return _ACCEPTED
     return Verdict(OUTCOME_REJECTED)
@@ -460,9 +464,7 @@ def multi_rs_verify(
     erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
     if len(erased) > e:
         return Verdict(OUTCOME_UNDECIDABLE, erased=erased)
-    for answer in answers:
-        if answer is not None and not 0 <= answer < q:
-            raise UsageError(f"answer {answer} outside the field [0, {q})")
+    _check_answer_range(digest, answers)
     code = SystematicRSCode.cached(s, s + len(digest.gammas), q)
     decoded = rs_decode_errors_erasures(code, list(answers) + list(digest.gammas))
     if decoded is None:

@@ -32,13 +32,16 @@ registry of consumed digests and refuses to audit with the same one twice
 The client-side timeout defaults to 5000 ms and can be set with the
 ``STOREN_TIMEOUT_MS`` environment variable or per call.
 
-Threads are started once and reused, at both ends.  The verifier queries
-provers on one process-wide pool of at most :data:`MAX_VERIFIER_THREADS`
-threads, started by the first audit and shared by every later one (a
-forked child starts its own).  A :class:`ProverServer` hands each accepted
-connection to a queue served by at most :data:`MAX_SERVER_THREADS` worker
-threads, started only when no worker is idle and stopped when the server
-closes; further connections wait in the queue.  A worker waits at most
+Both ends run their work on one kind of worker group: a bounded set of
+daemon threads, each started only when no started thread is idle, and then
+reused.  A thread counts itself idle before it hands on the outcome of its
+call, so an audit that holds all its answers finds every thread that served
+it idle again.  The verifier queries provers on one process-wide group of
+at most :data:`MAX_VERIFIER_THREADS` threads, started by the first audit and
+shared by every later one (a forked child starts its own).  A
+:class:`ProverServer` hands each accepted connection to its own group of at
+most :data:`MAX_SERVER_THREADS` threads, stopped when the server closes;
+further connections wait their turn.  A worker waits at most
 :data:`PEER_TIMEOUT_S` for each read from its peer, so idle peers free it.
 """
 
@@ -47,11 +50,11 @@ from __future__ import annotations
 import os
 import queue
 import socket
-import socketserver
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+import traceback
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ProtocolError, UsageError
@@ -123,6 +126,15 @@ def _recv_body(sock, count: int) -> bytes:
     return data
 
 
+def _recv_reply(sock) -> Optional[int]:
+    """Like :func:`_recv_type`, but an ERROR frame raises :class:`ProtocolError`."""
+    frame = _recv_type(sock)
+    if frame == FRAME_ERROR:
+        code = struct.unpack("<H", _recv_body(sock, 2))[0]
+        raise ProtocolError(f"prover refused: {_ERR_NAMES.get(code, f'code {code}')}")
+    return frame
+
+
 def _timeout_ms(timeout_ms: Optional[int]) -> int:
     if timeout_ms is None:
         raw = os.environ.get(TIMEOUT_ENV_VAR) or str(DEFAULT_TIMEOUT_MS)
@@ -132,6 +144,50 @@ def _timeout_ms(timeout_ms: Optional[int]) -> int:
     if timeout_ms <= 0:
         raise UsageError("timeout must be positive")
     return timeout_ms
+
+
+class _Workers:
+    """At most ``limit`` daemon threads, each started only when no started
+    one is idle.  A thread counts itself idle before it hands on the outcome
+    of its call, so whoever holds all outcomes of a batch finds its threads idle."""
+
+    def __init__(self, name: str, limit: int):
+        self._name = name
+        self._limit = limit
+        self._calls = queue.SimpleQueue()
+        self._idle = threading.Semaphore(0)  # one release per finished call
+        self._threads = []
+        self._lock = threading.Lock()
+
+    def submit(self, call: Callable[[], object], done: Optional[Callable] = None) -> None:
+        """Run ``call()`` on a worker, then ``done`` with its result or the
+        exception it raised; without ``done``, print the exception's traceback."""
+        with self._lock:
+            if not self._idle.acquire(blocking=False) and len(self._threads) < self._limit:
+                name = f"{self._name}_{len(self._threads)}"
+                self._threads.append(threading.Thread(target=self._work, name=name, daemon=True))
+                self._threads[-1].start()
+        self._calls.put((call, done))
+
+    def _work(self):
+        for call, done in iter(self._calls.get, None):
+            try:
+                outcome = call()
+            except Exception as error:
+                outcome = error
+            self._idle.release()
+            if done is not None:
+                done(outcome)
+            elif isinstance(outcome, Exception):
+                traceback.print_exception(outcome)
+
+    def close(self, timeout: float) -> None:
+        """Stop each thread after the calls submitted so far, waiting ``timeout`` s at most."""
+        for _ in self._threads:
+            self._calls.put(None)
+        deadline = time.monotonic() + timeout
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 # --- prover side -------------------------------------------------------------
@@ -146,55 +202,6 @@ def honest_answerer(
     from ``x`` itself (:func:`~storen.hash_families.chunk_hasher`), so
     start-up and memory do not depend on the family size n."""
     return chunk_hasher(fam, x, start)
-
-
-class _Server(socketserver.TCPServer):
-    """A TCP server whose connections are handled by reused worker threads.
-
-    The accept loop queues each connection; a new daemon worker starts only
-    when none is idle and fewer than :data:`MAX_SERVER_THREADS` exist, and
-    :meth:`server_close` stops them all."""
-
-    allow_reuse_address = True
-
-    def __init__(self, address, handler):
-        # set before binding: a failed bind calls server_close()
-        self._connections = queue.SimpleQueue()
-        self._idle = threading.Semaphore(0)  # one release per finished connection
-        self._workers = []
-        super().__init__(address, handler)
-
-    def process_request(self, request, client_address):
-        # only the accept loop runs this, so the worker list needs no lock
-        if not self._idle.acquire(blocking=False) and len(self._workers) < MAX_SERVER_THREADS:
-            worker = threading.Thread(
-                target=self._work, name=f"storen-prover_{len(self._workers)}", daemon=True
-            )
-            self._workers.append(worker)
-            worker.start()
-        self._connections.put((request, client_address))
-
-    def _work(self):
-        while True:
-            item = self._connections.get()
-            if item is None:
-                return
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
-            self._idle.release()
-
-    def server_close(self):
-        super().server_close()
-        for _ in self._workers:
-            self._connections.put(None)
-        deadline = time.monotonic() + 2.0
-        for worker in self._workers:
-            worker.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class ProverServer:
@@ -224,34 +231,37 @@ class ProverServer:
         self._max_sessions = max_sessions
         self._sessions = 0
         self._lock = threading.Lock()
-        self._closing = threading.Event()
+        self._closing = threading.Event()  # ends the accept loop and silent sessions
         self._closed = threading.Event()
-        self._server = None
+        self._address = None
         self._thread = None
+        self._workers = _Workers("storen-prover", MAX_SERVER_THREADS)
 
     @property
     def address(self) -> Tuple[str, int]:
-        if self._server is None:
+        if self._address is None:
             raise UsageError("server not started")
-        return self._server.server_address
+        return self._address
 
     def start(self) -> "ProverServer":
-        if self._server is not None:
+        if self._thread is not None:
             raise UsageError("server already started")
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                outer._handle(self.request)
-
-        self._server = _Server(self._bind, Handler)
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        listener = socket.create_server(self._bind)
+        listener.settimeout(0.05)  # how often the accept loop looks for a stop
+        self._address = listener.getsockname()
+        self._thread = threading.Thread(target=self._accept, args=(listener,), daemon=True)
         self._thread.start()
         return self
 
-    def _run(self):
+    def _accept(self, listener):
         try:
-            self._server.serve_forever(poll_interval=0.05)
+            with listener:
+                while not self._closing.is_set():
+                    try:
+                        sock, _ = listener.accept()
+                    except OSError:  # the poll timeout, or a failed accept
+                        continue
+                    self._workers.submit(partial(self._handle, sock))
         finally:
             self._closed.set()
 
@@ -302,15 +312,12 @@ class ProverServer:
         except OSError:
             pass
         finally:
+            sock.close()
             if counted:
-                self._finish_session()
-
-    def _finish_session(self):
-        with self._lock:
-            self._sessions += 1
-            done = self._max_sessions is not None and self._sessions >= self._max_sessions
-        if done:
-            threading.Thread(target=self._server.shutdown, daemon=True).start()
+                with self._lock:
+                    self._sessions += 1
+                    if self._max_sessions is not None and self._sessions >= self._max_sessions:
+                        self._closing.set()
 
     def wait_closed(self, timeout: Optional[float] = None) -> bool:
         """Block until the listener has stopped (True) or timeout (False)."""
@@ -318,14 +325,12 @@ class ProverServer:
 
     def close(self):
         self._closing.set()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
+        self._workers.close(timeout=2.0)
 
     def __enter__(self) -> "ProverServer":
-        if self._server is None:
+        if self._thread is None:
             self.start()
         return self
 
@@ -349,14 +354,9 @@ def query_prover(
         with socket.create_connection(address, timeout=timeout) as sock:
             sock.settimeout(timeout)
             sock.sendall(encode_hello(PROTOCOL_VERSION, fingerprint))
-            frame = _recv_type(sock)
+            frame = _recv_reply(sock)
             if frame is None:
                 return None
-            if frame == FRAME_ERROR:
-                code = struct.unpack("<H", _recv_body(sock, 2))[0]
-                raise ProtocolError(
-                    f"prover refused: {_ERR_NAMES.get(code, f'code {code}')}"
-                )
             if frame != FRAME_HELLO:
                 raise ProtocolError(f"expected HELLO, got frame type {frame:#04x}")
             body = _recv_body(sock, 34)
@@ -366,18 +366,13 @@ def query_prover(
             if body[2:] != fingerprint:
                 raise ProtocolError("prover serves a different hash family")
             sock.sendall(encode_challenge(beta))
-            frame = _recv_type(sock)
+            frame = _recv_reply(sock)
             if frame is None:
                 return None
             if frame == FRAME_RESPONSE:
                 return struct.unpack("<Q", _recv_body(sock, 8))[0]
             if frame == FRAME_NO_RESPONSE:
                 return None
-            if frame == FRAME_ERROR:
-                code = struct.unpack("<H", _recv_body(sock, 2))[0]
-                raise ProtocolError(
-                    f"prover refused: {_ERR_NAMES.get(code, f'code {code}')}"
-                )
             raise ProtocolError(f"unexpected frame type {frame:#04x}")
     except OSError:
         return None
@@ -403,26 +398,25 @@ def _mark_consumed(digest: Digest) -> None:
         _consumed_digests.add(key)
 
 
-_pool = None
-_pool_key = None
-_pool_lock = threading.Lock()
+_verifier = None
+_verifier_key = None
+_verifier_lock = threading.Lock()
 
 
-def _verifier_pool() -> ThreadPoolExecutor:
-    """The process's verifier pool, started on first use.
-
-    It is keyed on the process id and the thread limit: a forked child,
-    which has none of its parent's threads, or a changed limit gets a fresh
-    pool, and a pool replaced in the process that started it is shut down."""
-    global _pool, _pool_key
+def _verifier_workers() -> _Workers:
+    """The process's verifier workers, keyed on the process id and the thread
+    limit: a forked child, which has none of its parent's threads, or a changed
+    limit gets a fresh group, and one replaced in the process that started it
+    is closed."""
+    global _verifier, _verifier_key
     key = (os.getpid(), MAX_VERIFIER_THREADS)
-    with _pool_lock:
-        if _pool_key != key:
-            if _pool is not None and _pool_key[0] == key[0]:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(MAX_VERIFIER_THREADS, thread_name_prefix="storen-verifier")
-            _pool_key = key
-        return _pool
+    with _verifier_lock:
+        if _verifier_key != key:
+            if _verifier is not None and _verifier_key[0] == key[0]:
+                _verifier.close(timeout=0.0)
+            _verifier = _Workers("storen-verifier", MAX_VERIFIER_THREADS)
+            _verifier_key = key
+        return _verifier
 
 
 def run_verifier_client(
@@ -439,8 +433,9 @@ def run_verifier_client(
     which range-checks the challenge.  That, the variant's pre-flight check
     (prover count, family kind, rs-parity budget) and the timeout run before
     the digest is spent, so a misused audit sends nothing.  The queries run
-    on the process's verifier pool, so at most :data:`MAX_VERIFIER_THREADS`
-    provers are queried at once, over all audits the process runs."""
+    on the process's verifier workers, so at most :data:`MAX_VERIFIER_THREADS`
+    provers are queried at once, over all audits the process runs.  It waits
+    for every query, then raises the first error in prover order."""
     if digest.family is None:
         raise UsageError("digest has no family attached; audit it with its family")
     addresses = [tuple(a) for a in addresses]
@@ -448,15 +443,18 @@ def run_verifier_client(
     digest = spec.check(digest, len(addresses), r, e)
     timeout_ms = _timeout_ms(timeout_ms)
     _mark_consumed(digest)
-    pool = _verifier_pool()
-    futures = [
-        pool.submit(query_prover, address, digest.beta, digest.fingerprint, timeout_ms)
-        for address in addresses
-    ]
-    wait(futures)  # no query outlives the audit, even when one of them raised
-    answers = tuple(future.result() for future in futures)
-    limit = digest.family.alphabet(digest.beta)
+    workers = _verifier_workers()
+    outcomes = queue.SimpleQueue()
+    for i, address in enumerate(addresses):
+        workers.submit(
+            partial(query_prover, address, digest.beta, digest.fingerprint, timeout_ms),
+            lambda outcome, i=i: outcomes.put((i, outcome)),
+        )
+    answers = tuple(outcome for _, outcome in sorted(outcomes.get() for _ in addresses))
+    limit = digest.answer_limit
     for answer in answers:
+        if isinstance(answer, Exception):
+            raise answer
         if answer is not None and not 0 <= answer < limit:
             raise ProtocolError(f"answer {answer} outside the challenge alphabet [0, {limit})")
     return spec.verify(digest, answers)

@@ -451,6 +451,26 @@ def test_closing_the_server_stops_its_workers():
     assert not any(worker.is_alive() for worker in workers)
 
 
+def test_an_answerer_error_is_reported_and_its_worker_serves_on(monkeypatch, capfd):
+    monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 1)
+    honest = honest_answerer(FAM, X)
+    failures = [ValueError("answerer broke")]
+
+    def answer(beta):
+        if failures:
+            raise failures.pop()
+        return honest(beta)
+
+    fingerprint = family_fingerprint(FAM)
+    with ProverServer(FAM, answer) as server:
+        # the failed call hangs up without a reply, an erasure to the verifier
+        assert query_prover(server.address, 3, fingerprint) is None
+        assert query_prover(server.address, 3, fingerprint) == hash_eval(FAM, X, 3)
+    err = capfd.readouterr().err
+    assert "Traceback" in err
+    assert "ValueError: answerer broke" in err
+
+
 def test_a_protocol_error_waits_for_every_query():
     digest = multi_trivial_preprocess(CHUNK_FAM, X, ChunkPlan(2, 2), rng_seed=0)
     answered = threading.Event()
