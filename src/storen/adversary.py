@@ -319,8 +319,8 @@ def build_store(
     [start, start + len(x)) of a polynomial message that is zero elsewhere
     (how the linear and rs-parity variants split the data).  An honest (or
     unresponsive) prover is charged with keeping that chunk.  The store's
-    honest values come from one Horner pass over ``x`` per answer; none
-    builds a whole codeword.
+    honest values come from one pass of :func:`poly_eval_mod` (or one
+    remainder) over ``x`` per answer; none builds a whole codeword.
     """
     if not isinstance(strategy, Strategy):
         raise UsageError(f"not a strategy: {strategy!r}")

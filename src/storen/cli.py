@@ -29,16 +29,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .adversary import (
-    Honest,
-    PartialCodeword,
-    PartialRaw,
-    UniformGuesser,
-    Unresponsive,
-    ZeroAnswerer,
-    run_experiment,
-    run_sweep,
-)
 from .codes import SystematicRSCode, rs_decode_errors_erasures, rs_encode_systematic
 from .errors import ProtocolError, UsageError
 from .hash_families import (
@@ -64,12 +54,8 @@ from .protocol import (
     preprocess,
     single_preprocess,
 )
-from .transport import (
-    ProverServer,
-    honest_answerer,
-    reset_consumed_digests,
-    run_verifier_client,
-)
+# adversary and transport are imported by the subcommands that use them, so
+# that derive and preprocess start without them
 
 _EXIT_BY_OUTCOME = {"accepted": 0, "rejected": 1, "undecidable": 3}
 
@@ -193,6 +179,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .transport import run_verifier_client
     digest = digest_from_bytes(Path(args.digest).read_bytes())
     digest = digest.with_family(_load_family(args.family))
     addresses = [_parse_hostport(p) for p in args.prover]
@@ -220,6 +207,7 @@ def _serve_answerer(args, fam):
 
 
 def cmd_serve(args) -> int:
+    from .transport import ProverServer
     if not 0 <= args.port <= 65535:
         raise UsageError(f"--port {args.port} is outside 0-65535")
     if args.max_sessions is not None and args.max_sessions < 1:
@@ -269,6 +257,9 @@ def _parse_experiment_config(pairs) -> dict:
 
 
 def cmd_experiment(args) -> int:
+    from .adversary import (
+        Honest, PartialCodeword, PartialRaw, UniformGuesser, Unresponsive, ZeroAnswerer,
+        run_sweep)
     config = _parse_experiment_config(args.config)
     try:
         k = int(config["k"])
@@ -324,6 +315,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .adversary import UniformGuesser, run_experiment
+    from .transport import (
+        ProverServer, honest_answerer, reset_consumed_digests, run_verifier_client)
     reset_consumed_digests()
     failures = 0
 

@@ -255,7 +255,7 @@ def hash_eval(fam: HashFamilyDescriptor, x: Message, i: int) -> int:
     _check_index(fam, i)
     x = validate_message(fam, x)
     if fam.kind == KIND_POLYNOMIAL:
-        return poly_eval_mod(tuple(x), i - 1, fam.q)  # exact: see unchecked_hasher
+        return poly_eval_mod(x, i - 1, fam.q)
     return x % fam.primes[i - 1]
 
 
@@ -263,6 +263,7 @@ def hash_all(fam: HashFamilyDescriptor, x: Message) -> tuple[int, ...]:
     """All n hash values of x in index order."""
     x = validate_message(fam, x)
     if fam.kind == KIND_POLYNOMIAL:
+        x = tuple(x)  # copied once, not once per point
         return tuple(poly_eval_mod(x, point, fam.q) for point in range(fam.n))
     return tuple(x % p for p in fam.primes)
 
@@ -276,8 +277,8 @@ def chunk_hasher(
     :func:`validate_message` checks it.  With ``start`` given (polynomial
     kind only), ``x`` is a chunk: the symbols [start, start + len(x)) of a
     k-symbol message that is zero elsewhere.  Each answer then costs one
-    Horner pass over ``x``, never a codeword.  The returned function does
-    not check beta; callers pass 1 <= beta <= n.
+    pass of :func:`poly_eval_mod` over ``x``, never a codeword.  The
+    returned function does not check beta; callers pass 1 <= beta <= n.
     """
     if start is None:
         return unchecked_hasher(fam, validate_message(fam, x))
@@ -298,9 +299,7 @@ def unchecked_hasher(
     """:func:`chunk_hasher` for data its caller has already checked.
 
     For the polynomial kind, with t = beta - 1, the zeros below ``start``
-    shift the chunk's polynomial by t**start.  The symbols are kept as an
-    exact tuple: Horner runs at half speed over a tuple subclass such as
-    :class:`CheckedSymbols`.
+    shift the chunk's polynomial by t**start.
     """
     if fam.kind != KIND_POLYNOMIAL:
         primes = fam.primes

@@ -15,7 +15,12 @@ from storen.algebra import (
     tree_reduce,
 )
 from storen.errors import CapacityError, UsageError
-from storen.hash_families import KIND_KARP_RABIN, derive_family, hash_eval_stream
+from storen.hash_families import (
+    KIND_KARP_RABIN,
+    CheckedSymbols,
+    derive_family,
+    hash_eval_stream,
+)
 
 from _oracles import bignat_digits_msf, digits_mod, first_primes, naive_poly_eval, sieve_upto
 
@@ -68,6 +73,20 @@ def test_horner_matches_naive_random():
 
 def test_horner_empty_polynomial_is_zero():
     assert poly_eval_mod([], 3, 5) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1031, 8209, 2**61 - 1])
+def test_horner_matches_naive_on_both_sides_of_the_grouping(p):
+    # lengths 0-39 take plain Horner below 32 coefficients and four per
+    # reduction from 32 on, with each remainder mod 4 on both sides; 2**61 - 1
+    # makes every partial sum a multi-digit int
+    rng = random.Random(p)
+    for size in range(40):
+        coeffs = [rng.randrange(p) for _ in range(size)]
+        for point in {0, 1, p - 1, rng.randrange(p), rng.randrange(p)}:
+            expected = naive_poly_eval(coeffs, point, p)
+            for form in (coeffs, tuple(coeffs), CheckedSymbols(coeffs, p)):
+                assert poly_eval_mod(form, point, p) == expected, (size, point, type(form))
 
 
 def test_first_n_primes_against_sieve():
