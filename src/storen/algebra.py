@@ -93,24 +93,17 @@ def tree_reduce(op: Callable, items: Sequence, leaf: Callable = lambda item: ite
 def poly_eval_mod(coeffs: Sequence[int], point: int, p: int) -> int:
     """Horner evaluation of sum(coeffs[i] * point**i) mod p on raw ints.
 
-    Unchecked fast path: the caller guarantees canonical residues.  From 32
-    coefficients on, Horner's rule takes four per reduction (Knuth, TAOCP
-    vol. 2, 4.6.4): acc = (acc*t**4 + a*t**3 + b*t**2 + c*t + d) % p with
-    t = point, exact for any p, each partial sum one machine digit while
-    5p**2 < 2**30 (p <= 14 650).  Shorter inputs do not repay the powers.
+    Unchecked fast path: the caller guarantees canonical residues.  After
+    plain Horner over the len % 4 highest coefficients, four go per reduction
+    (Knuth, TAOCP vol. 2, 4.6.4): acc = (acc*t**4 + a*t**3 + b*t**2 + c*t + d)
+    % p with t = point, exact for any p, one machine digit while 5p**2 < 2**30.
     """
-    if len(coeffs) < 32:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * point + c) % p
-        return acc
     top = reversed(tuple(coeffs))  # free for a tuple; a subclass iterates slowly
     acc = 0
     for c in islice(top, len(coeffs) % 4):
         acc = (acc * point + c) % p
     t2 = point * point % p
-    t3 = t2 * point % p
-    t4 = t3 * point % p
+    t3, t4 = t2 * point % p, t2 * t2 % p
     for a, b, c, d in zip(top, top, top, top):
         acc = (acc * t4 + a * t3 + b * t2 + c * point + d) % p
     return acc

@@ -54,8 +54,7 @@ from .protocol import (
     preprocess,
     single_preprocess,
 )
-# adversary and transport are imported by the subcommands that use them, so
-# that derive and preprocess start without them
+# adversary and transport are imported only by the subcommands that use them
 
 _EXIT_BY_OUTCOME = {"accepted": 0, "rejected": 1, "undecidable": 3}
 
@@ -258,8 +257,14 @@ def _parse_experiment_config(pairs) -> dict:
 
 def cmd_experiment(args) -> int:
     from .adversary import (
-        Honest, PartialCodeword, PartialRaw, UniformGuesser, Unresponsive, ZeroAnswerer,
-        run_sweep)
+        Honest,
+        PartialCodeword,
+        PartialRaw,
+        UniformGuesser,
+        Unresponsive,
+        ZeroAnswerer,
+        run_sweep,
+    )
     config = _parse_experiment_config(args.config)
     try:
         k = int(config["k"])
@@ -317,7 +322,11 @@ def cmd_experiment(args) -> int:
 def cmd_certify(args) -> int:
     from .adversary import UniformGuesser, run_experiment
     from .transport import (
-        ProverServer, honest_answerer, reset_consumed_digests, run_verifier_client)
+        ProverServer,
+        honest_answerer,
+        reset_consumed_digests,
+        run_verifier_client,
+    )
     reset_consumed_digests()
     failures = 0
 

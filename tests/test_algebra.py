@@ -76,10 +76,9 @@ def test_horner_empty_polynomial_is_zero():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1031, 8209, 2**61 - 1])
-def test_horner_matches_naive_on_both_sides_of_the_grouping(p):
-    # lengths 0-39 take plain Horner below 32 coefficients and four per
-    # reduction from 32 on, with each remainder mod 4 on both sides; 2**61 - 1
-    # makes every partial sum a multi-digit int
+def test_horner_matches_naive_over_every_remainder_mod_4(p):
+    # lengths 0-39 cover each len % 4 head with up to nine groups of four
+    # after it; 2**61 - 1 makes every partial sum a multi-digit int
     rng = random.Random(p)
     for size in range(40):
         coeffs = [rng.randrange(p) for _ in range(size)]
