@@ -15,15 +15,15 @@ retention strictly monotone in the number of kept symbols.
 and reports empirical pass rates next to exact analytic ones;
 :func:`run_sweep` does so for several strategy assignments at once, over
 the same audits.  A call keeps a memo: the first time a challenge is drawn,
-it hashes each prover's data there once and keeps the verifier's digest
-and the honest answers, which later trials reuse, the stores answering
-through it.  Trials are reproducible: trial ``i`` of master seed ``m``
-reseeds the call's one generator with ``sha256("storen.trial:m:i")`` (as a
-big-endian integer), which gives the stream of a fresh
-``random.Random`` of that seed; the challenge is drawn first, then prover
-answers in prover order.  Stores draw from the trial generator only when
-they guess, uniformly over the challenge's alphabet, and do not check the
-challenge, which the engine draws in 1..n.
+it hashes each prover's data there once and keeps the verifier's digest,
+checked once, and the honest answers, which later trials reuse, the
+stores answering through it.  Trials are reproducible: trial ``i`` of
+master seed ``m`` reseeds the call's one generator with
+``sha256("storen.trial:m:i")`` (as a big-endian integer), which gives the
+stream of a fresh ``random.Random`` of that seed; the challenge is drawn
+first, then prover answers in prover order.  Stores draw from the trial
+generator only when they guess, uniformly over the challenge's alphabet,
+and do not check the challenge, which the engine draws in 1..n.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from .algebra import poly_eval_mod, tree_reduce
@@ -413,8 +412,9 @@ def run_sweep(
 
     Each trial reseeds the call's one generator with the pinned trial-seed
     recipe, draws a challenge, collects the answers, and runs the real
-    verifier on the digest of that challenge.  The first time a challenge
-    is drawn, each prover's data is hashed once there, and the digest and
+    verdict (:attr:`Variant.decide`) on the digest of that challenge.  The
+    first time a challenge is drawn, each prover's data is hashed once
+    there, and the digest, which the variant's ``check`` passes then, and
     the honest answers are kept for every later trial and assignment that
     draws it; the stores read the answers as their ``honest`` function.  A
     sweep therefore checks the data once and costs one evaluation per chunk
@@ -437,12 +437,12 @@ def run_sweep(
     digests = [None] * n
     extra = spec.expected and spec.expected(fam, shares, plan, r, e)
     if extra is None:
-        honest = lambda beta, column: digests[beta - 1].gammas[column]
+        honest = lambda column: lambda beta: digests[beta - 1].gammas[column]
     else:
         answers = [None] * n
-        honest = lambda beta, column: answers[beta - 1][column]
+        honest = lambda column: lambda beta: answers[beta - 1][column]
     store_sets = [
-        [strat.store(fam, data, start, partial(honest, column=column))
+        [strat.store(fam, data, start, honest(column))
          for column, ((data, start), strat) in enumerate(zip(shares, strategies))]
         for strategies in populations
     ]
@@ -452,18 +452,19 @@ def run_sweep(
     fingerprint = family_fingerprint(fam)
 
     def digest_at(beta):
-        """The digest of ``beta``, made and memoized at its first draw."""
+        """The digest of ``beta``, made, checked and memoized at its first draw."""
         word = [hash_at(beta) for hash_at in hashers]
         if extra is None:
             gammas = word
         else:
             answers[beta - 1] = array("Q", word)
             gammas = extra(beta, word)
-        digest = digests[beta - 1] = Digest(
-            variant, beta, tuple(gammas), fingerprint, family=fam, parity_budget=budget)
-        return digest
+        digest = Digest(variant, beta, tuple(gammas), fingerprint, family=fam,
+                        parity_budget=budget)
+        digests[beta - 1] = spec.check(digest, provers, r, e)
+        return digests[beta - 1]
 
-    verify = spec.verify
+    decide = spec.decide
     rng = random.Random()
     seed = super(random.Random, rng).seed  # Random.seed, less its type dispatch
     randrange = rng.randrange
@@ -478,7 +479,7 @@ def run_sweep(
             seed(trial_seed(master_seed, index))
             rng.gauss_next = None
             beta = randrange(n) + 1
-            verdict = verify(digests[beta - 1] or digest_at(beta),
+            verdict = decide(digests[beta - 1] or digest_at(beta),
                              [answer(beta, rng) for answer in answer_fns])
             outcome = verdict.outcome
             if outcome == OUTCOME_ACCEPTED:

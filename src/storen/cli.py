@@ -369,7 +369,7 @@ def cmd_certify(args) -> int:
                       else plan.zero_extended(x, i), digest.beta)
             for i in range(1, plan.provers + 1)
         ]
-        accepted = accepted and spec.verify(digest, answers).accepted
+        accepted = accepted and spec.decide(spec.check(digest, len(answers)), answers).accepted
     check("all variants accept honest answers", accepted)
 
     digest = single_preprocess(poly, x, 1)

@@ -13,6 +13,8 @@ symbols.  Decoding punctures the code to the word's non-erased positions,
 computes the syndromes against check rows kept per erasure pattern, and
 locates any errors by Berlekamp-Massey (J. L. Massey, "Shift-register
 synthesis and BCH decoding", IEEE Trans. IT, 1969), in O(l * (l - m)).
+Locating is a step of its own: an audit's verdict needs the error
+positions only, and the decoder erases them and rebuilds the message.
 """
 from __future__ import annotations
 
@@ -192,8 +194,8 @@ def rs_encode_systematic(code: SystematicRSCode, v: Sequence[int]) -> tuple[int,
 
 @lru_cache(maxsize=_CACHED_PATTERNS)
 def _pattern_tables(known: tuple[int, ...], m: int, q: int):
-    """Check rows of the code punctured to the N known points, each point's
-    index and weight w_a, and (i, row on the first m values) per erased i.
+    """Check rows of the code punctured to the N known points, and (i, row
+    on the first m values) per erased message position i.
 
     With w_a = prod_{b != a} (a - b) over a point set, the sum of g(a) / w_a
     vanishes for every g of degree below the set's size minus 1.  So the
@@ -204,8 +206,7 @@ def _pattern_tables(known: tuple[int, ...], m: int, q: int):
     def weights(points):  # reduced at every step: an exact product costs O(N**3)
         return [reduce(lambda w, b: w * (a - b) % q if b != a else w, points, 1) for a in points]
 
-    w = weights(known)
-    row = [pow(d, -1, q) for d in w]
+    row = [pow(d, -1, q) for d in weights(known)]
     checks = []
     for _ in range(len(known) - m):
         checks.append(tuple(row))
@@ -214,7 +215,7 @@ def _pattern_tables(known: tuple[int, ...], m: int, q: int):
     for i in sorted(set(range(m)) - set(known)):
         *base, at_i = weights(known[:m] + (i,))
         rebuild.append((i, tuple(-at_i * pow(d, -1, q) % q for d in base)))
-    return tuple(checks), {a: t for t, a in enumerate(known)}, tuple(w), tuple(rebuild)
+    return tuple(checks), tuple(rebuild)
 
 
 def _berlekamp_massey(s: Sequence[int], q: int) -> tuple[list[int], int]:
@@ -234,6 +235,39 @@ def _berlekamp_massey(s: Sequence[int], q: int) -> tuple[list[int], int]:
     return c, length
 
 
+def rs_locate_errors(code: SystematicRSCode, z: ReceivedWord) -> frozenset[int] | None:
+    """The 1-based error positions :func:`rs_decode_errors_erasures` reports
+    for z, or None where it returns None, without the message.  z must hold
+    block_len symbols, each None or an int in [0, q): this step checks none.
+
+    S_j sums error(a) * a**j / w_a over the error points a.  From C(x) =
+    prod (1 - a*x), the locator x**L * C(1/x) keeps a root at 0 too.  The
+    roots settle the decode: when 2L <= len(S) and they are L distinct known
+    points, the sum over them of y_a * a**j fitted on S_0..S_{L-1} satisfies
+    the recurrence C, as S does, so it equals S on every syndrome; and no
+    y_a is 0, or a shorter recurrence would generate S, where
+    Berlekamp-Massey returns the shortest.  So each root carries a nonzero
+    error, and the word less its errors is a codeword within the budget.
+    """
+    m, q = code.message_len, code.q
+    known = tuple(a for a, sym in enumerate(z) if sym is not None)
+    if len(known) < m:
+        return None
+    values = [z[a] for a in known]
+    syndromes = [sum(map(mul, row, values)) % q for row in _pattern_tables(known, m, q)[0]]
+    if not any(syndromes):
+        return frozenset()
+    c, length = _berlekamp_massey(syndromes, q)
+    if 2 * length > len(syndromes):
+        return None
+    sigma = c[: length + 1]  # x**L * C(1/x), highest power first
+    if length == 1:
+        roots = [a for a in (-sigma[1] % q,) if a in known]
+    else:
+        roots = [a for a in known if not reduce(lambda v, k: (v * a + k) % q, sigma, 0)]
+    return frozenset(a + 1 for a in roots) if len(roots) == length else None
+
+
 def rs_decode_errors_erasures(
     code: SystematicRSCode, z: ReceivedWord
 ) -> tuple[tuple[int, ...], frozenset[int]] | None:
@@ -243,57 +277,23 @@ def rs_decode_errors_erasures(
     budget 2*errors + erasures <= block_len - message_len of z (that
     codeword is then unique), and None when none does.
 
-    It decodes the code punctured to the N non-erased positions, with check
-    rows kept per recent erasure pattern.  All-zero syndromes, one dot
-    product each, mean a codeword, clean or erasure-only.  Otherwise
-    Berlekamp-Massey gives the error locator, its roots among the known
-    points the error positions, and the first L syndromes the error values.
-    Erased message symbols are rebuilt from the first message_len values.
+    It checks z, then locates the errors with :func:`rs_locate_errors`.  The
+    word with its error positions erased too is that codeword punctured, so
+    its erased message symbols are rebuilt from its first message_len
+    values, with rows kept per recent erasure pattern.
     """
     ell, m, q = code.block_len, code.message_len, code.q
     if len(z) != ell:
         raise UsageError(f"received word must have {ell} symbols, got {len(z)}")
-    known = []
     for a, sym in enumerate(z):
-        if sym is None:
-            continue
-        if not isinstance(sym, int) or not 0 <= sym < q:
+        if sym is not None and not (isinstance(sym, int) and 0 <= sym < q):
             raise UsageError(f"symbol {sym!r} at position {a + 1} out of range")
-        known.append(a)
-    if len(known) < m:
+    errors = rs_locate_errors(code, z)
+    if errors is None:
         return None
-    checks, index, w, rebuild = _pattern_tables(tuple(known), m, q)
+    known = tuple(a for a, sym in enumerate(z) if sym is not None and a + 1 not in errors)
     values = [z[a] for a in known]
-    syndromes = [sum(map(mul, row, values)) % q for row in checks]
-    errors = frozenset()
-    if any(syndromes):
-        # S_j sums error(a) * a**j / w_a over the error points a.  From C(x) =
-        # prod (1 - a*x), the locator x**L * C(1/x) keeps a root at 0 too.
-        c, length = _berlekamp_massey(syndromes, q)
-        if 2 * length > len(syndromes):
-            return None
-        sigma = c[: length + 1]  # x**L * C(1/x), highest power first
-        if length == 1:
-            roots = [a for a in (-sigma[1] % q,) if a in index]
-        else:
-            roots = [a for a in known if not reduce(lambda v, k: (v * a + k) % q, sigma, 0)]
-        if len(roots) < length:
-            return None
-        # error(a) / w_a = sum_j P_j * S_j for P = sigma / ((x - a) * sigma'(a)),
-        # which is 1 at a and 0 at the other roots.
-        scaled = []
-        for a in roots:
-            quot = [1]  # sigma / (x - a), by synthetic division
-            for k in sigma[1:-1]:
-                quot.append((quot[-1] * a + k) % q)
-            slope = math.prod(a - b for b in roots if b != a)
-            scaled.append(sum(map(mul, quot, syndromes[length - 1 :: -1])) * pow(slope, -1, q))
-        for j in range(length, len(syndromes)):  # true by construction; the contract
-            if sum(y * pow(a, j, q) for a, y in zip(roots, scaled)) % q != syndromes[j]:
-                return None
-        for a, y in zip(roots, scaled):
-            values[index[a]] = (values[index[a]] - y * w[index[a]]) % q
-        errors = frozenset(a + 1 for a in roots)
+    rebuild = _pattern_tables(known, m, q)[1]
     if not rebuild:
         return tuple(values[:m]), errors
     message = dict(zip(known, values))

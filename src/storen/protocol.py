@@ -40,8 +40,8 @@ from .codes import (
     brute_force_list_decode,
     johnson_list_size_bound,
     johnson_radius,
-    rs_decode_errors_erasures,
     rs_encode_systematic,
+    rs_locate_errors,
 )
 from .errors import UnsupportedVariantError, UsageError
 from .hash_families import (
@@ -165,9 +165,10 @@ class Digest:
     field, and the budget records (r, e) chosen at preprocessing.  Neither is
     serialized, neither participates in equality; a digest loaded from bytes
     must be re-attached to its family with :meth:`with_family` (and the
-    rs-parity budget re-supplied to the verifier) before use.
-    ``answer_limit``, the size of the answer alphabet at the challenge, is
-    found once, when a digest with a family is made (None without one).
+    rs-parity budget re-supplied to the verifier) before use.  A digest made
+    with a family checks its fingerprint, the challenge against n and each
+    expected value against the alphabet at the challenge, whose size it
+    keeps as ``answer_limit`` (None without a family).
     """
 
     variant: str
@@ -187,24 +188,19 @@ class Digest:
             raise UsageError("fingerprint must be 32 bytes")
         limit = None
         if self.family is not None:
-            if family_fingerprint(self.family) != self.fingerprint:
-                raise UsageError("attached family does not match the stored fingerprint")
-            limit = self.family.alphabet(self.beta)
+            fam = self.family
+            if family_fingerprint(fam) != self.fingerprint:
+                raise UsageError("family fingerprint mismatch")
+            if self.beta > fam.n:
+                raise UsageError(f"challenge index {self.beta} exceeds the family size n={fam.n}")
+            limit = fam.alphabet(self.beta)  # q for the kind linear and rs-parity need
+            for gamma in self.gammas:
+                if not 0 <= gamma < limit:
+                    raise UsageError(f"expected value {gamma} outside the alphabet [0, {limit})")
         object.__setattr__(self, "answer_limit", limit)
 
     def with_family(self, fam: HashFamilyDescriptor) -> "Digest":
-        """Return a copy with ``fam`` attached, checking the fingerprint, the
-        challenge against n, and each expected value against the alphabet
-        at the challenge (q for the polynomial kind, which linear and
-        rs-parity require)."""
-        if family_fingerprint(fam) != self.fingerprint:
-            raise UsageError("family fingerprint mismatch")
-        if self.beta > fam.n:
-            raise UsageError(f"challenge index {self.beta} exceeds the family size n={fam.n}")
-        limit = fam.alphabet(self.beta)
-        for gamma in self.gammas:
-            if not 0 <= gamma < limit:
-                raise UsageError(f"expected value {gamma} outside the alphabet [0, {limit})")
+        """Return a copy with ``fam`` attached, checked as the class says."""
         return replace(self, family=fam)
 
 
@@ -272,10 +268,13 @@ def _own(digest: Digest, variant: str) -> None:
 
 
 def _check_answer_range(digest: Digest, answers: Sequence[Optional[int]]) -> None:
+    """Each answer is None or an int, below the challenge's alphabet size
+    when the digest knows it: the test the decoder makes of its word."""
     limit = digest.answer_limit
     for answer in answers:
-        if answer is not None and limit is not None and not 0 <= answer < limit:
-            raise UsageError(f"answer {answer} outside the challenge's alphabet [0, {limit})")
+        if answer is not None and not (
+                isinstance(answer, int) and (limit is None or 0 <= answer < limit)):
+            raise UsageError(f"answer {answer!r} outside the challenge's alphabet [0, {limit})")
 
 
 # --- single prover ---------------------------------------------------------
@@ -294,15 +293,12 @@ def _single_check(digest, provers, r=None, e=None):
     return digest
 
 
-def _single_verify(digest, answers):
-    _single_check(digest, len(answers))
+def _single_decide(digest, answers):
+    _check_answer_range(digest, answers)
     answer = answers[0]
     if answer is None:
         return _SOLE_PROVER_ERASED
-    _check_answer_range(digest, answers)
-    if answer == digest.gammas[0]:
-        return _ACCEPTED
-    return _SOLE_PROVER_ACCUSED
+    return _ACCEPTED if answer == digest.gammas[0] else _SOLE_PROVER_ACCUSED
 
 
 # --- s provers, one expected value per chunk -------------------------------
@@ -340,8 +336,7 @@ def _trivial_check(digest, provers, r=None, e=None):
     return digest
 
 
-def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    _trivial_check(digest, len(answers))
+def _trivial_decide(digest, answers):
     _check_answer_range(digest, answers)
     accused, erased = set(), set()
     for index, (answer, gamma) in enumerate(zip(answers, digest.gammas), start=1):
@@ -392,12 +387,11 @@ def _linear_expected(fam, shares, plan, r=None, e=None):
     return lambda beta, answers: (whole(beta),)
 
 
-def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    _check_field(VARIANT_LINEAR, digest, len(answers))
+def _linear_decide(digest, answers):
+    _check_answer_range(digest, answers)
     erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
     if erased:
         return Verdict(OUTCOME_REJECTED, erased=erased)
-    _check_answer_range(digest, answers)
     if sum(answers) % digest.family.q == digest.gammas[0]:
         return _ACCEPTED
     return Verdict(OUTCOME_REJECTED)
@@ -445,33 +439,20 @@ def _rs_check(digest, provers, r=None, e=None):
     return replace(digest, parity_budget=(r, e))
 
 
-def multi_rs_verify(
-    digest: Digest,
-    answers: Sequence[Optional[int]],
-    r: Optional[int] = None,
-    e: Optional[int] = None,
-) -> Verdict:
-    """Decode answers + stored parities; accuse the wrong-answer positions.
-    The budget is (r, e) when given, else the digest's own.
-
-    Returns ``undecidable`` (rather than rejecting anyone) when more than e
-    provers are silent or when no codeword lies within the corruption
-    budget — the audit then carries no attributable evidence.
-    """
-    digest = _rs_check(digest, len(answers), r, e)
-    e = digest.parity_budget[1]
-    s, q = len(answers), digest.family.q
-    erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
-    if len(erased) > e:
-        return Verdict(OUTCOME_UNDECIDABLE, erased=erased)
+def _rs_decide(digest, answers):
+    """Accuse the wrong answers that the stored parities locate, as
+    :func:`multi_rs_verify` says; the message is never rebuilt."""
     _check_answer_range(digest, answers)
-    code = SystematicRSCode.cached(s, s + len(digest.gammas), q)
-    decoded = rs_decode_errors_erasures(code, list(answers) + list(digest.gammas))
-    if decoded is None:
+    erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
+    if len(erased) > digest.parity_budget[1]:
         return Verdict(OUTCOME_UNDECIDABLE, erased=erased)
-    _, error_positions = decoded
-    accused = frozenset(p for p in error_positions if p <= s)
-    if error_positions:
+    s, gammas = len(answers), digest.gammas
+    errors = rs_locate_errors(SystematicRSCode.cached(s, s + len(gammas), digest.family.q),
+                              (*answers, *gammas))
+    if errors is None:
+        return Verdict(OUTCOME_UNDECIDABLE, erased=erased)
+    if errors:
+        accused = frozenset(p for p in errors if p <= s)
         return Verdict(OUTCOME_REJECTED, accused=accused, erased=erased)
     return Verdict(OUTCOME_ACCEPTED, erased=erased)
 
@@ -494,9 +475,10 @@ class Variant:
       are the digest values; otherwise a function (beta, answers) -> the
       digest values, given an iterable of the honest answers at beta.
     - ``check(digest, provers, r, e)``: everything that can be checked
-      before a challenge is sent; returns the digest ready to verify.
-    - ``verify(digest, answers)``: the verdict on one answer (or None, for
-      silence) per prover.
+      before a challenge is sent; returns the digest ready to decide.
+    - ``decide(digest, answers)``: the verdict on one answer (or None, for
+      silence) per prover, on a digest that ``check`` has passed for that
+      many provers.  It range-checks the answers, and no more.
     """
 
     tag: int
@@ -506,7 +488,7 @@ class Variant:
     shares: Callable
     expected: Optional[Callable]
     check: Callable
-    verify: Callable
+    decide: Callable
 
 
 def answerers(fam: HashFamilyDescriptor, shares: Sequence) -> list:
@@ -517,14 +499,14 @@ def answerers(fam: HashFamilyDescriptor, shares: Sequence) -> list:
 
 VARIANTS = {
     VARIANT_SINGLE: Variant(1, 1, False, _whole_message_plan, _single_shares,
-                            None, _single_check, _single_verify),
+                            None, _single_check, _single_decide),
     VARIANT_TRIVIAL: Variant(2, None, True, _trivial_plan, _trivial_shares,
-                             None, _trivial_check, multi_trivial_verify),
+                             None, _trivial_check, _trivial_decide),
     VARIANT_LINEAR: Variant(3, None, False, _whole_message_plan, _offset_shares,
                             _linear_expected, partial(_check_field, VARIANT_LINEAR),
-                            multi_linear_verify),
+                            _linear_decide),
     VARIANT_RS: Variant(4, None, False, _whole_message_plan, _offset_shares,
-                        _rs_expected, _rs_check, multi_rs_verify),
+                        _rs_expected, _rs_check, _rs_decide),
 }
 _TAG_VARIANTS = {variant.tag: name for name, variant in VARIANTS.items()}
 
@@ -569,7 +551,11 @@ def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: int) -> D
 
 
 def single_verify(digest: Digest, answer: Optional[int]) -> Verdict:
-    return _single_verify(digest, (answer,))
+    return _single_decide(_single_check(digest, 1), (answer,))
+
+
+def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
+    return _trivial_decide(_trivial_check(digest, len(answers)), answers)
 
 
 def multi_trivial_preprocess(
@@ -589,6 +575,10 @@ def multi_linear_preprocess(
     return preprocess(VARIANT_LINEAR, fam, x, plan, rng_seed)
 
 
+def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
+    return _linear_decide(_check_field(VARIANT_LINEAR, digest, len(answers)), answers)
+
+
 def multi_rs_preprocess(
     fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, r: int, e: int, rng_seed: int
 ) -> Digest:
@@ -600,6 +590,22 @@ def multi_rs_preprocess(
     provers.  Requires s + 2r + e <= q.
     """
     return preprocess(VARIANT_RS, fam, x, plan, rng_seed, r, e)
+
+
+def multi_rs_verify(
+    digest: Digest,
+    answers: Sequence[Optional[int]],
+    r: Optional[int] = None,
+    e: Optional[int] = None,
+) -> Verdict:
+    """Decode answers + stored parities; accuse the wrong-answer positions.
+    The budget is (r, e) when given, else the digest's own.
+
+    Returns ``undecidable`` (rather than rejecting anyone) when more than e
+    provers are silent or when no codeword lies within the corruption
+    budget — the audit then carries no attributable evidence.
+    """
+    return _rs_decide(_rs_check(digest, len(answers), r, e), answers)
 
 
 # --- storage bound ---------------------------------------------------------

@@ -457,4 +457,4 @@ def run_verifier_client(
             raise answer
         if answer is not None and not 0 <= answer < limit:
             raise ProtocolError(f"answer {answer} outside the challenge alphabet [0, {limit})")
-    return spec.verify(digest, answers)
+    return spec.decide(digest, answers)

@@ -9,6 +9,7 @@ import storen.adversary
 import storen.algebra
 import storen.codes
 import storen.hash_families
+import storen.protocol
 from storen.adversary import (
     EXACT_RATE_TERMS,
     Colluding,
@@ -482,6 +483,34 @@ def test_run_experiment_hashes_each_chunk_once_per_challenge(
         counts[trials] = len(calls)
     # every challenge is drawn within 200 trials, so more trials cost nothing
     assert counts[200] == counts[2000] == per_challenge * fam.n
+
+
+def test_an_rs_parity_experiment_checks_each_digest_once_and_locates_every_trial(monkeypatch):
+    # the variant's check runs once per distinct challenge, at its first
+    # draw; the verdict, with its syndromes and Berlekamp-Massey, every trial
+    located, checked = [], []
+
+    def counting_locate(code, z):
+        located.append(z)
+        return storen.codes.rs_locate_errors(code, z)
+
+    def counting_check(digest, *args):
+        checked.append(digest.beta)
+        return spec.check(digest, *args)
+
+    spec = storen.protocol.VARIANTS["rs-parity"]
+    monkeypatch.setattr(storen.protocol, "rs_locate_errors", counting_locate)
+    monkeypatch.setitem(storen.protocol.VARIANTS, "rs-parity",
+                        dataclasses.replace(spec, check=counting_check))
+    for trials in (7, 300):
+        located.clear()
+        checked.clear()
+        report = run_experiment(_F11, _X11, _MIXED, trials=trials, master_seed=5,
+                                variant="rs-parity", plan=_PLAN, r=1, e=1)
+        drawn = [random.Random(trial_seed(5, i)).randrange(_F11.n) + 1 for i in range(trials)]
+        assert len(located) == trials
+        assert sorted(checked) == sorted(set(drawn))
+        assert sum(report.accused_counts) > 0
 
 
 class _Recorder(Strategy):

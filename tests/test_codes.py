@@ -15,6 +15,7 @@ from storen.codes import (
     min_distance_exhaustive,
     rs_decode_errors_erasures,
     rs_encode_systematic,
+    rs_locate_errors,
 )
 from storen.errors import CapacityError, UsageError
 from storen.hash_families import (
@@ -399,3 +400,27 @@ def test_brute_force_list_decode_validates():
         brute_force_list_decode(fam, (1, 2, 3, 4, 9), 1)  # symbol out of range
     with pytest.raises(CapacityError):
         brute_force_list_decode(polynomial_family(k=8, n=101, q=101), (0,) * 101, 1)
+
+
+@pytest.mark.parametrize("m, ell, q", [
+    (2, 5, 5), (3, 7, 7), (1, 7, 7), (4, 9, 11), (8, 11, 2053), (5, 12, 1031),
+])
+def test_locating_gives_the_decoders_error_positions(m, ell, q):
+    """On words with every erasure count, and from no error to one past the
+    budget, the locate step reports what the decoder reports, None included,
+    and so does Gao's decoder, which shares no step with them."""
+    rng = random.Random(ell * q)
+    code = SystematicRSCode(message_len=m, block_len=ell, q=q)
+    outcomes = set()
+    for n_erase in range(ell + 1):
+        for n_err in range(min(max(ell - m - n_erase, 0) // 2 + 1, ell - n_erase) + 1):
+            for _ in range(40):
+                v = [rng.randrange(q) for _ in range(m)]
+                z, _ = _corrupt(rng, rs_encode_systematic(code, v), q, n_err, n_erase)
+                decoded = rs_decode_errors_erasures(code, z)
+                located = rs_locate_errors(code, z)
+                assert located == (None if decoded is None else decoded[1])
+                oracle = gao_decode(m, ell, q, z)
+                assert located == (None if oracle is None else oracle[1])
+                outcomes.add(None if located is None else len(located))
+    assert outcomes == {None, *range((ell - m) // 2 + 1)}

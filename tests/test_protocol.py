@@ -16,9 +16,11 @@ from storen.hash_families import (
 )
 from storen.protocol import (
     RNG_ALGORITHM,
+    VARIANTS,
     ChunkPlan,
     Digest,
     Verdict,
+    answerers,
     digest_from_bytes,
     digest_payload_bits,
     digest_to_bytes,
@@ -341,6 +343,53 @@ def test_digest_with_family_range_checks_challenge_and_values():
     with pytest.raises(UsageError, match=r"\[0, 2\)"):
         Digest("trivial", 1, (1, 2), family_fingerprint(kr)).with_family(kr)
     assert Digest("trivial", 4, (6, 2), family_fingerprint(kr)).with_family(kr)
+
+
+def test_a_digest_made_with_its_family_range_checks_its_values():
+    # not only a digest attached to its family later: a value past the
+    # alphabet would have the verifier accuse an honest prover
+    fam = polynomial_family(k=2, n=4, q=5)
+    fp = family_fingerprint(fam)
+    h = hash_eval(fam, (1, 2), 3)
+    for variant, gammas in (("single", (h + 5,)), ("trivial", (h, h + 5)),
+                            ("linear", (5,)), ("rs-parity", (h, 5))):
+        with pytest.raises(UsageError, match=r"outside the alphabet \[0, 5\)"):
+            Digest(variant, 3, gammas, fp, family=fam)
+    with pytest.raises(UsageError, match="exceeds the family size n=4"):
+        Digest("single", 5, (h,), fp, family=fam)
+    assert single_verify(Digest("single", 3, (h,), fp, family=fam), h).accepted
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_every_verdict_refuses_an_answer_that_is_not_an_int(variant):
+    spec = VARIANTS[variant]
+    fam = polynomial_family(k=1, n=5, q=5) if spec.chunk_family else FAM
+    plan = spec.chunk_plan(fam, spec.provers or 2)
+    digest = preprocess(variant, fam, (1, 2), plan, 0, r=1, e=0)
+    honest = [hash_at(digest.beta) for hash_at in answerers(fam, spec.shares(fam, (1, 2), plan))]
+
+    def verdict(answers):
+        return spec.decide(spec.check(digest, len(answers)), answers)
+
+    assert verdict(honest).accepted
+    for bad in (float(honest[0]), str(honest[0]), complex(honest[0])):
+        with pytest.raises(UsageError, match="challenge's alphabet"):
+            verdict([bad, *honest[1:]])
+    with pytest.raises(UsageError, match="challenge's alphabet"):
+        verdict([5, *honest[1:]])
+
+
+def test_single_and_rs_parity_refuse_a_float_answer():
+    digest = single_preprocess(FAM, (1, 2), 0)
+    h = hash_eval(FAM, (1, 2), digest.beta)
+    with pytest.raises(UsageError, match=rf"answer {float(h)!r} outside"):
+        single_verify(digest, float(h))
+    plan = ChunkPlan(2, 2)
+    digest = multi_rs_preprocess(FAM, (1, 2), plan, 1, 0, 0)
+    answers = [hash_eval(FAM, plan.zero_extended((1, 2), i), digest.beta) for i in (1, 2)]
+    assert multi_rs_verify(digest, answers).accepted
+    with pytest.raises(UsageError, match="outside the challenge's alphabet"):
+        multi_rs_verify(digest, [answers[0], float(answers[1])])
 
 
 def test_digest_payload_bits_formulas():
