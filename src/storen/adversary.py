@@ -306,28 +306,6 @@ def per_prover_strategies(provers: int, strategy) -> Tuple[Strategy, ...]:
     return strategies
 
 
-def build_store(
-    fam: HashFamilyDescriptor,
-    x: Message,
-    strategy: Strategy,
-    start: Optional[int] = None,
-) -> ProverStore:
-    """Materialize a strategy into a store over message ``x``.
-
-    With ``start``, ``x`` is one prover's chunk: the symbols
-    [start, start + len(x)) of a polynomial message that is zero elsewhere
-    (how the linear and rs-parity variants split the data).  An honest (or
-    unresponsive) prover is charged with keeping that chunk.  The store's
-    honest values come from one pass of :func:`poly_eval_mod` (or one
-    remainder) over ``x`` per answer; none builds a whole codeword.
-    """
-    if not isinstance(strategy, Strategy):
-        raise UsageError(f"not a strategy: {strategy!r}")
-    honest = chunk_hasher(fam, x, start)  # checks x, and the chunk's offset
-    data = x if isinstance(x, int) else tuple(x)
-    return strategy.store(fam, data, start, honest)
-
-
 def analytic_pass_rate(
     fam: HashFamilyDescriptor,
     x: Message,

@@ -217,7 +217,6 @@ def cmd_serve(args) -> int:
         _serve_answerer(args, fam),
         host=args.host,
         port=args.port,
-        silent=args.silent,
         max_sessions=args.max_sessions,
     )
     server.start()
@@ -336,8 +335,7 @@ def cmd_certify(args) -> int:
         failures += 0 if ok else 1
 
     fam = derive_family(KIND_POLYNOMIAL, 2, Fraction(4, 5))
-    expected_n = 5 if args.sabotage else 4
-    check("parameter derivation fixed point", fam.n == expected_n and fam.q == 5)
+    check("parameter derivation fixed point", fam.n == 4 and fam.q == 5)
 
     poly = polynomial_family(k=2, n=4, q=5)
     kr = karp_rabin_family(k=2, n=4)
@@ -443,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p.add_argument("--max-sessions", type=int,
                    help="shut down after this many connections")
-    p.add_argument("--silent", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("experiment", help="simulate audits against adversaries")
@@ -453,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("certify", help="run the built-in self-check suite")
-    p.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_certify)
 
     return parser

@@ -25,10 +25,11 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import is_prime
-from .errors import CapacityError, UsageError
+from .errors import UsageError
 from .hash_families import (
     HashFamilyDescriptor,
     KIND_POLYNOMIAL,
+    _guard_exhaustive,
     enumerate_messages,
     hash_all,
 )
@@ -58,12 +59,7 @@ def hamming_distance(u: ReceivedWord, v: ReceivedWord) -> int:
 
 def min_distance_exhaustive(fam: HashFamilyDescriptor) -> int:
     """Exact minimum pairwise distance, by enumerating every codeword pair."""
-    count = fam.message_space
-    if count > _DISTANCE_CAP_MESSAGES:
-        raise CapacityError(
-            f"distance check enumerates {count} messages, above the cap of"
-            f" {_DISTANCE_CAP_MESSAGES}"
-        )
+    _guard_exhaustive(fam, _DISTANCE_CAP_MESSAGES, "distance check")
     words = [hash_all(fam, x) for x in enumerate_messages(fam)]
     best = fam.n
     for a in range(len(words)):
@@ -110,12 +106,7 @@ def brute_force_list_decode(
             raise UsageError(f"symbol {sym!r} at position {i + 1} out of range")
     if radius < 0:
         raise UsageError(f"radius must be non-negative, got {radius}")
-    count = fam.message_space
-    if count > _LIST_DECODE_CAP_MESSAGES:
-        raise CapacityError(
-            f"list decoding cycles {count} messages, above the cap of"
-            f" {_LIST_DECODE_CAP_MESSAGES}"
-        )
+    _guard_exhaustive(fam, _LIST_DECODE_CAP_MESSAGES, "list decoding")
     hits = []
     for x in enumerate_messages(fam):
         cw = hash_all(fam, x)

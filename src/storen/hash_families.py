@@ -51,15 +51,17 @@ class HashFamilyDescriptor:
     """Complete, serializable description of one hash family.
 
     `epsilon_target` is derivation metadata; it does not participate in
-    equality, serialization, or the fingerprint.
+    equality, serialization, or the fingerprint.  `primes` is derived, not
+    given: the first n primes for karp-rabin, sieved when the descriptor is
+    made, and None for the polynomial kind.
     """
 
     kind: str
     k: int
     n: int
     q: int | None = None
-    primes: tuple[int, ...] | None = None
     epsilon_target: Fraction | None = field(default=None, compare=False)
+    primes: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_TAGS:
@@ -67,8 +69,6 @@ class HashFamilyDescriptor:
         if not 1 <= self.k <= self.n:
             raise UsageError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.kind == KIND_POLYNOMIAL:
-            if self.primes is not None:
-                raise UsageError("polynomial families carry no prime list")
             if self.q is None or not is_prime(self.q):
                 raise UsageError(f"q must be prime, got {self.q}")
             if self.n > self.q:
@@ -76,10 +76,7 @@ class HashFamilyDescriptor:
         else:
             if self.q is not None:
                 raise UsageError("karp-rabin families have no single modulus")
-            if self.primes is None:
-                object.__setattr__(self, "primes", first_n_primes(self.n))
-            elif self.primes != first_n_primes(self.n):
-                raise UsageError("prime list must be the first n primes")
+            object.__setattr__(self, "primes", first_n_primes(self.n))
 
     @property
     def message_primes(self) -> tuple[int, ...]:
@@ -365,13 +362,13 @@ def enumerate_messages(fam: HashFamilyDescriptor) -> Iterator[Message]:
         yield from range(fam.message_space)
 
 
-def _guard_exhaustive(fam: HashFamilyDescriptor, cap: int, what: str) -> int:
+def _guard_exhaustive(fam: HashFamilyDescriptor, cap: int, what: str) -> None:
+    """Refuse, with CapacityError, an oracle over more than ``cap`` messages."""
     count = fam.message_space
     if count > cap:
         raise CapacityError(
             f"{what} enumerates {count} messages, above the cap of {cap}"
         )
-    return count
 
 
 def collision_probability_exact(fam: HashFamilyDescriptor) -> Fraction:

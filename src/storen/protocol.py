@@ -31,7 +31,6 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import chain
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -267,6 +266,13 @@ def _own(digest: Digest, variant: str) -> None:
         raise UsageError(f"digest is for variant {digest.variant!r}")
 
 
+def _one_value(digest: Digest) -> Digest:
+    """A single or linear digest stores exactly one value."""
+    if len(digest.gammas) != 1:
+        raise UsageError(f"a {digest.variant} digest stores one value, not {len(digest.gammas)}")
+    return digest
+
+
 def _check_answer_range(digest: Digest, answers: Sequence[Optional[int]]) -> None:
     """Each answer is None or an int, below the challenge's alphabet size
     when the digest knows it: the test the decoder makes of its word."""
@@ -290,7 +296,7 @@ def _single_check(digest, provers, r=None, e=None):
     _own(digest, VARIANT_SINGLE)
     if provers != 1:
         raise UsageError("the single variant audits exactly one prover")
-    return digest
+    return _one_value(digest)
 
 
 def _single_decide(digest, answers):
@@ -378,6 +384,10 @@ def _check_field(variant, digest, provers, r=None, e=None):
     if provers < 1:
         raise UsageError("at least one answer required")
     return digest
+
+
+def _linear_check(digest, provers, r=None, e=None):
+    return _one_value(_check_field(VARIANT_LINEAR, digest, provers))
 
 
 def _linear_expected(fam, shares, plan, r=None, e=None):
@@ -503,8 +513,7 @@ VARIANTS = {
     VARIANT_TRIVIAL: Variant(2, None, True, _trivial_plan, _trivial_shares,
                              None, _trivial_check, _trivial_decide),
     VARIANT_LINEAR: Variant(3, None, False, _whole_message_plan, _offset_shares,
-                            _linear_expected, partial(_check_field, VARIANT_LINEAR),
-                            _linear_decide),
+                            _linear_expected, _linear_check, _linear_decide),
     VARIANT_RS: Variant(4, None, False, _whole_message_plan, _offset_shares,
                         _rs_expected, _rs_check, _rs_decide),
 }
@@ -576,7 +585,7 @@ def multi_linear_preprocess(
 
 
 def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    return _linear_decide(_check_field(VARIANT_LINEAR, digest, len(answers)), answers)
+    return _linear_decide(_linear_check(digest, len(answers)), answers)
 
 
 def multi_rs_preprocess(

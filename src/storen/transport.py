@@ -58,7 +58,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ProtocolError, UsageError
-from .hash_families import HashFamilyDescriptor, Message, chunk_hasher, family_fingerprint
+from .hash_families import HashFamilyDescriptor, chunk_hasher, family_fingerprint
 from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes
 
 PROTOCOL_VERSION = 1
@@ -193,25 +193,17 @@ class _Workers:
 # --- prover side -------------------------------------------------------------
 
 
-def honest_answerer(
-    fam: HashFamilyDescriptor, x: Message, start: Optional[int] = None
-) -> Callable[[int], int]:
-    """Answer function of a prover that keeps all of ``x``: a whole message,
-    or with ``start`` the chunk at symbols [start, start + len(x)) of a
-    polynomial message that is zero elsewhere.  Each challenge is answered
-    from ``x`` itself (:func:`~storen.hash_families.chunk_hasher`), so
-    start-up and memory do not depend on the family size n."""
-    return chunk_hasher(fam, x, start)
+# A prover that keeps all of its data answers each challenge from the data
+# itself, so start-up and memory do not depend on the family size n.
+honest_answerer = chunk_hasher
 
 
 class ProverServer:
     """Serves one prover's answers over TCP.
 
     ``answer_fn`` maps a challenge index to an answer (or None for "no
-    response").  ``silent=True`` makes the server accept connections but
-    never reply — the knob for exercising client timeouts.  With
-    ``max_sessions`` set, the listener shuts down after that many
-    connections have been handled.
+    response").  With ``max_sessions`` set, the listener shuts down after
+    that many connections have been handled.
     """
 
     def __init__(
@@ -220,18 +212,16 @@ class ProverServer:
         answer_fn: Callable[[int], Optional[int]],
         host: str = "127.0.0.1",
         port: int = 0,
-        silent: bool = False,
         max_sessions: Optional[int] = None,
     ):
         self._fingerprint = family_fingerprint(fam)
         self._n = fam.n
         self._answer_fn = answer_fn
         self._bind = (host, port)
-        self._silent = silent
         self._max_sessions = max_sessions
         self._sessions = 0
         self._lock = threading.Lock()
-        self._closing = threading.Event()  # ends the accept loop and silent sessions
+        self._closing = threading.Event()  # ends the accept loop
         self._closed = threading.Event()
         self._address = None
         self._thread = None
@@ -284,9 +274,6 @@ class ProverServer:
                 return
             if fingerprint != self._fingerprint:
                 sock.sendall(encode_error(ERR_FINGERPRINT))
-                return
-            if self._silent:
-                self._closing.wait(timeout=30.0)
                 return
             sock.sendall(encode_hello(PROTOCOL_VERSION, self._fingerprint))
             frame = _recv_type(sock)

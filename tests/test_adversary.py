@@ -22,7 +22,6 @@ from storen.adversary import (
     Unresponsive,
     ZeroAnswerer,
     analytic_pass_rate,
-    build_store,
     per_prover_strategies,
     run_experiment,
     run_sweep,
@@ -34,6 +33,7 @@ from storen.errors import UnsupportedVariantError, UsageError
 from storen.hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
+    chunk_hasher,
     derive_family,
     hash_eval,
     karp_rabin_family,
@@ -50,6 +50,12 @@ KR = karp_rabin_family(k=2, n=4)
 X = (1, 2)  # codeword (1, 3, 0, 2, 4)
 
 
+def _store(fam, x, strategy, start=None):
+    """The store ``strategy`` builds over ``x``, given ``x``'s own hash as
+    ``honest``."""
+    return strategy.store(fam, x, start, chunk_hasher(fam, x, start))
+
+
 def test_trial_seed_is_sha256_derived():
     expected = int.from_bytes(
         hashlib.sha256(b"storen.trial:42:0").digest(), "big"
@@ -60,7 +66,7 @@ def test_trial_seed_is_sha256_derived():
 
 
 def test_honest_store_answers_codeword():
-    store = build_store(FAM, X, Honest())
+    store = _store(FAM, X, Honest())
     rng = random.Random(0)
     assert [store.answer(b, rng) for b in range(1, 6)] == [1, 3, 0, 2, 4]
     # full message: header (tag + count) plus 2 symbols of 3 bits each
@@ -68,7 +74,7 @@ def test_honest_store_answers_codeword():
 
 
 def test_honest_store_karp_rabin_bits():
-    store = build_store(KR, 4, Honest())
+    store = _store(KR, 4, Honest())
     rng = random.Random(0)
     assert store.answer(1, rng) == hash_eval(KR, 4, 1)
     # one natural below 2*3 = 6: five bits wide, plus the header
@@ -77,26 +83,26 @@ def test_honest_store_karp_rabin_bits():
 
 def test_partial_codeword_store():
     cw = encode(FAM, X)
-    store = build_store(FAM, X, PartialCodeword(t=2))
+    store = _store(FAM, X, PartialCodeword(t=2))
     rng = random.Random(1)
     assert store.answer(1, rng) == cw[0]
     assert store.answer(2, rng) == cw[1]
     for b in (3, 4, 5):
         assert 0 <= store.answer(b, rng) < 5
     assert store.retained_bits == 40 + 2 * 3
-    assert build_store(FAM, X, PartialCodeword(t=0)).retained_bits == 0
+    assert _store(FAM, X, PartialCodeword(t=0)).retained_bits == 0
     bit_counts = [
-        build_store(FAM, X, PartialCodeword(t=t)).retained_bits for t in range(6)
+        _store(FAM, X, PartialCodeword(t=t)).retained_bits for t in range(6)
     ]
     assert bit_counts == sorted(bit_counts)
     assert all(b1 < b2 for b1, b2 in zip(bit_counts[1:], bit_counts[2:]))
     with pytest.raises(UsageError):
-        build_store(FAM, X, PartialCodeword(t=6))
+        _store(FAM, X, PartialCodeword(t=6))
 
 
 def test_partial_codeword_karp_rabin_widths():
     # primes 2, 3, 5, 7 -> symbol widths 1, 2, 3, 3
-    store = build_store(KR, 4, PartialCodeword(t=4))
+    store = _store(KR, 4, PartialCodeword(t=4))
     assert store.retained_bits == 40 + (1 + 2 + 3 + 3)
     rng = random.Random(2)
     for b, p in zip(range(1, 5), (2, 3, 5, 7)):
@@ -104,41 +110,38 @@ def test_partial_codeword_karp_rabin_widths():
 
 
 def test_partial_raw_store():
-    store = build_store(FAM, X, PartialRaw(t=1))
+    store = _store(FAM, X, PartialRaw(t=1))
     rng = random.Random(3)
     # the first evaluation point is 0, where the hash equals the first symbol
     for _ in range(10):
         assert store.answer(1, rng) == X[0]
     assert store.retained_bits == 40 + 3
-    full = build_store(FAM, X, PartialRaw(t=2))
+    full = _store(FAM, X, PartialRaw(t=2))
     for b in range(1, 6):
         assert full.answer(b, rng) == encode(FAM, X)[b - 1]
     with pytest.raises(UnsupportedVariantError):
-        build_store(KR, 4, PartialRaw(t=1))
+        _store(KR, 4, PartialRaw(t=1))
 
 
 def test_stateless_stores():
     rng = random.Random(4)
-    zero = build_store(FAM, X, ZeroAnswerer())
+    zero = _store(FAM, X, ZeroAnswerer())
     assert zero.answer(3, rng) == 0 and zero.retained_bits == 0
-    uniform = build_store(FAM, X, UniformGuesser())
+    uniform = _store(FAM, X, UniformGuesser())
     assert all(0 <= uniform.answer(b, rng) < 5 for b in range(1, 6))
     assert uniform.retained_bits == 0
-    silent = build_store(FAM, X, Unresponsive())
+    silent = _store(FAM, X, Unresponsive())
     assert silent.answer(1, rng) is None
     assert silent.retained_bits == 40 + 2 * 3  # keeps the data, never serves it
-    sometimes = build_store(FAM, X, Unresponsive(probability=0.0))
+    sometimes = _store(FAM, X, Unresponsive(probability=0.0))
     assert sometimes.answer(2, rng) == 3
     with pytest.raises(UsageError):
         Unresponsive(probability=1.5)
 
 
-def test_build_store_rejects_colluding():
+def test_colluding_has_no_store():
     with pytest.raises(UsageError):
-        build_store(FAM, X, Colluding(members=frozenset({1}), inner=ZeroAnswerer()))
-    for not_a_strategy in ("honest", None, Honest):
-        with pytest.raises(UsageError):
-            build_store(FAM, X, not_a_strategy)
+        _store(FAM, X, Colluding(members=frozenset({1}), inner=ZeroAnswerer()))
 
 
 def test_per_prover_strategies():
@@ -392,7 +395,7 @@ def test_partial_codeword_widths_equal_the_per_index_sum():
         x = 1 if fam.kind == KIND_KARP_RABIN else (0,) * fam.k
         for t in (1, fam.n // 2, fam.n):
             widths = sum((fam.alphabet(i) - 1).bit_length() for i in range(1, t + 1))
-            assert build_store(fam, x, PartialCodeword(t)).retained_bits == 40 + widths
+            assert _store(fam, x, PartialCodeword(t)).retained_bits == 40 + widths
 
 
 # Complete reports at master seed 17, 300 trials: (label, family, message,

@@ -276,6 +276,27 @@ def test_audit_range_checks_the_digest_file(tmp_path, capsys, variant, beta, gam
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant, gammas", [("single", ()), ("linear", (2, 3))])
+def test_audit_of_a_digest_without_its_one_value_exits_2_unspent(
+    tmp_path, capsys, variant, gammas
+):
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(FAM))
+    digest_file = tmp_path / "digest.bin"
+    digest_file.write_bytes(digest_to_bytes(
+        Digest(variant, beta=2, gammas=gammas, fingerprint=family_fingerprint(FAM))
+    ))
+    calls = []
+    with ProverServer(FAM, _counting(lambda beta: 0, calls)) as server:
+        provers = ["--prover", "%s:%d" % server.address] * (1 if variant == "single" else 2)
+        argv = ["audit", "--digest", str(digest_file), "--family", str(fam_file), *provers]
+        # twice: a spent digest would be refused the second time as spent
+        for _ in range(2):
+            assert main(argv) == 2
+            assert f"digest stores one value, not {len(gammas)}" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_data_file_validation(tmp_path, capsys):
     fam_file = tmp_path / "family.desc"
     fam_file.write_bytes(descriptor_to_bytes(FAM))
@@ -604,9 +625,13 @@ def test_certify_runs_green(capsys):
     assert "FAIL" not in out
 
 
-def test_certify_sabotage_fails(capsys):
-    assert main(["certify", "--sabotage"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_certify_sabotage_fails(capsys, monkeypatch):
+    # a derivation off its fixed point n = 4 fails that check, and only that one
+    monkeypatch.setattr("storen.cli.derive_family", lambda *args: polynomial_family(k=2, n=5, q=5))
+    assert main(["certify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL - parameter derivation fixed point" in out
+    assert out.count("FAIL") == 1
 
 
 def test_module_entrypoint_smoke():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -15,6 +16,7 @@ from storen.hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
     CheckedSymbols,
+    HashFamilyDescriptor,
     chunk_hasher,
     derive_family,
     descriptor_from_bytes,
@@ -30,7 +32,7 @@ from storen.hash_families import (
     unchecked_hasher,
     validate_message,
 )
-from storen.protocol import ChunkPlan
+from storen.protocol import ChunkPlan, Digest
 
 from _oracles import bignat_digits_msf, crt_reconstruct, naive_poly_eval
 
@@ -47,6 +49,24 @@ def test_derive_karp_rabin_fixed_point():
     assert fam.primes == (2, 3, 5, 7)
     assert fam.message_primes == (2, 3)
     assert fam.epsilon_actual == Fraction(1, 4)
+
+
+def test_primes_are_derived_not_given():
+    fam = karp_rabin_family(k=2, n=4)
+    assert fam == karp_rabin_family(k=2, n=4)
+    assert hash(fam) == hash(karp_rabin_family(k=2, n=4))
+    copies = (copy.copy(fam), copy.deepcopy(fam), pickle.loads(pickle.dumps(fam)),
+              dataclasses.replace(fam))
+    for copied in copies:
+        assert copied == fam and copied.primes == (2, 3, 5, 7)
+    assert dataclasses.replace(fam, n=5).primes == (2, 3, 5, 7, 11)
+    assert polynomial_family(k=2, n=4).primes is None
+    with pytest.raises(TypeError):
+        HashFamilyDescriptor(KIND_KARP_RABIN, 2, 4, primes=(2, 3, 5, 7))
+    # the n primes stay out of the repr, and so out of a digest's
+    big = derive_family(KIND_KARP_RABIN, 50000, "1/4")
+    assert len(repr(big)) < 200
+    assert len(repr(Digest("single", 1, (0,), big.fingerprint, family=big))) < 500
 
 
 def test_derive_block_length_meets_agreement_target():

@@ -98,6 +98,18 @@ def test_single_verify_range_checks_with_family():
         single_verify(digest, 9)
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_single_and_linear_digests_hold_exactly_one_value(count):
+    # a digest file may claim any count; these variants store one value
+    for variant, verify, answers in (("single", single_verify, 2),
+                                     ("linear", multi_linear_verify, (1, 1))):
+        digest = Digest(variant, 4, (2,) * count, FP, family=FAM)
+        with pytest.raises(UsageError, match=f"stores one value, not {count}"):
+            verify(digest, answers)
+        with pytest.raises(UsageError, match="one value"):
+            VARIANTS[variant].check(digest, 1 if variant == "single" else 2)
+
+
 def test_single_karp_rabin_round_trip():
     fam = karp_rabin_family(k=2, n=4)
     for seed in range(20):

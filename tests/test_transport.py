@@ -61,6 +61,14 @@ def _fresh_digest_registry():
     reset_consumed_digests()
 
 
+@contextlib.contextmanager
+def _silent_prover():
+    """The address of a listener that never accepts: the kernel completes
+    each handshake and takes the HELLO, and no reply ever comes."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        yield listener.getsockname()
+
+
 def _recv_exact(sock, count):
     data = b""
     while len(data) < count:
@@ -101,9 +109,9 @@ def test_end_to_end_single_rejects_wrong_answer():
 
 def test_silent_server_is_an_erasure():
     digest = single_preprocess(FAM, X, 1)
-    with ProverServer(FAM, honest_answerer(FAM, X), silent=True) as server:
+    with _silent_prover() as address:
         started = time.monotonic()
-        verdict = run_verifier_client(digest, [server.address], timeout_ms=400)
+        verdict = run_verifier_client(digest, [address], timeout_ms=400)
         elapsed = time.monotonic() - started
     assert (verdict.outcome, verdict.erased) == ("rejected", frozenset({1}))
     assert 0.3 <= elapsed < 3.0
@@ -112,9 +120,9 @@ def test_silent_server_is_an_erasure():
 def test_timeout_env_var(monkeypatch):
     monkeypatch.setenv("STOREN_TIMEOUT_MS", "300")
     digest = single_preprocess(FAM, X, 2)
-    with ProverServer(FAM, honest_answerer(FAM, X), silent=True) as server:
+    with _silent_prover() as address:
         started = time.monotonic()
-        verdict = run_verifier_client(digest, [server.address])
+        verdict = run_verifier_client(digest, [address])
         elapsed = time.monotonic() - started
     assert verdict.erased == frozenset({1})
     assert elapsed < 2.0
@@ -254,8 +262,8 @@ def test_rs_parity_over_tcp_with_silence_and_cheating():
     a1 = honest_answerer(FAM, plan.zero_extended(X, 1))
     a2 = honest_answerer(FAM, plan.zero_extended(X, 2))
     digest = multi_rs_preprocess(FAM, X, plan, r=0, e=1, rng_seed=6)
-    with ProverServer(FAM, a1, silent=True) as s1, ProverServer(FAM, a2) as s2:
-        verdict = run_verifier_client(digest, [s1.address, s2.address], timeout_ms=400)
+    with _silent_prover() as silent, ProverServer(FAM, a2) as s2:
+        verdict = run_verifier_client(digest, [silent, s2.address], timeout_ms=400)
     assert (verdict.outcome, verdict.erased) == ("accepted", frozenset({1}))
 
     digest = multi_rs_preprocess(FAM, X, plan, r=1, e=0, rng_seed=6)
@@ -271,11 +279,9 @@ def test_challenges_run_concurrently():
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     plan = ChunkPlan(2, 2)
     digest = multi_trivial_preprocess(chunk_fam, X, plan, rng_seed=0)
-    answer = honest_answerer(chunk_fam, (1,))
-    with ProverServer(chunk_fam, answer, silent=True) as s1, \
-            ProverServer(chunk_fam, answer, silent=True) as s2:
+    with _silent_prover() as s1, _silent_prover() as s2:
         started = time.monotonic()
-        verdict = run_verifier_client(digest, [s1.address, s2.address], timeout_ms=500)
+        verdict = run_verifier_client(digest, [s1, s2], timeout_ms=500)
         elapsed = time.monotonic() - started
     assert verdict.erased == frozenset({1, 2})
     # two sequential timeouts would need at least a second
