@@ -695,7 +695,7 @@ def retrievability_extract(
         )
     if family_fingerprint(fam) != digest.fingerprint:
         raise UsageError("family fingerprint mismatch")
+    (gamma,) = _one_value(digest).gammas
     radius = johnson_radius(fam.n, fam.n - fam.k + 1)
     candidates = brute_force_list_decode(fam, answers, radius)
-    gamma = digest.gammas[0]
     return [u for u in candidates if hash_eval(fam, u, digest.beta) == gamma]

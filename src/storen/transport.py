@@ -15,34 +15,28 @@ type   name         payload                                  total bytes
 The client opens the connection, sends HELLO, and expects the server's
 HELLO back (same version, same fingerprint) before sending one CHALLENGE;
 the server answers RESPONSE or NO_RESPONSE and the connection is done.
-Error codes: 1 fingerprint mismatch, 2 unexpected frame, 3 malformed
-frame, 4 unsupported version.
 
-Operational faults — any ``OSError`` from connect, send or receive
-(refused, reset, timeout, unreachable host, failed name lookup) and a clean
-close at a frame boundary — count as *erasures*: the prover is treated as
-silent.  Protocol violations (ERROR frames, garbage, out-of-alphabet
-answers, handshake mismatches) raise :class:`ProtocolError` instead: they
-are evidence of a broken or hostile peer, not of missing data.
+How each end treats a fault of its peer's.  An *erasure* counts the prover
+as silent; a :class:`ProtocolError` marks it as broken or hostile:
 
-A challenge digest is spent the moment it is sent, and only after the
-variant's pre-flight check has passed: the module keeps a per-process
-registry of consumed digests and refuses to audit with the same one twice
-(:func:`reset_consumed_digests` clears it, for tests).
-The client-side timeout defaults to 5000 ms and can be set with the
-``STOREN_TIMEOUT_MS`` environment variable or per call.
+======================================= ============= =========================
+the peer                                the verifier  the prover server
+======================================= ============= =========================
+fails to connect, resets or times out   erasure       hangs up
+closes at a frame boundary              erasure       hangs up
+closes mid-frame                        ProtocolError sends ERROR 3 malformed
+sends ERROR or a frame type out of turn ProtocolError sends ERROR 2 unexpected
+sends HELLO of another version          ProtocolError sends ERROR 4 version
+sends HELLO of another family           ProtocolError sends ERROR 1 fingerprint
+answers NO_RESPONSE                     erasure
+answers outside the alphabet            ProtocolError
+challenges outside 1..n                               sends ERROR 3 malformed
+======================================= ============= =========================
 
-Both ends run their work on one kind of worker group: a bounded set of
-daemon threads, each started only when no started thread is idle, and then
-reused.  A thread counts itself idle before it hands on the outcome of its
-call, so an audit that holds all its answers finds every thread that served
-it idle again.  The verifier queries provers on one process-wide group of
-at most :data:`MAX_VERIFIER_THREADS` threads, started by the first audit and
-shared by every later one (a forked child starts its own).  A
-:class:`ProverServer` hands each accepted connection to its own group of at
-most :data:`MAX_SERVER_THREADS` threads, stopped when the server closes;
-further connections wait their turn.  A worker waits at most
-:data:`PEER_TIMEOUT_S` for each read from its peer, so idle peers free it.
+Each query has one deadline, its timeout after the connect begins: 5000 ms
+by default, or set per call or by the ``STOREN_TIMEOUT_MS`` environment
+variable.  A server session times out :data:`PEER_TIMEOUT_S` after it
+begins; one whose client sent nothing was a probe and is not counted.
 """
 
 from __future__ import annotations
@@ -65,7 +59,7 @@ PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT_MS = 5000
 MAX_VERIFIER_THREADS = 16  # provers queried at once by all audits of a process
 MAX_SERVER_THREADS = 16  # connections one prover server handles at once
-PEER_TIMEOUT_S = 2.0  # a server's wait for each read from a peer, then it hangs up
+PEER_TIMEOUT_S = 2.0  # how long a server gives one session, then it hangs up
 TIMEOUT_ENV_VAR = "STOREN_TIMEOUT_MS"
 
 FRAME_HELLO = 0x00
@@ -85,54 +79,84 @@ _ERR_NAMES = {
     ERR_VERSION: "unsupported version",
 }
 
+# each frame type's layout, type byte first
+_FRAMES = {
+    FRAME_HELLO: struct.Struct("<BH32s"),
+    FRAME_CHALLENGE: struct.Struct("<BQ"),
+    FRAME_RESPONSE: struct.Struct("<BQ"),
+    FRAME_NO_RESPONSE: struct.Struct("<B"),
+    FRAME_ERROR: struct.Struct("<BH"),
+}
+
 
 def encode_hello(version: int, fingerprint: bytes) -> bytes:
-    if len(fingerprint) != 32:
+    if len(fingerprint) != 32:  # packing would pad or truncate it silently
         raise UsageError("fingerprint must be 32 bytes")
-    return struct.pack("<BH", FRAME_HELLO, version) + fingerprint
+    return _FRAMES[FRAME_HELLO].pack(FRAME_HELLO, version, fingerprint)
 
 
-def encode_challenge(beta: int) -> bytes:
-    return struct.pack("<BQ", FRAME_CHALLENGE, beta)
+encode_challenge = partial(_FRAMES[FRAME_CHALLENGE].pack, FRAME_CHALLENGE)
+encode_response = partial(_FRAMES[FRAME_RESPONSE].pack, FRAME_RESPONSE)
+encode_no_response = partial(_FRAMES[FRAME_NO_RESPONSE].pack, FRAME_NO_RESPONSE)
+encode_error = partial(_FRAMES[FRAME_ERROR].pack, FRAME_ERROR)
 
 
-def encode_response(value: int) -> bytes:
-    return struct.pack("<BQ", FRAME_RESPONSE, value)
+class _PeerFault(ProtocolError):
+    """A peer broke the protocol; ``code`` is the ERROR code that answers it."""
+
+    def __init__(self, code: int, detail: str):
+        super().__init__(f"{_ERR_NAMES[code]}: {detail}")
+        self.code = code
 
 
-def encode_no_response() -> bytes:
-    return bytes([FRAME_NO_RESPONSE])
-
-
-def encode_error(code: int) -> bytes:
-    return struct.pack("<BH", FRAME_ERROR, code)
-
-
-def _recv_type(sock) -> Optional[int]:
-    """First byte of a frame; None when the peer closed at the boundary."""
-    data = sock.recv(1)
-    if not data:
+def _read_frame(recv, allowed: Tuple[int, ...], fingerprint: bytes) -> Optional[tuple]:
+    """The next frame's type and fields, or None if the peer closes before its
+    first byte.  A type not in ``allowed`` raises unread; so do, once read, a
+    close mid-frame, an ERROR frame, and a HELLO of another version or family:
+    this is the one check of a peer's HELLO that both ends make."""
+    head = recv(1)
+    if not head:
         return None
-    return data[0]
-
-
-def _recv_body(sock, count: int) -> bytes:
-    data = b""
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
-        if not chunk:
-            raise ProtocolError("connection closed mid-frame")
-        data += chunk
-    return data
-
-
-def _recv_reply(sock) -> Optional[int]:
-    """Like :func:`_recv_type`, but an ERROR frame raises :class:`ProtocolError`."""
-    frame = _recv_type(sock)
-    if frame == FRAME_ERROR:
-        code = struct.unpack("<H", _recv_body(sock, 2))[0]
-        raise ProtocolError(f"prover refused: {_ERR_NAMES.get(code, f'code {code}')}")
+    if head[0] not in allowed:
+        raise _PeerFault(ERR_UNEXPECTED, f"frame type {head[0]:#04x}")
+    layout = _FRAMES[head[0]]
+    data = head + recv(layout.size - 1)
+    if len(data) < layout.size:
+        raise _PeerFault(ERR_MALFORMED, "connection closed mid-frame")
+    frame = layout.unpack(data)
+    if frame[0] == FRAME_ERROR:
+        raise ProtocolError(f"peer refused: {_ERR_NAMES.get(frame[1], f'code {frame[1]}')}")
+    if frame[0] == FRAME_HELLO and frame[1] != PROTOCOL_VERSION:
+        raise _PeerFault(ERR_VERSION, f"the peer speaks version {frame[1]}")
+    if frame[0] == FRAME_HELLO and frame[2] != fingerprint:
+        raise _PeerFault(ERR_FINGERPRINT, "the peer serves another hash family")
     return frame
+
+
+class _Receiver:
+    """``recv(count)`` over ``sock``: fewer bytes only when the peer closes, and
+    a TimeoutError at the :func:`time.monotonic` ``deadline``.  It reads what
+    has arrived, so a frame that arrives whole costs one read."""
+
+    def __init__(self, sock, deadline: float):
+        self._sock = sock
+        self._deadline = deadline
+        self._unread = b""
+        self.received = 0  # bytes returned so far
+
+    def recv(self, count: int) -> bytes:
+        while len(self._unread) < count:
+            left = self._deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("the exchange ran past its deadline")
+            self._sock.settimeout(left)
+            chunk = self._sock.recv(4096)
+            if not chunk:
+                break
+            self._unread += chunk
+        data, self._unread = self._unread[:count], self._unread[count:]
+        self.received += len(data)
+        return data
 
 
 def _timeout_ms(timeout_ms: Optional[int]) -> int:
@@ -198,6 +222,25 @@ class _Workers:
 honest_answerer = chunk_hasher
 
 
+def _prover_exchange(send, recv, fingerprint: bytes, n: int, answer_fn) -> None:
+    """The prover's end of a session: answer one challenge in 1..``n``, or send
+    the ERROR code that the client's first fault earns."""
+    try:
+        if _read_frame(recv, (FRAME_HELLO,), fingerprint) is None:
+            return
+        send(encode_hello(PROTOCOL_VERSION, fingerprint))
+        challenge = _read_frame(recv, (FRAME_CHALLENGE,), fingerprint)
+        if challenge is None:
+            return
+        if not 1 <= challenge[1] <= n:
+            raise _PeerFault(ERR_MALFORMED, f"challenge {challenge[1]} outside 1..{n}")
+    except _PeerFault as fault:
+        send(encode_error(fault.code))
+        return
+    answer = answer_fn(challenge[1])
+    send(encode_no_response() if answer is None else encode_response(answer))
+
+
 class ProverServer:
     """Serves one prover's answers over TCP.
 
@@ -256,51 +299,14 @@ class ProverServer:
             self._closed.set()
 
     def _handle(self, sock):
-        counted = False
+        peer = _Receiver(sock, time.monotonic() + PEER_TIMEOUT_S)
         try:
-            sock.settimeout(PEER_TIMEOUT_S)
-            frame = _recv_type(sock)
-            if frame is None:
-                return  # probe or dead peer; not a session
-            counted = True
-            if frame != FRAME_HELLO:
-                sock.sendall(encode_error(ERR_UNEXPECTED))
-                return
-            body = _recv_body(sock, 34)
-            version = struct.unpack_from("<H", body)[0]
-            fingerprint = body[2:]
-            if version != PROTOCOL_VERSION:
-                sock.sendall(encode_error(ERR_VERSION))
-                return
-            if fingerprint != self._fingerprint:
-                sock.sendall(encode_error(ERR_FINGERPRINT))
-                return
-            sock.sendall(encode_hello(PROTOCOL_VERSION, self._fingerprint))
-            frame = _recv_type(sock)
-            if frame is None:
-                return
-            if frame != FRAME_CHALLENGE:
-                sock.sendall(encode_error(ERR_UNEXPECTED))
-                return
-            beta = struct.unpack("<Q", _recv_body(sock, 8))[0]
-            if not 1 <= beta <= self._n:
-                sock.sendall(encode_error(ERR_MALFORMED))
-                return
-            answer = self._answer_fn(beta)
-            if answer is None:
-                sock.sendall(encode_no_response())
-            else:
-                sock.sendall(encode_response(answer))
-        except ProtocolError:
-            try:
-                sock.sendall(encode_error(ERR_MALFORMED))
-            except OSError:
-                pass
+            _prover_exchange(sock.sendall, peer.recv, self._fingerprint, self._n, self._answer_fn)
         except OSError:
             pass
         finally:
             sock.close()
-            if counted:
+            if peer.received:  # a peer that sent nothing was a probe, not a session
                 with self._lock:
                     self._sessions += 1
                     if self._max_sessions is not None and self._sessions >= self._max_sessions:
@@ -328,6 +334,17 @@ class ProverServer:
 # --- verifier side -----------------------------------------------------------
 
 
+def _verifier_exchange(send, recv, beta: int, fingerprint: bytes) -> Optional[int]:
+    """The verifier's end of a query: the answer, or None when the prover
+    declines or closes at a frame boundary."""
+    send(encode_hello(PROTOCOL_VERSION, fingerprint))
+    if _read_frame(recv, (FRAME_HELLO, FRAME_ERROR), fingerprint) is None:
+        return None
+    send(encode_challenge(beta))
+    reply = _read_frame(recv, (FRAME_RESPONSE, FRAME_NO_RESPONSE, FRAME_ERROR), fingerprint)
+    return None if reply is None or reply[0] == FRAME_NO_RESPONSE else reply[1]
+
+
 def query_prover(
     address: Tuple[str, int],
     beta: int,
@@ -335,32 +352,14 @@ def query_prover(
     timeout_ms: Optional[int] = None,
 ) -> Optional[int]:
     """Send one challenge; return the answer, or None if the prover is
-    unreachable, times out, or declines to respond."""
+    unreachable, times out, or declines to respond.  The timeout bounds the
+    whole query, connect included."""
     timeout = _timeout_ms(timeout_ms) / 1000.0
+    deadline = time.monotonic() + timeout
     try:
         with socket.create_connection(address, timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            sock.sendall(encode_hello(PROTOCOL_VERSION, fingerprint))
-            frame = _recv_reply(sock)
-            if frame is None:
-                return None
-            if frame != FRAME_HELLO:
-                raise ProtocolError(f"expected HELLO, got frame type {frame:#04x}")
-            body = _recv_body(sock, 34)
-            version = struct.unpack_from("<H", body)[0]
-            if version != PROTOCOL_VERSION:
-                raise ProtocolError(f"prover speaks version {version}")
-            if body[2:] != fingerprint:
-                raise ProtocolError("prover serves a different hash family")
-            sock.sendall(encode_challenge(beta))
-            frame = _recv_reply(sock)
-            if frame is None:
-                return None
-            if frame == FRAME_RESPONSE:
-                return struct.unpack("<Q", _recv_body(sock, 8))[0]
-            if frame == FRAME_NO_RESPONSE:
-                return None
-            raise ProtocolError(f"unexpected frame type {frame:#04x}")
+            recv = _Receiver(sock, deadline).recv
+            return _verifier_exchange(sock.sendall, recv, beta, fingerprint)
     except OSError:
         return None
 
@@ -419,7 +418,8 @@ def run_verifier_client(
     The digest must have its family attached (:meth:`Digest.with_family`),
     which range-checks the challenge.  That, the variant's pre-flight check
     (prover count, family kind, rs-parity budget) and the timeout run before
-    the digest is spent, so a misused audit sends nothing.  The queries run
+    the digest is spent, so a misused audit sends nothing.  A digest is spent
+    once per process (:func:`reset_consumed_digests` forgets).  The queries run
     on the process's verifier workers, so at most :data:`MAX_VERIFIER_THREADS`
     provers are queried at once, over all audits the process runs.  It waits
     for every query, then raises the first error in prover order."""

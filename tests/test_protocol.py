@@ -108,6 +108,8 @@ def test_single_and_linear_digests_hold_exactly_one_value(count):
             verify(digest, answers)
         with pytest.raises(UsageError, match="one value"):
             VARIANTS[variant].check(digest, 1 if variant == "single" else 2)
+    with pytest.raises(UsageError, match=f"stores one value, not {count}"):
+        retrievability_extract(FAM, [0] * 5, Digest("single", 4, (2,) * count, FP))
 
 
 def test_single_karp_rabin_round_trip():

@@ -564,3 +564,66 @@ def test_bad_timeouts_send_no_challenge_and_leave_the_digest_unspent(monkeypatch
         monkeypatch.delenv("STOREN_TIMEOUT_MS")
         assert run_verifier_client(digest, [server.address]).accepted
     assert calls == [1]
+
+
+def test_encode_hello_refuses_a_fingerprint_of_any_other_length():
+    for size in (31, 33):
+        with pytest.raises(UsageError, match="32 bytes"):
+            encode_hello(PROTOCOL_VERSION, b"\x00" * size)
+
+
+def test_a_trickling_prover_is_erased_at_the_query_deadline():
+    fingerprint = family_fingerprint(FAM)
+    transcript = encode_hello(PROTOCOL_VERSION, fingerprint) + encode_response(hash_eval(FAM, X, 3))
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+
+        def trickle():
+            conn, _ = listener.accept()
+            with conn:
+                # one byte per 50 ms: each read is quick, the whole reply takes 2.2 s
+                for byte in transcript:
+                    if stop.wait(0.05):
+                        return
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:
+                        return
+
+        prover = threading.Thread(target=trickle)
+        prover.start()
+        try:
+            started = time.monotonic()
+            answer = query_prover(listener.getsockname(), 3, fingerprint, timeout_ms=300)
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            prover.join(timeout=5)
+    assert not prover.is_alive()
+    assert answer is None
+    assert elapsed < 2 * 0.3
+
+
+def test_a_trickling_client_is_dropped_at_the_session_deadline(monkeypatch):
+    monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.4)
+    hello = encode_hello(PROTOCOL_VERSION, family_fingerprint(FAM))
+    dropped = None
+    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+        with socket.create_connection(server.address, timeout=2) as sock:
+            started = time.monotonic()
+            sock.settimeout(0.05)
+            # one byte per 50 ms: each read is quick, the whole HELLO takes 1.75 s
+            for byte in hello:
+                try:
+                    sock.sendall(bytes([byte]))
+                    if sock.recv(1) == b"":
+                        dropped = time.monotonic() - started
+                        break
+                except TimeoutError:
+                    continue
+                except ConnectionError:  # the hang-up reached us as a reset
+                    dropped = time.monotonic() - started
+                    break
+    assert dropped is not None
+    assert dropped < 2 * 0.4
