@@ -49,10 +49,12 @@ from .protocol import (
     OUTCOME_UNDECIDABLE,
     RNG_ALGORITHM,
     VARIANT_SINGLE,
+    AuditShape,
     ChunkPlan,
     Digest,
     answerers,
     lookup_variant,
+    settle,
 )
 
 _HEADER_BITS = 40  # tag byte + u32 symbol count, charged once per non-empty store
@@ -392,7 +394,7 @@ def run_sweep(
     recipe, draws a challenge, collects the answers, and runs the real
     verdict (:attr:`Variant.decide`) on the digest of that challenge.  The
     first time a challenge is drawn, each prover's data is hashed once
-    there, and the digest, which the variant's ``check`` passes then, and
+    there, and the digest, which :func:`settle` passes then, and
     the honest answers are kept for every later trial and assignment that
     draws it; the stores read the answers as their ``honest`` function.  A
     sweep therefore checks the data once and costs one evaluation per chunk
@@ -413,7 +415,8 @@ def run_sweep(
     # the memo small: it is part of every call's peak memory.
     n = fam.n
     digests = [None] * n
-    extra = spec.expected and spec.expected(fam, shares, plan, r, e)
+    shape = AuditShape(provers, r, e)
+    extra = spec.expected and spec.expected(fam, shares, shape)
     if extra is None:
         honest = lambda column: lambda beta: digests[beta - 1].gammas[column]
     else:
@@ -426,7 +429,6 @@ def run_sweep(
     ]
     rates = [analytic_pass_rate(fam, x, a, variant, plan) for a in assignments]
     hashers = answerers(fam, shares)
-    budget = None if r is None and e is None else (r, e)
     fingerprint = family_fingerprint(fam)
 
     def digest_at(beta):
@@ -437,9 +439,8 @@ def run_sweep(
         else:
             answers[beta - 1] = array("Q", word)
             gammas = extra(beta, word)
-        digest = Digest(variant, beta, tuple(gammas), fingerprint, family=fam,
-                        parity_budget=budget)
-        digests[beta - 1] = spec.check(digest, provers, r, e)
+        digest = Digest(variant, beta, tuple(gammas), fingerprint, family=fam, shape=shape)
+        digests[beta - 1] = settle(digest, provers)
         return digests[beta - 1]
 
     decide = spec.decide

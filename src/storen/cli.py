@@ -52,6 +52,7 @@ from .protocol import (
     digest_to_bytes,
     lookup_variant,
     preprocess,
+    settle,
     single_preprocess,
 )
 # adversary and transport are imported only by the subcommands that use them
@@ -134,10 +135,11 @@ def _parse_hostport(text: str):
     return host, int(port)
 
 
-def _require(value, flag: str):
-    if value is None:
+def _require(value, flag: str, fixed=None):
+    """``value`` when given, for the variant to check, else its ``fixed`` one."""
+    if value is None and fixed is None:
         raise UsageError(f"--{flag} is required here")
-    return value
+    return fixed if value is None else value
 
 
 def cmd_derive(args) -> int:
@@ -160,7 +162,7 @@ def cmd_derive(args) -> int:
 
 
 def _plan(spec, fam, provers, flag: str):
-    return spec.chunk_plan(fam, spec.provers or _require(provers, flag))
+    return spec.chunk_plan(fam, _require(provers, flag, spec.provers))
 
 
 def cmd_preprocess(args) -> int:
@@ -199,7 +201,7 @@ def _serve_answerer(args, fam):
     and rs-parity, its offset) outlives this call."""
     spec = VARIANTS[args.variant]
     plan = _plan(spec, fam, args.chunks, "chunks")
-    index = spec.provers or _require(args.chunk_index, "chunk-index")
+    index = _require(args.chunk_index, "chunk-index", spec.provers)
     plan.bounds(index)  # range-checks the index
     x = _read_data(fam, Path(args.data).read_bytes(), spec, plan)
     return answerers(fam, spec.shares(fam, x, plan))[index - 1]
@@ -367,7 +369,7 @@ def cmd_certify(args) -> int:
                       else plan.zero_extended(x, i), digest.beta)
             for i in range(1, plan.provers + 1)
         ]
-        accepted = accepted and spec.decide(spec.check(digest, len(answers)), answers).accepted
+        accepted = accepted and spec.decide(settle(digest, len(answers)), answers).accepted
     check("all variants accept honest answers", accepted)
 
     digest = single_preprocess(poly, x, 1)

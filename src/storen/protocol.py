@@ -147,24 +147,33 @@ class ChunkPlan:
 
     def zero_extended(self, symbols: Sequence[int], index: int) -> tuple:
         """Chunk ``index`` kept in place, all other positions zeroed."""
-        if len(symbols) != self.symbols:
-            raise UsageError(f"expected {self.symbols} symbols, got {len(symbols)}")
         start, stop = self.bounds(index)
         out = [0] * self.symbols
-        out[start:stop] = symbols[start:stop]
+        out[start:stop] = self.split(symbols)[index - 1]
         return tuple(out)
+
+
+@dataclass(frozen=True)
+class AuditShape:
+    """What an audit's guarantees are stated for: s ``provers``, and for
+    rs-parity up to ``r`` cheaters named and up to ``e`` silent ones tolerated."""
+
+    provers: int
+    r: Optional[int] = None
+    e: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class Digest:
     """Verifier state: the challenge and the expected value(s).
 
-    ``family`` and ``parity_budget`` are in-memory conveniences: the family
-    lets verification range-check answers and the rs-parity variant find its
-    field, and the budget records (r, e) chosen at preprocessing.  Neither is
-    serialized, neither participates in equality; a digest loaded from bytes
-    must be re-attached to its family with :meth:`with_family` (and the
-    rs-parity budget re-supplied to the verifier) before use.  A digest made
+    ``family`` and ``shape`` are in-memory conveniences: the family lets
+    verification range-check answers and the rs-parity variant find its
+    field, and the shape records the prover count and (r, e) chosen at
+    preprocessing.  Neither is serialized, neither participates in
+    equality.  A digest loaded from bytes must be re-attached to its family
+    with :meth:`with_family` before an audit; it carries no shape, so the
+    audit's own prover count and (r, e) become its shape.  A digest made
     with a family checks its fingerprint, the challenge against n and each
     expected value against the alphabet at the challenge, whose size it
     keeps as ``answer_limit`` (None without a family).
@@ -175,7 +184,7 @@ class Digest:
     gammas: Tuple[int, ...]
     fingerprint: bytes
     family: Optional[HashFamilyDescriptor] = field(default=None, compare=False)
-    parity_budget: Optional[Tuple[int, int]] = field(default=None, compare=False)
+    shape: Optional[AuditShape] = field(default=None, compare=False)
     answer_limit: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -261,11 +270,6 @@ def _need_plan(plan: Optional[ChunkPlan]) -> None:
         raise UsageError("multi-prover variants need a chunk plan")
 
 
-def _own(digest: Digest, variant: str) -> None:
-    if digest.variant != variant:
-        raise UsageError(f"digest is for variant {digest.variant!r}")
-
-
 def _one_value(digest: Digest) -> Digest:
     """A single or linear digest stores exactly one value."""
     if len(digest.gammas) != 1:
@@ -290,13 +294,6 @@ def _single_shares(fam, x, plan):
     if plan is not None and plan.provers != 1:
         raise UsageError("the single variant has exactly one prover")
     return [(validate_message(fam, x), None)]
-
-
-def _single_check(digest, provers, r=None, e=None):
-    _own(digest, VARIANT_SINGLE)
-    if provers != 1:
-        raise UsageError("the single variant audits exactly one prover")
-    return _one_value(digest)
 
 
 def _single_decide(digest, answers):
@@ -335,10 +332,9 @@ def _trivial_shares(chunk_fam, x, plan):
     return [(validate_message(chunk_fam, chunk), None) for chunk in chunks]
 
 
-def _trivial_check(digest, provers, r=None, e=None):
-    _own(digest, VARIANT_TRIVIAL)
-    if provers < 1 or provers != len(digest.gammas):
-        raise UsageError(f"digest expects {len(digest.gammas)} provers, got {provers}")
+def _trivial_check(digest):
+    if digest.shape.provers != len(digest.gammas):
+        raise UsageError(f"digest expects {len(digest.gammas)} provers, got {digest.shape.provers}")
     return digest
 
 
@@ -373,24 +369,21 @@ def _offset_shares(fam, x, plan):
     return [(symbols[start:stop], start) for start, stop in plan.all_bounds()]
 
 
-def _check_field(variant, digest, provers, r=None, e=None):
+def _check_field(digest):
     """The linear check, and the start of the rs-parity one: a polynomial
-    family is attached and at least one prover answers."""
-    _own(digest, variant)
+    family is attached."""
     if digest.family is None:
         raise UsageError("digest has no family attached (field size unknown)")
     if digest.family.kind != KIND_POLYNOMIAL:
-        raise UnsupportedVariantError(f"the {variant} variant needs the polynomial kind")
-    if provers < 1:
-        raise UsageError("at least one answer required")
+        raise UnsupportedVariantError(f"the {digest.variant} variant needs the polynomial kind")
     return digest
 
 
-def _linear_check(digest, provers, r=None, e=None):
-    return _one_value(_check_field(VARIANT_LINEAR, digest, provers))
+def _linear_check(digest):
+    return _one_value(_check_field(digest))
 
 
-def _linear_expected(fam, shares, plan, r=None, e=None):
+def _linear_expected(fam, shares, shape):
     """The whole-message hash, hashed on its own so that the check does not
     rest on the chunk hashes."""
     whole = unchecked_hasher(fam, tuple(chain.from_iterable(data for data, _ in shares)))
@@ -407,46 +400,27 @@ def _linear_decide(digest, answers):
     return Verdict(OUTCOME_REJECTED)
 
 
-def _rs_block_len(provers, r, e, q):
-    if r is None or e is None:
-        raise UsageError("the rs-parity variant needs r and e")
-    if r < 0 or e < 0:
-        raise UsageError("r and e must be non-negative")
-    block_len = provers + 2 * r + e
-    if block_len > q:
-        raise UsageError(
-            f"s + 2r + e = {block_len} exceeds the field size {q}; "
-            f"choose a larger field or a smaller budget"
-        )
-    return block_len
+def _rs_code(shape, q):
+    """The [s + 2r + e, s] code of ``shape`` over F_q, which needs s + 2r + e <= q."""
+    if shape.r is None or shape.e is None or min(shape.r, shape.e) < 0:
+        raise UsageError(f"rs-parity needs r >= 0 and e >= 0, not r={shape.r}, e={shape.e}")
+    return SystematicRSCode.cached(shape.provers, shape.provers + 2 * shape.r + shape.e, q)
 
 
-def _rs_expected(fam, shares, plan, r=None, e=None):
+def _rs_expected(fam, shares, shape):
     """The 2r+e Reed-Solomon parities of the s honest answers."""
-    s = plan.provers
-    code = SystematicRSCode.cached(s, _rs_block_len(s, r, e, fam.q), fam.q)
-    return lambda beta, answers: rs_encode_systematic(code, tuple(answers))[s:]
+    code = _rs_code(shape, fam.q)
+    return lambda beta, answers: rs_encode_systematic(code, tuple(answers))[code.message_len:]
 
 
-def _rs_check(digest, provers, r=None, e=None):
-    """Returns the digest with its budget: (r, e) when given, else the one
-    it carries from preprocessing."""
-    _check_field(VARIANT_RS, digest, provers)
-    if (r is None) != (e is None):
-        raise UsageError("supply both r and e or neither")
-    if r is None:
-        if digest.parity_budget is None:
-            raise UsageError("digest carries no (r, e) budget; pass r= and e=")
-        r, e = digest.parity_budget
-    _rs_block_len(provers, r, e, digest.family.q)
-    if 2 * r + e != len(digest.gammas):
+def _rs_check(digest):
+    code = _rs_code(_check_field(digest).shape, digest.family.q)
+    if code.block_len - code.message_len != len(digest.gammas):
         raise UsageError(
-            f"budget (r={r}, e={e}) needs {2 * r + e} parity symbols, "
+            f"{digest.shape} needs {code.block_len - code.message_len} parity symbols, "
             f"digest stores {len(digest.gammas)}"
         )
-    if digest.parity_budget == (r, e):
-        return digest
-    return replace(digest, parity_budget=(r, e))
+    return digest
 
 
 def _rs_decide(digest, answers):
@@ -454,7 +428,7 @@ def _rs_decide(digest, answers):
     :func:`multi_rs_verify` says; the message is never rebuilt."""
     _check_answer_range(digest, answers)
     erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
-    if len(erased) > digest.parity_budget[1]:
+    if len(erased) > digest.shape.e:
         return Verdict(OUTCOME_UNDECIDABLE, erased=erased)
     s, gammas = len(answers), digest.gammas
     errors = rs_locate_errors(SystematicRSCode.cached(s, s + len(gammas), digest.family.q),
@@ -481,14 +455,14 @@ class Variant:
     - ``chunk_plan(fam, s)``: how the data splits across s provers.
     - ``shares(fam, x, plan)``: each prover's data, checked, and its symbol
       offset (None when the data is a whole message of ``fam``).
-    - ``expected(fam, shares, plan, r, e)``: None when the honest answers
-      are the digest values; otherwise a function (beta, answers) -> the
+    - ``expected(fam, shares, shape)``: None when the honest answers are
+      the digest values; otherwise a function (beta, answers) -> the
       digest values, given an iterable of the honest answers at beta.
-    - ``check(digest, provers, r, e)``: everything that can be checked
-      before a challenge is sent; returns the digest ready to decide.
+    - ``check(digest)``: what else :func:`settle` checks before a challenge
+      is sent, on a digest that carries its shape.
     - ``decide(digest, answers)``: the verdict on one answer (or None, for
-      silence) per prover, on a digest that ``check`` has passed for that
-      many provers.  It range-checks the answers, and no more.
+      silence) per prover, on a digest that :func:`settle` has passed for
+      that many provers.  It range-checks the answers, and no more.
     """
 
     tag: int
@@ -509,7 +483,7 @@ def answerers(fam: HashFamilyDescriptor, shares: Sequence) -> list:
 
 VARIANTS = {
     VARIANT_SINGLE: Variant(1, 1, False, _whole_message_plan, _single_shares,
-                            None, _single_check, _single_decide),
+                            None, _one_value, _single_decide),
     VARIANT_TRIVIAL: Variant(2, None, True, _trivial_plan, _trivial_shares,
                              None, _trivial_check, _trivial_decide),
     VARIANT_LINEAR: Variant(3, None, False, _whole_message_plan, _offset_shares,
@@ -528,6 +502,25 @@ def lookup_variant(name: str) -> Variant:
         raise UsageError(f"unknown variant {name!r}") from None
 
 
+def settle(digest: Digest, provers: int, r: Optional[int] = None,
+           e: Optional[int] = None) -> Digest:
+    """The digest, ready to decide ``provers`` answers: the one check of an
+    audit's shape.  A digest keeps its own shape, and one without (loaded
+    from bytes) takes (provers, r, e) as its shape.  A prover count or an
+    (r, e) that disagrees with the shape, or with the variant, is refused;
+    then the variant's ``check`` runs."""
+    shape = digest.shape
+    if shape is None:
+        digest = replace(digest, shape=AuditShape(provers, r, e))
+    elif provers != shape.provers or r not in (None, shape.r) or e not in (None, shape.e):
+        raise UsageError(f"the digest was made for {shape}, not {provers} provers, r={r}, e={e}")
+    spec = VARIANTS[digest.variant]
+    if provers < 1 or spec.provers not in (None, provers):
+        raise UsageError(f"the {digest.variant} variant audits {spec.provers or 'one or more'} "
+                         f"provers, not {provers}")
+    return spec.check(digest)
+
+
 def preprocess(
     variant: str,
     fam: HashFamilyDescriptor,
@@ -540,18 +533,18 @@ def preprocess(
     """Sample a challenge and store the variant's expected values there.
 
     ``plan`` may be None for the single variant; (r, e) is the rs-parity
-    budget, which needs s + 2r + e <= q, and is kept on the digest.
+    budget, which needs s + 2r + e <= q.  The digest keeps the shape.
     """
     spec = lookup_variant(variant)
     shares = spec.shares(fam, x, plan)
-    extra = spec.expected and spec.expected(fam, shares, plan, r, e)
+    shape = AuditShape(len(shares), r, e)
+    extra = spec.expected and spec.expected(fam, shares, shape)
     hashers = answerers(fam, shares)
     beta = _draw_challenge(fam, rng_seed)
     answers = (hash_at(beta) for hash_at in hashers)  # linear never reads them
     gammas = answers if extra is None else extra(beta, answers)
-    budget = None if r is None and e is None else (r, e)
     return Digest(variant, beta, tuple(gammas), family_fingerprint(fam), family=fam,
-                  parity_budget=budget)
+                  shape=shape)
 
 
 def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: int) -> Digest:
@@ -559,12 +552,18 @@ def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: int) -> D
     return preprocess(VARIANT_SINGLE, fam, x, None, rng_seed)
 
 
+def _verify(variant, digest, answers, r=None, e=None):
+    if digest.variant != variant:
+        raise UsageError(f"digest is for variant {digest.variant!r}")
+    return VARIANTS[variant].decide(settle(digest, len(answers), r, e), answers)
+
+
 def single_verify(digest: Digest, answer: Optional[int]) -> Verdict:
-    return _single_decide(_single_check(digest, 1), (answer,))
+    return _verify(VARIANT_SINGLE, digest, (answer,))
 
 
 def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    return _trivial_decide(_trivial_check(digest, len(answers)), answers)
+    return _verify(VARIANT_TRIVIAL, digest, answers)
 
 
 def multi_trivial_preprocess(
@@ -585,7 +584,7 @@ def multi_linear_preprocess(
 
 
 def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    return _linear_decide(_linear_check(digest, len(answers)), answers)
+    return _verify(VARIANT_LINEAR, digest, answers)
 
 
 def multi_rs_preprocess(
@@ -608,13 +607,13 @@ def multi_rs_verify(
     e: Optional[int] = None,
 ) -> Verdict:
     """Decode answers + stored parities; accuse the wrong-answer positions.
-    The budget is (r, e) when given, else the digest's own.
+    (r, e) is the digest's own shape; a digest loaded from bytes needs it.
 
     Returns ``undecidable`` (rather than rejecting anyone) when more than e
     provers are silent or when no codeword lies within the corruption
     budget — the audit then carries no attributable evidence.
     """
-    return _rs_decide(_rs_check(digest, len(answers), r, e), answers)
+    return _verify(VARIANT_RS, digest, answers, r, e)
 
 
 # --- storage bound ---------------------------------------------------------
@@ -648,6 +647,7 @@ def storage_bound_slack(
     ``list_size`` defaults to the Johnson bound 2*sum(alphabet sizes).  The
     universal constant is left symbolic (``c0`` in the rendered string).
     """
+    lookup_variant(variant)  # refuses an unknown name
     n = fam.n
     q = max(fam.alphabets())
     L = johnson_list_size_bound(fam) if list_size is None else list_size
@@ -659,7 +659,7 @@ def storage_bound_slack(
             raise UsageError("the single variant has exactly one prover")
         bits = math.log2(q) + math.log2(L) + 3 * math.log2(n) + loglog
         expression = "log2(q*L*n^3) + 2*log2(log2(q*n)) + c0"
-    elif variant in (VARIANT_TRIVIAL, VARIANT_LINEAR, VARIANT_RS):
+    else:
         if s is None or s < 1:
             raise UsageError(f"the {variant} variant needs the prover count s")
         base = s + 2 * math.log2(s) + math.log2(q) + 4 * math.log2(n) + loglog
@@ -669,8 +669,6 @@ def storage_bound_slack(
         else:
             bits = base + math.log2(L)
             expression = "s + log2(s^2*q*L*n^4) + 2*log2(log2(q*n)) + c0"
-    else:
-        raise UsageError(f"unknown variant {variant!r}")
     return SlackReport(variant, bits, L, expression)
 
 
@@ -693,9 +691,7 @@ def retrievability_extract(
         raise UnsupportedVariantError(
             "retrievability extraction works on single-prover digests"
         )
-    if family_fingerprint(fam) != digest.fingerprint:
-        raise UsageError("family fingerprint mismatch")
-    (gamma,) = _one_value(digest).gammas
+    (gamma,) = _one_value(digest.with_family(fam)).gammas
     radius = johnson_radius(fam.n, fam.n - fam.k + 1)
     candidates = brute_force_list_decode(fam, answers, radius)
     return [u for u in candidates if hash_eval(fam, u, digest.beta) == gamma]

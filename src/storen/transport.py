@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ProtocolError, UsageError
 from .hash_families import HashFamilyDescriptor, chunk_hasher, family_fingerprint
-from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes
+from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes, settle
 
 PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT_MS = 5000
@@ -416,18 +416,19 @@ def run_verifier_client(
     with the digest's challenge, concurrently, and return the verdict.
 
     The digest must have its family attached (:meth:`Digest.with_family`),
-    which range-checks the challenge.  That, the variant's pre-flight check
-    (prover count, family kind, rs-parity budget) and the timeout run before
-    the digest is spent, so a misused audit sends nothing.  A digest is spent
-    once per process (:func:`reset_consumed_digests` forgets).  The queries run
-    on the process's verifier workers, so at most :data:`MAX_VERIFIER_THREADS`
-    provers are queried at once, over all audits the process runs.  It waits
-    for every query, then raises the first error in prover order."""
+    which range-checks the challenge.  That, :func:`~storen.protocol.settle`
+    (one address per prover of the digest's shape, or for a digest loaded from
+    bytes these addresses and (r, e) as its shape; then the variant's check)
+    and the timeout run before the digest is spent, so a misused audit sends
+    nothing.  A digest is spent once per process (:func:`reset_consumed_digests`
+    forgets).  The queries run on the process's verifier workers, so at most
+    :data:`MAX_VERIFIER_THREADS` provers are queried at once, over all audits
+    the process runs.  It waits for every query, then raises the first error
+    in prover order."""
     if digest.family is None:
         raise UsageError("digest has no family attached; audit it with its family")
     addresses = [tuple(a) for a in addresses]
-    spec = VARIANTS[digest.variant]
-    digest = spec.check(digest, len(addresses), r, e)
+    digest = settle(digest, len(addresses), r, e)
     timeout_ms = _timeout_ms(timeout_ms)
     _mark_consumed(digest)
     workers = _verifier_workers()
@@ -444,4 +445,4 @@ def run_verifier_client(
             raise answer
         if answer is not None and not 0 <= answer < limit:
             raise ProtocolError(f"answer {answer} outside the challenge alphabet [0, {limit})")
-    return spec.decide(digest, answers)
+    return VARIANTS[digest.variant].decide(digest, answers)

@@ -381,6 +381,31 @@ def test_serve_on_a_port_in_use_is_an_io_error(tmp_path, capsys):
     assert "Address already in use" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["preprocess", "--provers", "3", "--seed", "1"], "single variant has exactly one prover"),
+    (["serve", "--chunks", "3"], "single variant has exactly one prover"),
+    (["serve", "--chunk-index", "2"], "chunk index 2 out of range"),
+])
+def test_a_count_the_single_variant_cannot_have_exits_2(tmp_path, capsys, argv, message):
+    # a count given on the command line reaches the variant, which refuses
+    # it, rather than being replaced by the variant's own count of 1
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(polynomial_family(k=6, n=7, q=7)))
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes([1, 2, 3, 4, 5, 6]))
+    out = tmp_path / "digest.bin"
+    common = ["--family", str(fam_file), "--data", str(data), "--variant", "single"]
+    extra = ["--out", str(out)] if argv[0] == "preprocess" else []
+    with socket.socket() as busy:  # a serve that got past the count would exit 4 here
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        if argv[0] == "serve":
+            extra = ["--port", str(busy.getsockname()[1])]
+        assert main([argv[0], *common, *argv[1:], *extra]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_serve_cli_single(tmp_path, capsys):
     fam_file = tmp_path / "family.desc"
     fam_file.write_bytes(descriptor_to_bytes(FAM))
@@ -693,8 +718,8 @@ def test_every_variant_preprocesses_and_serves_like_the_library(tmp_path, capsys
     digest_file = tmp_path / "digest.bin"
     assert main([
         "preprocess", "--family", str(fam_file), "--variant", variant,
-        "--data", str(data), "--seed", "3", "--provers", "2", "--r", "1", "--e", "1",
-        "--out", str(digest_file),
+        "--data", str(data), "--seed", "3", "--provers", str(len(messages)),
+        "--r", "1", "--e", "1", "--out", str(digest_file),
     ]) == 0
     assert digest_file.read_bytes() == digest_to_bytes(_LIBRARY[variant](fam, x, plan))
 

@@ -17,6 +17,7 @@ from storen.hash_families import (
 from storen.protocol import (
     RNG_ALGORITHM,
     VARIANTS,
+    AuditShape,
     ChunkPlan,
     Digest,
     Verdict,
@@ -32,6 +33,7 @@ from storen.protocol import (
     multi_trivial_verify,
     preprocess,
     retrievability_extract,
+    settle,
     single_preprocess,
     single_verify,
     storage_bound_slack,
@@ -107,7 +109,7 @@ def test_single_and_linear_digests_hold_exactly_one_value(count):
         with pytest.raises(UsageError, match=f"stores one value, not {count}"):
             verify(digest, answers)
         with pytest.raises(UsageError, match="one value"):
-            VARIANTS[variant].check(digest, 1 if variant == "single" else 2)
+            settle(digest, 1 if variant == "single" else 2)
     with pytest.raises(UsageError, match=f"stores one value, not {count}"):
         retrievability_extract(FAM, [0] * 5, Digest("single", 4, (2,) * count, FP))
 
@@ -191,7 +193,7 @@ def test_multi_rs_fixed_transcript():
     # verifier side state for v=(1,2) with one error and no erasures allowed
     digest = Digest(
         "rs-parity", beta=1, gammas=(3, 4), fingerprint=FP, family=FAM,
-        parity_budget=(1, 0),
+        shape=AuditShape(2, 1, 0),
     )
     assert multi_rs_verify(digest, (1, 2)).accepted
     v = multi_rs_verify(digest, (1, 0))
@@ -205,7 +207,7 @@ def test_multi_rs_erasure_budget_recovers():
     # s=2, r=0, e=1: parity row of v=(1,2) under the code (2 -> 3) is (3,)
     digest = Digest(
         "rs-parity", beta=1, gammas=(3,), fingerprint=FP, family=FAM,
-        parity_budget=(0, 1),
+        shape=AuditShape(2, 0, 1),
     )
     v = multi_rs_verify(digest, (None, 2))
     assert (v.outcome, v.accused, v.erased) == ("accepted", frozenset(), frozenset({1}))
@@ -219,7 +221,7 @@ def test_multi_rs_preprocess_builds_parities_from_chunk_hashes():
     plan = ChunkPlan(provers=2, symbols=2)
     for seed in range(20):
         digest = multi_rs_preprocess(FAM, (1, 2), plan, r=1, e=0, rng_seed=seed)
-        assert digest.parity_budget == (1, 0)
+        assert digest.shape == AuditShape(2, 1, 0)
         assert len(digest.gammas) == 2
         answers = tuple(
             hash_eval(FAM, plan.zero_extended((1, 2), i), digest.beta) for i in (1, 2)
@@ -261,7 +263,7 @@ def test_multi_rs_exhaustive_single_cheater_identification():
 def test_multi_rs_beyond_budget_is_undecidable_or_wrong_codeword():
     digest = Digest(
         "rs-parity", beta=1, gammas=(3, 4), fingerprint=FP, family=FAM,
-        parity_budget=(1, 0),
+        shape=AuditShape(2, 1, 0),
     )
     # answers two errors away from v=(1,2)'s codeword and not within budget
     # of any other codeword: decoding must fail, verdict undecidable
@@ -383,7 +385,7 @@ def test_every_verdict_refuses_an_answer_that_is_not_an_int(variant):
     honest = [hash_at(digest.beta) for hash_at in answerers(fam, spec.shares(fam, (1, 2), plan))]
 
     def verdict(answers):
-        return spec.decide(spec.check(digest, len(answers)), answers)
+        return spec.decide(settle(digest, len(answers)), answers)
 
     assert verdict(honest).accepted
     for bad in (float(honest[0]), str(honest[0]), complex(honest[0])):

@@ -19,14 +19,18 @@ from storen.hash_families import (
     polynomial_family,
 )
 from storen.protocol import (
+    VARIANTS,
     ChunkPlan,
+    answerers,
     digest_from_bytes,
     digest_to_bytes,
     multi_linear_preprocess,
+    multi_linear_verify,
     multi_rs_preprocess,
     multi_rs_verify,
     multi_trivial_preprocess,
     multi_trivial_verify,
+    preprocess,
     single_preprocess,
 )
 from storen.transport import (
@@ -549,6 +553,43 @@ def test_misused_audits_send_no_challenge_and_leave_the_digest_unspent():
         "accepted", frozenset(), frozenset(),
     )
     assert sorted(calls) == [1, 2]
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_one_prover_too_few_or_too_many_is_refused_by_the_digest_shape(variant):
+    # the digest keeps the shape it was made for, s provers: a verdict on
+    # s - 1 or s + 1 answers is not one its guarantees are stated for
+    spec = VARIANTS[variant]
+    fam = polynomial_family(k=6, n=11, q=11)
+    if spec.chunk_family:
+        fam = polynomial_family(k=2, n=11, q=11)
+    x = (3, 1, 4, 1, 5, 9)
+    plan = spec.chunk_plan(fam, spec.provers or 3)
+    digest = preprocess(variant, fam, x, plan, 5, r=1, e=1)
+    hashers = answerers(fam, spec.shares(fam, x, plan))
+    honest = [hash_at(digest.beta) for hash_at in hashers]
+    # single_verify takes one answer, so only the audit can miscount there
+    verify = {"trivial": multi_trivial_verify, "linear": multi_linear_verify,
+              "rs-parity": multi_rs_verify}.get(variant)
+    calls = []
+    with contextlib.ExitStack() as stack:
+        addresses = [
+            stack.enter_context(ProverServer(fam, _counting(hash_at, calls, i))).address
+            for i, hash_at in enumerate(hashers, start=1)
+        ]
+        s = len(addresses)
+        for count in (s - 1, s + 1):
+            if verify is not None:
+                with pytest.raises(UsageError, match="made for AuditShape"):
+                    verify(digest, (honest * 2)[:count])
+            with pytest.raises(UsageError, match="made for AuditShape"):
+                run_verifier_client(digest, (addresses * 2)[:count])
+        assert calls == []
+        verdict = run_verifier_client(digest, addresses)
+    assert (verdict.outcome, verdict.accused, verdict.erased) == (
+        "accepted", frozenset(), frozenset(),
+    )
+    assert sorted(calls) == list(range(1, s + 1))
 
 
 def test_bad_timeouts_send_no_challenge_and_leave_the_digest_unspent(monkeypatch):
