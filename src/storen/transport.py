@@ -37,12 +37,20 @@ Each query has one deadline, its timeout after the connect begins: 5000 ms
 by default, or set per call or by the ``STOREN_TIMEOUT_MS`` environment
 variable.  A server session times out :data:`PEER_TIMEOUT_S` after it
 begins; one whose client sent nothing was a probe and is not counted.
+
+Neither end hands a query or a connection to another thread.  An audit
+drives all its queries from one :mod:`selectors` loop on the calling thread,
+with at most :data:`MAX_VERIFIER_QUERIES` connections open.  Each thread of
+a :class:`ProverServer` blocks in ``accept()`` and serves the connection it
+takes; it starts another only if none is left waiting, up to
+:data:`MAX_SERVER_THREADS`.  Stopping the server shuts the listener down,
+which wakes the threads blocked in ``accept()``: Linux behaviour.
 """
 
 from __future__ import annotations
 
 import os
-import queue
+import selectors
 import socket
 import struct
 import threading
@@ -57,8 +65,8 @@ from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes, settle
 
 PROTOCOL_VERSION = 1
 DEFAULT_TIMEOUT_MS = 5000
-MAX_VERIFIER_THREADS = 16  # provers queried at once by all audits of a process
-MAX_SERVER_THREADS = 16  # connections one prover server handles at once
+MAX_VERIFIER_QUERIES = 16  # connections one audit keeps open at once
+MAX_SERVER_THREADS = 16  # connections one prover server serves at once
 PEER_TIMEOUT_S = 2.0  # how long a server gives one session, then it hangs up
 TIMEOUT_ENV_VAR = "STOREN_TIMEOUT_MS"
 
@@ -109,18 +117,19 @@ class _PeerFault(ProtocolError):
         self.code = code
 
 
-def _read_frame(recv, allowed: Tuple[int, ...], fingerprint: bytes) -> Optional[tuple]:
-    """The next frame's type and fields, or None if the peer closes before its
-    first byte.  A type not in ``allowed`` raises unread; so do, once read, a
-    close mid-frame, an ERROR frame, and a HELLO of another version or family:
+def _read_frame(allowed: Tuple[int, ...], fingerprint: bytes):
+    """The exchange steps (:func:`_run`) that receive the next frame: its
+    type and fields, or None if the peer closes before its first byte.
+    A type not in ``allowed`` raises unread; so do, once read, a close
+    mid-frame, an ERROR frame, and a HELLO of another version or family:
     this is the one check of a peer's HELLO that both ends make."""
-    head = recv(1)
+    head = yield 1
     if not head:
         return None
     if head[0] not in allowed:
         raise _PeerFault(ERR_UNEXPECTED, f"frame type {head[0]:#04x}")
     layout = _FRAMES[head[0]]
-    data = head + recv(layout.size - 1)
+    data = head + (yield layout.size - 1)
     if len(data) < layout.size:
         raise _PeerFault(ERR_MALFORMED, "connection closed mid-frame")
     frame = layout.unpack(data)
@@ -131,6 +140,20 @@ def _read_frame(recv, allowed: Tuple[int, ...], fingerprint: bytes) -> Optional[
     if frame[0] == FRAME_HELLO and frame[2] != fingerprint:
         raise _PeerFault(ERR_FINGERPRINT, "the peer serves another hash family")
     return frame
+
+
+def _run(steps, send, recv):
+    """Drive the exchange ``steps`` over the blocking ``send(data)`` and
+    ``recv(count)``, and return what it returns.  An exchange is a generator
+    that yields ``bytes`` to send, or an ``int`` count of bytes to receive
+    and gets them back, fewer only when the peer has closed."""
+    reply = None
+    while True:
+        try:
+            step = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = recv(step) if isinstance(step, int) else send(step)
 
 
 class _Receiver:
@@ -170,50 +193,6 @@ def _timeout_ms(timeout_ms: Optional[int]) -> int:
     return timeout_ms
 
 
-class _Workers:
-    """At most ``limit`` daemon threads, each started only when no started
-    one is idle.  A thread counts itself idle before it hands on the outcome
-    of its call, so whoever holds all outcomes of a batch finds its threads idle."""
-
-    def __init__(self, name: str, limit: int):
-        self._name = name
-        self._limit = limit
-        self._calls = queue.SimpleQueue()
-        self._idle = threading.Semaphore(0)  # one release per finished call
-        self._threads = []
-        self._lock = threading.Lock()
-
-    def submit(self, call: Callable[[], object], done: Optional[Callable] = None) -> None:
-        """Run ``call()`` on a worker, then ``done`` with its result or the
-        exception it raised; without ``done``, print the exception's traceback."""
-        with self._lock:
-            if not self._idle.acquire(blocking=False) and len(self._threads) < self._limit:
-                name = f"{self._name}_{len(self._threads)}"
-                self._threads.append(threading.Thread(target=self._work, name=name, daemon=True))
-                self._threads[-1].start()
-        self._calls.put((call, done))
-
-    def _work(self):
-        for call, done in iter(self._calls.get, None):
-            try:
-                outcome = call()
-            except Exception as error:
-                outcome = error
-            self._idle.release()
-            if done is not None:
-                done(outcome)
-            elif isinstance(outcome, Exception):
-                traceback.print_exception(outcome)
-
-    def close(self, timeout: float) -> None:
-        """Stop each thread after the calls submitted so far, waiting ``timeout`` s at most."""
-        for _ in self._threads:
-            self._calls.put(None)
-        deadline = time.monotonic() + timeout
-        for thread in self._threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-
-
 # --- prover side -------------------------------------------------------------
 
 
@@ -222,30 +201,32 @@ class _Workers:
 honest_answerer = chunk_hasher
 
 
-def _prover_exchange(send, recv, fingerprint: bytes, n: int, answer_fn) -> None:
-    """The prover's end of a session: answer one challenge in 1..``n``, or send
-    the ERROR code that the client's first fault earns."""
+def _prover_exchange(fingerprint: bytes, n: int, answer_fn):
+    """The prover's end of a session, as an exchange (:func:`_run`) that
+    returns its last frame for the caller to send: the answer to one
+    challenge in 1..``n``, the ERROR code that the client's first fault
+    earns, or nothing if the client leaves first."""
     try:
-        if _read_frame(recv, (FRAME_HELLO,), fingerprint) is None:
-            return
-        send(encode_hello(PROTOCOL_VERSION, fingerprint))
-        challenge = _read_frame(recv, (FRAME_CHALLENGE,), fingerprint)
+        if (yield from _read_frame((FRAME_HELLO,), fingerprint)) is None:
+            return b""
+        yield encode_hello(PROTOCOL_VERSION, fingerprint)
+        challenge = yield from _read_frame((FRAME_CHALLENGE,), fingerprint)
         if challenge is None:
-            return
+            return b""
         if not 1 <= challenge[1] <= n:
             raise _PeerFault(ERR_MALFORMED, f"challenge {challenge[1]} outside 1..{n}")
     except _PeerFault as fault:
-        send(encode_error(fault.code))
-        return
+        return encode_error(fault.code)
     answer = answer_fn(challenge[1])
-    send(encode_no_response() if answer is None else encode_response(answer))
+    return encode_no_response() if answer is None else encode_response(answer)
 
 
 class ProverServer:
     """Serves one prover's answers over TCP.
 
     ``answer_fn`` maps a challenge index to an answer (or None for "no
-    response").  With ``max_sessions`` set, the listener shuts down after
+    response"); an exception it raises prints its traceback, and the thread
+    serves on.  With ``max_sessions`` set, the listener shuts down after
     that many connections have been handled.
     """
 
@@ -264,11 +245,10 @@ class ProverServer:
         self._max_sessions = max_sessions
         self._sessions = 0
         self._lock = threading.Lock()
-        self._closing = threading.Event()  # ends the accept loop
-        self._closed = threading.Event()
-        self._address = None
-        self._thread = None
-        self._workers = _Workers("storen-prover", MAX_SERVER_THREADS)
+        self._listener = self._address = None
+        self._threads = []
+        self._waiting = 0  # threads in accept(), or on their way back to it
+        self._closed = threading.Event()  # set when the listener stops accepting
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -277,53 +257,84 @@ class ProverServer:
         return self._address
 
     def start(self) -> "ProverServer":
-        if self._thread is not None:
+        if self._listener is not None:
             raise UsageError("server already started")
-        listener = socket.create_server(self._bind)
-        listener.settimeout(0.05)  # how often the accept loop looks for a stop
-        self._address = listener.getsockname()
-        self._thread = threading.Thread(target=self._accept, args=(listener,), daemon=True)
-        self._thread.start()
+        self._listener = socket.create_server(self._bind)
+        self._address = self._listener.getsockname()
+        self._add_thread()
         return self
 
-    def _accept(self, listener):
-        try:
-            with listener:
-                while not self._closing.is_set():
-                    try:
-                        sock, _ = listener.accept()
-                    except OSError:  # the poll timeout, or a failed accept
-                        continue
-                    self._workers.submit(partial(self._handle, sock))
-        finally:
-            self._closed.set()
+    def _add_thread(self):
+        """Start one more serving thread: from start(), or under the lock."""
+        name = f"storen-prover_{len(self._threads)}"
+        self._threads.append(threading.Thread(target=self._serve, name=name, daemon=True))
+        self._waiting += 1
+        self._threads[-1].start()
+
+    def _serve(self):
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # the listener was shut down, or one accept failed
+                if self._closed.is_set():
+                    return
+                continue
+            with self._lock:
+                self._waiting -= 1
+                if not (self._waiting or self._closed.is_set()) \
+                        and len(self._threads) < MAX_SERVER_THREADS:
+                    self._add_thread()
+            with sock:
+                self._handle(sock)
 
     def _handle(self, sock):
         peer = _Receiver(sock, time.monotonic() + PEER_TIMEOUT_S)
+        last = b""
         try:
-            _prover_exchange(sock.sendall, peer.recv, self._fingerprint, self._n, self._answer_fn)
+            last = _run(_prover_exchange(self._fingerprint, self._n, self._answer_fn),
+                        sock.sendall, peer.recv)
         except OSError:
             pass
-        finally:
-            sock.close()
+        except Exception:  # the answerer failed: report it, and serve on
+            traceback.print_exc()
+        # counted as waiting before the last frame goes out, so that the client's
+        # next connection, which can come before this thread is back, starts none
+        with self._lock:
+            self._waiting += 1
             if peer.received:  # a peer that sent nothing was a probe, not a session
-                with self._lock:
-                    self._sessions += 1
-                    if self._max_sessions is not None and self._sessions >= self._max_sessions:
-                        self._closing.set()
+                self._sessions += 1
+            done = self._sessions == self._max_sessions
+        try:
+            if last:
+                sock.sendall(last)
+        except OSError:
+            pass
+        if done:
+            self._stop()
+
+    def _stop(self):
+        with self._lock:
+            self._closed.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept(), on Linux
+        except OSError:  # shut down already
+            pass
 
     def wait_closed(self, timeout: Optional[float] = None) -> bool:
         """Block until the listener has stopped (True) or timeout (False)."""
         return self._closed.wait(timeout)
 
     def close(self):
-        self._closing.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        self._workers.close(timeout=2.0)
+        if self._listener is None:
+            return
+        self._stop()
+        deadline = time.monotonic() + 2.0
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        self._listener.close()
 
     def __enter__(self) -> "ProverServer":
-        if self._thread is None:
+        if self._listener is None:
             self.start()
         return self
 
@@ -334,15 +345,122 @@ class ProverServer:
 # --- verifier side -----------------------------------------------------------
 
 
-def _verifier_exchange(send, recv, beta: int, fingerprint: bytes) -> Optional[int]:
-    """The verifier's end of a query: the answer, or None when the prover
-    declines or closes at a frame boundary."""
-    send(encode_hello(PROTOCOL_VERSION, fingerprint))
-    if _read_frame(recv, (FRAME_HELLO, FRAME_ERROR), fingerprint) is None:
+def _verifier_exchange(beta: int, fingerprint: bytes):
+    """The verifier's end of a query, as an exchange (:func:`_run`): the
+    answer, or None when the prover declines or closes at a frame boundary."""
+    yield encode_hello(PROTOCOL_VERSION, fingerprint)
+    if (yield from _read_frame((FRAME_HELLO, FRAME_ERROR), fingerprint)) is None:
         return None
-    send(encode_challenge(beta))
-    reply = _read_frame(recv, (FRAME_RESPONSE, FRAME_NO_RESPONSE, FRAME_ERROR), fingerprint)
+    yield encode_challenge(beta)
+    reply = yield from _read_frame((FRAME_RESPONSE, FRAME_NO_RESPONSE, FRAME_ERROR), fingerprint)
     return None if reply is None or reply[0] == FRAME_NO_RESPONSE else reply[1]
+
+
+def _connect(host: str, port: int) -> socket.socket:
+    """A non-blocking socket whose connect has begun, to the first address of
+    ``host`` that does not refuse it at once: like ``socket.create_connection``,
+    it tries them in turn."""
+    for family, kind, proto, _, address in socket.getaddrinfo(
+            host, port, type=socket.SOCK_STREAM):
+        sock = socket.socket(family, kind, proto)
+        sock.setblocking(False)
+        try:
+            sock.connect(address)
+        except BlockingIOError:  # the connect goes on
+            pass
+        except OSError as error:
+            sock.close()
+            failure = error
+            continue
+        return sock
+    raise failure
+
+
+def _over(sock, steps):
+    """Run the exchange ``steps`` over the non-blocking ``sock``, as a
+    generator that yields the selector event it waits for and returns the
+    exchange's value."""
+    unread, reply = b"", None
+    while True:
+        try:
+            step = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        if isinstance(step, int):
+            while len(unread) < step:
+                yield selectors.EVENT_READ
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                unread += chunk
+            reply, unread = unread[:step], unread[step:]
+        else:
+            while step:
+                try:
+                    step = step[sock.send(step):]
+                except BlockingIOError:  # still connecting, or the buffer is full
+                    yield selectors.EVENT_WRITE
+            reply = None
+
+
+def _query_all(addresses, beta: int, fingerprint: bytes, timeout: float) -> list:
+    """Challenge the prover at each of ``addresses`` from one selector loop,
+    with at most :data:`MAX_VERIFIER_QUERIES` connections open, each
+    ``timeout`` s from its connect.  Returns each outcome in order: the
+    answer, None for an erasure, or the :class:`ProtocolError` raised.  Every
+    socket is closed by then."""
+    outcomes = [None] * len(addresses)
+    todo = list(enumerate(addresses))[::-1]
+    queries = {}  # each open query's socket: [index, run, deadline, event it waits for]
+    with selectors.DefaultSelector() as selector:
+
+        def advance(sock, query):
+            index, run, _, waiting = query
+            try:
+                event = next(run)
+            except StopIteration as done:
+                outcomes[index] = done.value
+            except OSError:  # an erasure
+                pass
+            except ProtocolError as error:
+                outcomes[index] = error
+            else:
+                if not waiting:
+                    selector.register(sock, event)
+                elif event != waiting:
+                    selector.modify(sock, event)
+                query[3] = event
+                return
+            end(sock)
+
+        def end(sock):
+            if queries.pop(sock)[3]:  # registered with the selector
+                selector.unregister(sock)
+            sock.close()
+
+        try:
+            while todo or queries:
+                while todo and len(queries) < MAX_VERIFIER_QUERIES:
+                    index, (host, port) = todo.pop()
+                    deadline = time.monotonic() + timeout
+                    try:
+                        sock = _connect(host, port)
+                    except OSError:  # a failed name lookup or connect is an erasure
+                        continue
+                    run = _over(sock, _verifier_exchange(beta, fingerprint))
+                    queries[sock] = [index, run, deadline, 0]
+                    advance(sock, queries[sock])
+                if queries:
+                    deadline = min(query[2] for query in queries.values())
+                    for key, _ in selector.select(max(0.0, deadline - time.monotonic())):
+                        advance(key.fileobj, queries[key.fileobj])
+                    now = time.monotonic()
+                    for sock in [sock for sock, query in queries.items() if query[2] <= now]:
+                        end(sock)  # an erasure
+        finally:
+            for sock in queries:
+                sock.close()
+    return outcomes
 
 
 def query_prover(
@@ -353,15 +471,13 @@ def query_prover(
 ) -> Optional[int]:
     """Send one challenge; return the answer, or None if the prover is
     unreachable, times out, or declines to respond.  The timeout bounds the
-    whole query, connect included."""
+    whole query, connect included.  Raises :class:`ProtocolError` if the
+    prover refuses with an ERROR frame or breaks the protocol."""
     timeout = _timeout_ms(timeout_ms) / 1000.0
-    deadline = time.monotonic() + timeout
-    try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            recv = _Receiver(sock, deadline).recv
-            return _verifier_exchange(sock.sendall, recv, beta, fingerprint)
-    except OSError:
-        return None
+    (outcome,) = _query_all([tuple(address)], beta, fingerprint, timeout)
+    if isinstance(outcome, ProtocolError):
+        raise outcome
+    return outcome
 
 
 _consumed_digests = set()
@@ -384,27 +500,6 @@ def _mark_consumed(digest: Digest) -> None:
         _consumed_digests.add(key)
 
 
-_verifier = None
-_verifier_key = None
-_verifier_lock = threading.Lock()
-
-
-def _verifier_workers() -> _Workers:
-    """The process's verifier workers, keyed on the process id and the thread
-    limit: a forked child, which has none of its parent's threads, or a changed
-    limit gets a fresh group, and one replaced in the process that started it
-    is closed."""
-    global _verifier, _verifier_key
-    key = (os.getpid(), MAX_VERIFIER_THREADS)
-    with _verifier_lock:
-        if _verifier_key != key:
-            if _verifier is not None and _verifier_key[0] == key[0]:
-                _verifier.close(timeout=0.0)
-            _verifier = _Workers("storen-verifier", MAX_VERIFIER_THREADS)
-            _verifier_key = key
-        return _verifier
-
-
 def run_verifier_client(
     digest: Digest,
     addresses: Sequence[Tuple[str, int]],
@@ -421,24 +516,15 @@ def run_verifier_client(
     bytes these addresses and (r, e) as its shape; then the variant's check)
     and the timeout run before the digest is spent, so a misused audit sends
     nothing.  A digest is spent once per process (:func:`reset_consumed_digests`
-    forgets).  The queries run on the process's verifier workers, so at most
-    :data:`MAX_VERIFIER_THREADS` provers are queried at once, over all audits
-    the process runs.  It waits for every query, then raises the first error
-    in prover order."""
+    forgets).  The queries run on the calling thread (:func:`_query_all`); it
+    waits for every query, then raises the first error in prover order."""
     if digest.family is None:
         raise UsageError("digest has no family attached; audit it with its family")
     addresses = [tuple(a) for a in addresses]
     digest = settle(digest, len(addresses), r, e)
-    timeout_ms = _timeout_ms(timeout_ms)
+    timeout = _timeout_ms(timeout_ms) / 1000.0
     _mark_consumed(digest)
-    workers = _verifier_workers()
-    outcomes = queue.SimpleQueue()
-    for i, address in enumerate(addresses):
-        workers.submit(
-            partial(query_prover, address, digest.beta, digest.fingerprint, timeout_ms),
-            lambda outcome, i=i: outcomes.put((i, outcome)),
-        )
-    answers = tuple(outcome for _, outcome in sorted(outcomes.get() for _ in addresses))
+    answers = tuple(_query_all(addresses, digest.beta, digest.fingerprint, timeout))
     limit = digest.answer_limit
     for answer in answers:
         if isinstance(answer, Exception):

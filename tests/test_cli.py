@@ -433,6 +433,36 @@ def test_serve_cli_single(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_serve_process_exits_on_its_own_after_max_sessions(tmp_path, capsys):
+    fam_file = tmp_path / "family.desc"
+    fam_file.write_bytes(descriptor_to_bytes(FAM))
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes([1, 2]))
+    digest_file = tmp_path / "digest.bin"
+    assert main([
+        "preprocess", "--family", str(fam_file), "--variant", "single",
+        "--data", str(data), "--seed", "3", "--out", str(digest_file),
+    ]) == 0
+    src = str(Path(storen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "storen", "serve", "--family", str(fam_file),
+         "--data", str(data), "--port", "0", "--max-sessions", "1"],
+        stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
+    ) as proc:
+        try:
+            address = proc.stdout.readline().split()[-1]
+            assert main([
+                "audit", "--digest", str(digest_file), "--family", str(fam_file),
+                "--prover", address,
+            ]) == 0
+            # the last session's thread wakes the one blocked in accept()
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
+    capsys.readouterr()
+
+
 def test_serve_cli_linear_two_provers(tmp_path, capsys):
     fam_file = tmp_path / "family.desc"
     fam_file.write_bytes(descriptor_to_bytes(FAM))

@@ -1,10 +1,12 @@
 import contextlib
 import errno
 import os
+import signal
 import socket
 import struct
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -144,25 +146,42 @@ def test_unreachable_prover_is_an_erasure():
 def test_network_faults_are_erasures(monkeypatch):
     plan = ChunkPlan(2, 2)
     digest = multi_rs_preprocess(FAM, X, plan, r=0, e=1, rng_seed=6)
+    # the connect to the unroutable address fails here, before any packet leaves
     unroutable = ("192.0.2.1", 9)
-    connect = socket.create_connection
+    connect = socket.socket.connect
 
-    def create_connection(address, *args, **kwargs):
+    def refuse_unroutable(sock, address):
         if address == unroutable:
             raise OSError(errno.EHOSTUNREACH, "No route to host")
-        return connect(address, *args, **kwargs)
+        return connect(sock, address)
 
-    monkeypatch.setattr(socket, "create_connection", create_connection)
+    monkeypatch.setattr(socket.socket, "connect", refuse_unroutable)
     assert query_prover(unroutable, 1, family_fingerprint(FAM)) is None
     with ProverServer(FAM, honest_answerer(FAM, X[1:], 1)) as s2:
         verdict = run_verifier_client(digest, [unroutable, s2.address])
     assert (verdict.outcome, verdict.erased) == ("accepted", frozenset({1}))
 
-    def unresolvable(address, *args, **kwargs):
+    def unresolvable(host, *args, **kwargs):
         raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
 
-    monkeypatch.setattr(socket, "create_connection", unresolvable)
+    monkeypatch.setattr(socket, "getaddrinfo", unresolvable)
     assert query_prover(("no-such-host.invalid", 9), 1, family_fingerprint(FAM)) is None
+
+
+def test_each_address_of_a_name_is_tried_in_turn(monkeypatch):
+    refused = ("127.0.0.1", 1)
+    connect = socket.socket.connect
+
+    def refuse(sock, address):
+        if address == refused:
+            raise ConnectionRefusedError(errno.ECONNREFUSED, "Connection refused")
+        return connect(sock, address)
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+        both = [(socket.AF_INET, socket.SOCK_STREAM, 6, "", a) for a in (refused, server.address)]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda host, port, **kwargs: both)
+        assert query_prover(("prover.example", 9), 3, family_fingerprint(FAM)) == hash_eval(FAM, X, 3)
 
 
 def test_fingerprint_mismatch_raises():
@@ -292,8 +311,78 @@ def test_challenges_run_concurrently():
     assert elapsed < 0.95
 
 
+@contextlib.contextmanager
+def _scripted_provers(*scripts):
+    """The addresses of one listener per script: ``script(conn)`` runs on
+    the first connection it takes, and None never accepts."""
+
+    def serve_once(listener, script):
+        with listener.accept()[0] as conn:
+            script(conn)
+
+    with contextlib.ExitStack() as stack:
+        addresses, threads = [], []
+        for script in scripts:
+            listener = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
+            listener.settimeout(5)
+            addresses.append(listener.getsockname())
+            if script is not None:
+                threads.append(threading.Thread(target=serve_once, args=(listener, script)))
+                threads[-1].start()
+        try:
+            yield addresses
+        finally:
+            for thread in threads:
+                thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _take_hello_then(reply=b"", reset=False):
+    """A prover script: read the HELLO, send ``reply``, then close or reset."""
+
+    def script(conn):
+        _recv_exact(conn, 35)
+        conn.sendall(reply)
+        if reset:  # closing with a zero linger time sends RST, not FIN
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    return script
+
+
+def test_one_loop_erases_closed_reset_and_silent_provers(monkeypatch):
+    x = (1, 2, 3, 4)
+    hello = encode_hello(PROTOCOL_VERSION, family_fingerprint(CHUNK_FAM))
+    faults = [_take_hello_then(reset=True), None]
+    with ProverServer(CHUNK_FAM, honest_answerer(CHUNK_FAM, (1,))) as honest:
+        digest = multi_trivial_preprocess(CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=0)
+        with _scripted_provers(_take_hello_then(hello), *faults) as scripted:
+            started = time.monotonic()
+            verdict = run_verifier_client(digest, [honest.address, *scripted], timeout_ms=300)
+            elapsed = time.monotonic() - started
+        assert (verdict.erased, verdict.accused) == (frozenset({2, 3, 4}), frozenset())
+        assert elapsed < 0.6
+
+        # a close mid-frame is a fault, raised once every query has ended
+        opened = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if kwargs.get("fileno") is None:  # not a socket that accept() made
+                    opened.append(self)
+
+        digest = multi_trivial_preprocess(CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=1)
+        with _scripted_provers(_take_hello_then(hello[:10]), *faults) as scripted:
+            monkeypatch.setattr(socket, "socket", Recorded)
+            with pytest.raises(ProtocolError, match="closed mid-frame"):
+                run_verifier_client(digest, [honest.address, *scripted], timeout_ms=300)
+            monkeypatch.undo()
+    assert len(opened) == 4
+    assert all(sock.fileno() == -1 for sock in opened)
+
+
 def test_verifier_threads_have_a_fixed_limit(monkeypatch):
-    monkeypatch.setattr(storen.transport, "MAX_VERIFIER_THREADS", 2)
+    monkeypatch.setattr(storen.transport, "MAX_VERIFIER_QUERIES", 2)
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     chunks = [(1,), (2,), (3,), (4,), (0,)]
     digest = multi_trivial_preprocess(
@@ -327,19 +416,6 @@ def test_verifier_threads_have_a_fixed_limit(monkeypatch):
 CHUNK_FAM = polynomial_family(k=1, n=5, q=5)
 
 
-def _record_query_threads(monkeypatch):
-    """Patch ``query_prover`` to list the thread each query runs on."""
-    threads = []
-    query = storen.transport.query_prover
-
-    def recorded(*args, **kwargs):
-        threads.append(threading.current_thread())
-        return query(*args, **kwargs)
-
-    monkeypatch.setattr(storen.transport, "query_prover", recorded)
-    return threads
-
-
 @contextlib.contextmanager
 def _four_provers():
     """Four in-process provers of one symbol each, and a fresh trivial
@@ -360,27 +436,62 @@ def _four_provers():
         yield audit
 
 
-def test_audits_reuse_the_verifier_threads(monkeypatch):
-    # a limit no other test uses gives this test a pool of its own, and one
-    # above 4, so only reuse keeps 30 audits on 4 threads
-    monkeypatch.setattr(storen.transport, "MAX_VERIFIER_THREADS", 8)
-    threads = _record_query_threads(monkeypatch)
-    with _four_provers() as audit:
-        for seed in range(30):
-            assert audit(seed).outcome == "accepted"
-    assert len(threads) == 120
-    # thread objects, not idents: the system can reuse a joined thread's ident
-    assert len(set(threads)) <= 4
-
-
-def test_a_forked_process_starts_its_own_verifier_pool(monkeypatch):
-    threads = _record_query_threads(monkeypatch)
+def test_an_audit_starts_no_thread(monkeypatch):
+    # two server threads each, both started by the first audit
+    monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 2)
     with _four_provers() as audit:
         assert audit(0).accepted
-        parent = set(threads)
-        monkeypatch.setattr(os, "getpid", lambda: -1)
-        assert audit(1).accepted
-    assert parent.isdisjoint(threads[4:])
+        before = threading.enumerate()
+        for seed in range(1, 31):
+            assert audit(seed).outcome == "accepted"
+        assert threading.enumerate() == before
+
+
+def test_audits_reuse_the_verifier_threads(monkeypatch):
+    # the only verifier thread is the caller's: every audit's sockets are
+    # made and driven on it
+    threads = []
+
+    class Recorded(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("fileno") is None:  # not a socket that accept() made
+                threads.append(threading.current_thread())
+
+    with _four_provers() as audit:
+        monkeypatch.setattr(socket, "socket", Recorded)
+        for seed in range(30):
+            assert audit(seed).outcome == "accepted"
+        monkeypatch.undo()
+    assert len(threads) == 120
+    assert set(threads) == {threading.current_thread()}
+
+
+def test_a_forked_process_starts_its_own_verifier_pool():
+    # with no pool to outlive a fork, a child forked after the parent has
+    # audited audits on its own thread at once
+    with _four_provers() as audit:
+        assert audit(0).accepted
+        with warnings.catch_warnings():
+            # the child only audits and exits, so the server threads it
+            # does not inherit hold nothing it needs
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if audit(1).outcome == "accepted" else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10
+        while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert status != (0, 0), "the forked audit hung"
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert audit(2).accepted
 
 
 def test_server_threads_have_a_fixed_limit(monkeypatch):
@@ -459,6 +570,32 @@ def test_closing_the_server_stops_its_workers():
         server.close()
     assert workers
     assert not any(worker.is_alive() for worker in workers)
+
+
+def test_close_wakes_every_thread_blocked_in_accept():
+    honest = honest_answerer(FAM, X)
+    together = threading.Barrier(3)
+
+    def answer(beta):
+        together.wait(timeout=5)  # three sessions at once take four threads
+        return honest(beta)
+
+    fingerprint = family_fingerprint(FAM)
+    server = ProverServer(FAM, answer).start()
+    try:
+        with ThreadPoolExecutor(3) as clients:
+            answers = list(clients.map(
+                lambda beta: query_prover(server.address, beta, fingerprint), (1, 2, 3)))
+        assert answers == [hash_eval(FAM, X, beta) for beta in (1, 2, 3)]
+        threads = [t for t in threading.enumerate() if t.name.startswith("storen-prover")]
+        assert len(threads) == 4
+        time.sleep(0.1)  # each goes back to accept()
+    finally:
+        started = time.monotonic()
+        server.close()
+        elapsed = time.monotonic() - started
+    assert elapsed < 0.5
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_an_answerer_error_is_reported_and_its_worker_serves_on(monkeypatch, capfd):

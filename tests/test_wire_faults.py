@@ -1,11 +1,13 @@
 """The fault matrix: how each end of the wire classifies its peer's faults,
 at every byte of every legal transcript.
 
-Each case runs the exchange that ``query_prover`` or ``ProverServer`` runs,
-over a scripted peer in place of a socket.  The peer's bytes arrive as they
-are asked for; then the peer closes (``recv`` returns short), resets
-(``ConnectionResetError``) or goes silent (``TimeoutError``, which the socket
-glue raises at the deadline).  Nothing here opens a socket or sleeps.
+Each case pumps the exchange generator that ``query_prover`` or
+``ProverServer`` runs, through ``_run``, over a scripted peer in place of a
+socket.  The peer's bytes arrive as they are asked for; then the peer closes
+(``recv`` returns short), resets (``ConnectionResetError``) or goes silent
+(``TimeoutError``, which the socket glue raises at the deadline).  The
+server's last frame is the one its exchange returns.  Nothing here opens a
+socket or sleeps.
 
 The tables below are today's classification; a change to it edits them.
 """
@@ -26,6 +28,7 @@ from storen.transport import (
     FRAME_RESPONSE,
     PROTOCOL_VERSION,
     _prover_exchange,
+    _run,
     _verifier_exchange,
     encode_challenge,
     encode_error,
@@ -90,7 +93,7 @@ def verifier(data, ending="close"):
     the verifier sent."""
     sent = bytearray()
     try:
-        answer = _verifier_exchange(sent.extend, _scripted(data, ending), BETA, FP)
+        answer = _run(_verifier_exchange(BETA, FP), sent.extend, _scripted(data, ending))
     except OSError:
         outcome = ERASURE
     except ProtocolError:
@@ -105,10 +108,10 @@ def server(data, ending="close", answer_fn=None):
     sent = bytearray()
     answer_fn = answer_fn or honest_answerer(FAM, X)
     try:
-        _prover_exchange(sent.extend, _scripted(data, ending), FP, FAM.n, answer_fn)
+        last = _run(_prover_exchange(FP, FAM.n, answer_fn), sent.extend, _scripted(data, ending))
     except OSError:
         return bytes(sent), HANG_UP
-    return bytes(sent), None
+    return bytes(sent + last), None
 
 
 def _stops(frames):
@@ -189,7 +192,7 @@ def test_each_error_code_names_itself_to_the_verifier():
         for prefix in (b"", HELLO):
             recv = _scripted(prefix + encode_error(code), "close")
             with pytest.raises(ProtocolError, match=f"refused: {name}$"):
-                _verifier_exchange(bytearray().extend, recv, BETA, FP)
+                _run(_verifier_exchange(BETA, FP), bytearray().extend, recv)
 
 
 def test_the_server_answers_each_client_fault_with_its_error_code():
