@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="host:port, one per prover in prover order")
     p.add_argument("--r", type=int, help="cheater budget (rs-parity)")
     p.add_argument("--e", type=int, help="silence budget (rs-parity)")
-    p.add_argument("--timeout-ms", type=int, help="per-prover timeout of the whole query")
+    p.add_argument("--timeout-ms", type=int, help="per-prover timeout of the whole query, "
+                   "1 to 2147483647 ms")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("serve", help="answer challenges for a data file")

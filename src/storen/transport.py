@@ -69,6 +69,7 @@ MAX_VERIFIER_QUERIES = 16  # connections one audit keeps open at once
 MAX_SERVER_THREADS = 16  # connections one prover server serves at once
 PEER_TIMEOUT_S = 2.0  # how long a server gives one session, then it hangs up
 TIMEOUT_ENV_VAR = "STOREN_TIMEOUT_MS"
+_MAX_TIMEOUT_MS = 2**31 - 1  # the longest wait the selector takes
 
 FRAME_HELLO = 0x00
 FRAME_CHALLENGE = 0x01
@@ -118,7 +119,7 @@ class _PeerFault(ProtocolError):
 
 
 def _read_frame(allowed: Tuple[int, ...], fingerprint: bytes):
-    """The exchange steps (:func:`_run`) that receive the next frame: its
+    """The exchange steps (:func:`_over`) that receive the next frame: its
     type and fields, or None if the peer closes before its first byte.
     A type not in ``allowed`` raises unread; so do, once read, a close
     mid-frame, an ERROR frame, and a HELLO of another version or family:
@@ -142,44 +143,36 @@ def _read_frame(allowed: Tuple[int, ...], fingerprint: bytes):
     return frame
 
 
-def _run(steps, send, recv):
-    """Drive the exchange ``steps`` over the blocking ``send(data)`` and
-    ``recv(count)``, and return what it returns.  An exchange is a generator
-    that yields ``bytes`` to send, or an ``int`` count of bytes to receive
-    and gets them back, fewer only when the peer has closed."""
-    reply = None
+def _over(sock, steps, received=None):
+    """Run the exchange ``steps`` over ``sock``, and return its value.  An
+    exchange is a generator that yields ``bytes`` to send, or an ``int``
+    count of bytes to receive and gets them back, fewer only when the peer
+    has closed.  This yields the selector event it waits for before each
+    ``recv``, and before each ``send`` that a non-blocking ``sock`` refuses.
+    It adds each chunk's size to ``received[0]``, if given."""
+    unread, reply = b"", None
     while True:
         try:
             step = steps.send(reply)
         except StopIteration as done:
             return done.value
-        reply = recv(step) if isinstance(step, int) else send(step)
-
-
-class _Receiver:
-    """``recv(count)`` over ``sock``: fewer bytes only when the peer closes, and
-    a TimeoutError at the :func:`time.monotonic` ``deadline``.  It reads what
-    has arrived, so a frame that arrives whole costs one read."""
-
-    def __init__(self, sock, deadline: float):
-        self._sock = sock
-        self._deadline = deadline
-        self._unread = b""
-        self.received = 0  # bytes returned so far
-
-    def recv(self, count: int) -> bytes:
-        while len(self._unread) < count:
-            left = self._deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("the exchange ran past its deadline")
-            self._sock.settimeout(left)
-            chunk = self._sock.recv(4096)
-            if not chunk:
-                break
-            self._unread += chunk
-        data, self._unread = self._unread[:count], self._unread[count:]
-        self.received += len(data)
-        return data
+        if isinstance(step, int):
+            while len(unread) < step:
+                yield selectors.EVENT_READ
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                unread += chunk
+                if received is not None:
+                    received[0] += len(chunk)
+            reply, unread = unread[:step], unread[step:]
+        else:
+            while step:
+                try:
+                    step = step[sock.send(step):]
+                except BlockingIOError:  # still connecting, or the buffer is full
+                    yield selectors.EVENT_WRITE
+            reply = None
 
 
 def _timeout_ms(timeout_ms: Optional[int]) -> int:
@@ -188,8 +181,8 @@ def _timeout_ms(timeout_ms: Optional[int]) -> int:
         if not raw.isdecimal():
             raise UsageError(f"{TIMEOUT_ENV_VAR}={raw!r} is not a number of milliseconds")
         timeout_ms = int(raw)
-    if timeout_ms <= 0:
-        raise UsageError("timeout must be positive")
+    if not 0 < timeout_ms <= _MAX_TIMEOUT_MS:
+        raise UsageError(f"timeout must be positive and at most {_MAX_TIMEOUT_MS} ms")
     return timeout_ms
 
 
@@ -202,7 +195,7 @@ honest_answerer = chunk_hasher
 
 
 def _prover_exchange(fingerprint: bytes, n: int, answer_fn):
-    """The prover's end of a session, as an exchange (:func:`_run`) that
+    """The prover's end of a session, as an exchange (:func:`_over`) that
     returns its last frame for the caller to send: the answer to one
     challenge in 1..``n``, the ERROR code that the client's first fault
     earns, or nothing if the client leaves first."""
@@ -288,11 +281,19 @@ class ProverServer:
                 self._handle(sock)
 
     def _handle(self, sock):
-        peer = _Receiver(sock, time.monotonic() + PEER_TIMEOUT_S)
+        deadline = time.monotonic() + PEER_TIMEOUT_S
+        received = [0]
+        run = _over(sock, _prover_exchange(self._fingerprint, self._n, self._answer_fn), received)
         last = b""
         try:
-            last = _run(_prover_exchange(self._fingerprint, self._n, self._answer_fn),
-                        sock.sendall, peer.recv)
+            while True:  # the blocking socket waits, up to the session's deadline
+                next(run)
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("the session ran past its deadline")
+                sock.settimeout(left)
+        except StopIteration as end:
+            last = end.value
         except OSError:
             pass
         except Exception:  # the answerer failed: report it, and serve on
@@ -301,7 +302,7 @@ class ProverServer:
         # next connection, which can come before this thread is back, starts none
         with self._lock:
             self._waiting += 1
-            if peer.received:  # a peer that sent nothing was a probe, not a session
+            if received[0]:  # a peer that sent nothing was a probe, not a session
                 self._sessions += 1
             done = self._sessions == self._max_sessions
         try:
@@ -346,7 +347,7 @@ class ProverServer:
 
 
 def _verifier_exchange(beta: int, fingerprint: bytes):
-    """The verifier's end of a query, as an exchange (:func:`_run`): the
+    """The verifier's end of a query, as an exchange (:func:`_over`): the
     answer, or None when the prover declines or closes at a frame boundary."""
     yield encode_hello(PROTOCOL_VERSION, fingerprint)
     if (yield from _read_frame((FRAME_HELLO, FRAME_ERROR), fingerprint)) is None:
@@ -374,33 +375,6 @@ def _connect(host: str, port: int) -> socket.socket:
             continue
         return sock
     raise failure
-
-
-def _over(sock, steps):
-    """Run the exchange ``steps`` over the non-blocking ``sock``, as a
-    generator that yields the selector event it waits for and returns the
-    exchange's value."""
-    unread, reply = b"", None
-    while True:
-        try:
-            step = steps.send(reply)
-        except StopIteration as done:
-            return done.value
-        if isinstance(step, int):
-            while len(unread) < step:
-                yield selectors.EVENT_READ
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
-                unread += chunk
-            reply, unread = unread[:step], unread[step:]
-        else:
-            while step:
-                try:
-                    step = step[sock.send(step):]
-                except BlockingIOError:  # still connecting, or the buffer is full
-                    yield selectors.EVENT_WRITE
-            reply = None
 
 
 def _query_all(addresses, beta: int, fingerprint: bytes, timeout: float) -> list:

@@ -243,6 +243,11 @@ def test_audit_with_a_bad_timeout_exits_2_and_leaves_the_digest_unspent(
         argv += ["--prover", "%s:%d" % server.address]
         assert main(argv + ["--timeout-ms", "0"]) == 2
         assert "timeout must be positive" in capsys.readouterr().err
+        assert main(argv + ["--timeout-ms", "1000000000000"]) == 2
+        assert "at most 2147483647 ms" in capsys.readouterr().err
+        monkeypatch.setenv("STOREN_TIMEOUT_MS", "1000000000000")
+        assert main(argv) == 2
+        assert "at most 2147483647 ms" in capsys.readouterr().err
         monkeypatch.setenv("STOREN_TIMEOUT_MS", "abc")
         assert main(argv) == 2
         assert "STOREN_TIMEOUT_MS" in capsys.readouterr().err

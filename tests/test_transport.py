@@ -647,6 +647,24 @@ def test_max_sessions_stops_the_server():
         server.close()
 
 
+def test_a_probe_is_not_counted_as_a_session(monkeypatch):
+    monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.3)
+    digest = single_preprocess(FAM, X, 8)
+    server = ProverServer(FAM, honest_answerer(FAM, X), max_sessions=1)
+    server.start()
+    try:
+        # a client that connects and closes, then one that stays silent until
+        # the server hangs up at the session deadline: neither sent a byte
+        socket.create_connection(server.address, timeout=2).close()
+        with socket.create_connection(server.address, timeout=2) as silent:
+            assert silent.recv(1) == b""
+        assert not server.wait_closed(timeout=0.2)
+        assert run_verifier_client(digest, [server.address]).accepted
+        assert server.wait_closed(timeout=5)
+    finally:
+        server.close()
+
+
 def _counting(answer_fn, calls, index):
     """``answer_fn`` that records ``index`` on every challenge it answers."""
 
@@ -733,13 +751,15 @@ def test_bad_timeouts_send_no_challenge_and_leave_the_digest_unspent(monkeypatch
     digest = single_preprocess(FAM, X, 9)
     calls = []
     with ProverServer(FAM, _counting(honest_answerer(FAM, X), calls, 1)) as server:
-        for timeout_ms, env in [(0, None), (-5, None), (None, "abc"), (None, "0")]:
+        # 2**31 - 1 ms is the longest wait the selector takes
+        for timeout_ms, env in [(0, None), (-5, None), (10**12, None), (None, "abc"),
+                                (None, "0"), (None, "1000000000000")]:
             if env is not None:
                 monkeypatch.setenv("STOREN_TIMEOUT_MS", env)
             with pytest.raises(UsageError, match="STOREN_TIMEOUT_MS" if env == "abc" else "positive"):
                 run_verifier_client(digest, [server.address], timeout_ms=timeout_ms)
         assert calls == []
-        monkeypatch.delenv("STOREN_TIMEOUT_MS")
+        monkeypatch.setenv("STOREN_TIMEOUT_MS", str(2**31 - 1))
         assert run_verifier_client(digest, [server.address]).accepted
     assert calls == [1]
 

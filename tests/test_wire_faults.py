@@ -1,16 +1,20 @@
 """The fault matrix: how each end of the wire classifies its peer's faults,
 at every byte of every legal transcript.
 
-Each case pumps the exchange generator that ``query_prover`` or
-``ProverServer`` runs, through ``_run``, over a scripted peer in place of a
-socket.  The peer's bytes arrive as they are asked for; then the peer closes
-(``recv`` returns short), resets (``ConnectionResetError``) or goes silent
-(``TimeoutError``, which the socket glue raises at the deadline).  The
-server's last frame is the one its exchange returns.  Nothing here opens a
-socket or sleeps.
+Each case runs the exchange generator of ``query_prover`` or
+``ProverServer`` through ``_over``, the one socket pump that both ends run,
+over a scripted peer in place of a socket.  It runs twice: once with the
+peer moving one byte per ``recv`` or ``send``, once with all of its bytes at
+once, and both runs must agree.  The peer's bytes arrive as they are asked
+for; then the peer closes (``recv`` returns nothing), resets
+(``ConnectionResetError``) or goes silent (``TimeoutError``, which a socket
+raises at its timeout).  The server's last frame is the one its exchange
+returns.  Nothing here opens a socket or sleeps.
 
 The tables below are today's classification; a change to it edits them.
 """
+
+import itertools
 
 import pytest
 
@@ -27,8 +31,8 @@ from storen.transport import (
     FRAME_NO_RESPONSE,
     FRAME_RESPONSE,
     PROTOCOL_VERSION,
+    _over,
     _prover_exchange,
-    _run,
     _verifier_exchange,
     encode_challenge,
     encode_error,
@@ -74,44 +78,77 @@ SERVER_STOPS = {
 }
 
 
-def _scripted(data, ending):
-    """``recv`` of a peer that sends ``data``, then ends as ``ending`` names."""
-    rest = bytes(data)
+WAYS = (1, 1 << 16)  # bytes a scripted peer moves per call: one, or all it has
 
-    def recv(count):
-        nonlocal rest
-        chunk, rest = rest[:count], rest[count:]
-        if len(chunk) < count and ENDINGS[ending] is not None:
-            raise ENDINGS[ending](f"the scripted peer's {ending}")
+
+class _Peer:
+    """A scripted peer in place of a socket: ``recv`` hands out ``data``, at
+    most ``way`` bytes a call, and then the peer ends as ``ending`` names;
+    ``send`` takes at most ``way`` bytes a call into ``sent``."""
+
+    def __init__(self, data, ending, way):
+        self.rest, self.ending, self.way = bytes(data), ending, way
+        self.sent = bytearray()
+
+    def recv(self, size):
+        if not self.rest and ENDINGS[self.ending] is not None:
+            raise ENDINGS[self.ending](f"the scripted peer's {self.ending}")
+        size = min(size, self.way)
+        chunk, self.rest = self.rest[:size], self.rest[size:]
         return chunk
 
-    return recv
+    def send(self, data):
+        self.sent += data[:self.way]
+        return min(len(data), self.way)
+
+
+def _pump(peer, steps):
+    """Run the exchange ``steps`` over ``peer`` through ``_over``, and return
+    its value."""
+    run = _over(peer, steps)
+    while True:
+        try:
+            next(run)
+        except StopIteration as end:
+            return end.value
+
+
+def _agreed(results):
+    assert len(set(results)) == 1, f"the result depends on the bytes per call: {results}"
+    return results[0]
 
 
 def verifier(data, ending="close"):
     """The verifier's outcome against a prover that sends ``data``, and what
     the verifier sent."""
-    sent = bytearray()
-    try:
-        answer = _run(_verifier_exchange(BETA, FP), sent.extend, _scripted(data, ending))
-    except OSError:
-        outcome = ERASURE
-    except ProtocolError:
-        outcome = FAULT
-    else:
-        outcome = ERASURE if answer is None else answer
-    return outcome, bytes(sent)
+    results = []
+    for way in WAYS:
+        prover = _Peer(data, ending, way)
+        try:
+            answer = _pump(prover, _verifier_exchange(BETA, FP))
+        except OSError:
+            outcome = ERASURE
+        except ProtocolError:
+            outcome = FAULT
+        else:
+            outcome = ERASURE if answer is None else answer
+        results.append((outcome, bytes(prover.sent)))
+    return _agreed(results)
 
 
 def server(data, ending="close", answer_fn=None):
     """What the server sends to a client that sends ``data``, and how it ends."""
-    sent = bytearray()
     answer_fn = answer_fn or honest_answerer(FAM, X)
-    try:
-        last = _run(_prover_exchange(FP, FAM.n, answer_fn), sent.extend, _scripted(data, ending))
-    except OSError:
-        return bytes(sent), HANG_UP
-    return bytes(sent + last), None
+    results = []
+    for way in WAYS:
+        client = _Peer(data, ending, way)
+        try:
+            last = _pump(client, _prover_exchange(FP, FAM.n, answer_fn))
+        except OSError:
+            results.append((bytes(client.sent), HANG_UP))
+        else:
+            results.append((bytes(client.sent + last), None))
+    return _agreed(results)
 
 
 def _stops(frames):
@@ -189,10 +226,10 @@ def test_each_error_code_names_itself_to_the_verifier():
         99: "code 99",
     }
     for code, name in names.items():
-        for prefix in (b"", HELLO):
-            recv = _scripted(prefix + encode_error(code), "close")
+        for prefix, way in itertools.product((b"", HELLO), WAYS):
+            prover = _Peer(prefix + encode_error(code), "close", way)
             with pytest.raises(ProtocolError, match=f"refused: {name}$"):
-                _run(_verifier_exchange(BETA, FP), bytearray().extend, recv)
+                _pump(prover, _verifier_exchange(BETA, FP))
 
 
 def test_the_server_answers_each_client_fault_with_its_error_code():
