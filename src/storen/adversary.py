@@ -29,11 +29,13 @@ and do not check the challenge, which the engine draws in 1..n.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import poly_eval_mod, tree_reduce
 from .errors import UnsupportedVariantError, UsageError
@@ -59,6 +61,7 @@ from .protocol import (
 
 _HEADER_BITS = 40  # tag byte + u32 symbol count, charged once per non-empty store
 EXACT_RATE_TERMS = 2**14  # most 1/p terms an exact karp-rabin guessing rate sums
+_LEAF_PRIMES = 16  # primes multiplied out in one leaf of that sum's product tree
 
 
 @dataclass(frozen=True)
@@ -87,20 +90,32 @@ def _data_bits(fam: HashFamilyDescriptor, data) -> int:
     return _retained(1, (fam.message_space - 1).bit_length())
 
 
+@numbers.Rational.register
+class _Lowest(NamedTuple):  # Fraction copies a Rational's two fields with no gcd
+    numerator: int
+    denominator: int
+
+
 def _guess_mass(fam: HashFamilyDescriptor, t: int) -> Optional[Fraction]:
     """Sum of 1/|alphabet| over the challenges t+1..n, which a prover can
     only guess uniformly: (n - t)/q for the polynomial kind.  For karp-rabin,
-    the sum of 1/p_i, i > t, as a/b + c/d = (ad + cb)/bd by a balanced tree;
-    distinct primes leave it in lowest terms, but the Fraction's gcd is
-    quadratic, so past :data:`EXACT_RATE_TERMS` terms it is None."""
+    the sum N/D of 1/p_i, i > t, by a balanced tree over leaves of
+    :data:`_LEAF_PRIMES` primes.  Mod each p_i, N is prod_{j != i} p_j, not 0, so
+    N/D is in lowest terms and needs no gcd.  None past :data:`EXACT_RATE_TERMS` terms."""
     if fam.kind == KIND_POLYNOMIAL:
         return Fraction(fam.n - t, fam.q)
     if fam.n - t > EXACT_RATE_TERMS:
         return None
     if t == fam.n:
         return Fraction(0)
+
+    def leaf(i):  # (sum d/p, d) over p_{i+1}..p_{i+16}, d their product
+        chunk = fam.primes[i:i + _LEAF_PRIMES]
+        d = math.prod(chunk)
+        return sum(d // p for p in chunk), d
+
     add = lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-    return Fraction(*tree_reduce(add, fam.primes[t:], lambda p: (1, p)))
+    return Fraction(_Lowest(*tree_reduce(add, range(t, fam.n, _LEAF_PRIMES), leaf)))
 
 
 class Strategy:
@@ -223,8 +238,7 @@ class UniformGuesser(Strategy):
         return ProverStore(0, lambda beta, rng: rng.randrange(q or primes[beta - 1]))
 
     def rate(self, fam, x):
-        mass = _guess_mass(fam, 0)
-        return None if mass is None else mass / fam.n
+        return PartialCodeword(0).rate(fam, x)
 
 
 @dataclass(frozen=True)
@@ -255,9 +269,7 @@ class Unresponsive(Strategy):
         probability = self.probability
 
         def answer(beta, rng):
-            if rng.random() < probability:
-                return None
-            return honest(beta)
+            return None if rng.random() < probability else honest(beta)
 
         return ProverStore(_data_bits(fam, data), answer)
 
@@ -325,9 +337,7 @@ def analytic_pass_rate(
         if plan is None:
             raise UsageError("multi-prover variants need a chunk plan")
         strategies = per_prover_strategies(plan.provers, strategy)
-        if all(isinstance(s, Honest) for s in strategies):
-            return Fraction(1)
-        return None
+        return Fraction(1) if all(isinstance(s, Honest) for s in strategies) else None
     if not isinstance(strategy, Strategy):
         (strategy,) = per_prover_strategies(1, strategy)
     return strategy.rate(fam, x)

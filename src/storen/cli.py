@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family descriptor file")
     p.add_argument("--variant", required=True, choices=list(VARIANTS))
     p.add_argument("--data", required=True, help="data file")
-    p.add_argument("--seed", type=int, required=True, help="challenge sampling seed")
+    p.add_argument("--seed", type=int, help="reproducible challenge seed; anyone who "
+                   "knows the seed knows the challenge (default: a secret challenge)")
     p.add_argument("--out", required=True, help="digest file to write")
     p.add_argument("--provers", type=int, help="prover count s (multi-prover variants)")
     p.add_argument("--r", type=int, help="cheater budget (rs-parity)")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+import secrets
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -257,8 +258,9 @@ def digest_payload_bits(digest: Digest) -> int:
     return fam.challenge_bits + len(digest.gammas) * fam.symbol_bits
 
 
-def _draw_challenge(fam: HashFamilyDescriptor, rng_seed: int) -> int:
-    return random.Random(rng_seed).randrange(fam.n) + 1
+def _draw_challenge(fam: HashFamilyDescriptor, rng_seed: Optional[int]) -> int:
+    draw = secrets.randbelow if rng_seed is None else random.Random(rng_seed).randrange
+    return draw(fam.n) + 1
 
 
 def _whole_message_plan(fam: HashFamilyDescriptor, provers: int) -> ChunkPlan:
@@ -526,14 +528,15 @@ def preprocess(
     fam: HashFamilyDescriptor,
     x: Message,
     plan: Optional[ChunkPlan],
-    rng_seed: int,
+    rng_seed: Optional[int],
     r: Optional[int] = None,
     e: Optional[int] = None,
 ) -> Digest:
     """Sample a challenge and store the variant's expected values there.
 
     ``plan`` may be None for the single variant; (r, e) is the rs-parity
-    budget, which needs s + 2r + e <= q.  The digest keeps the shape.
+    budget, which needs s + 2r + e <= q.  The digest keeps the shape.  With
+    ``rng_seed`` None the challenge is secret; anyone who knows a seed knows it.
     """
     spec = lookup_variant(variant)
     shares = spec.shares(fam, x, plan)
@@ -547,7 +550,7 @@ def preprocess(
                   shape=shape)
 
 
-def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: int) -> Digest:
+def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: Optional[int]) -> Digest:
     """Sample a challenge and store the one expected hash value."""
     return preprocess(VARIANT_SINGLE, fam, x, None, rng_seed)
 
@@ -567,7 +570,7 @@ def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Ve
 
 
 def multi_trivial_preprocess(
-    chunk_fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: int
+    chunk_fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: Optional[int]
 ) -> Digest:
     """One shared challenge, one expected value per chunk; ``chunk_fam``
     describes a single chunk."""
@@ -575,7 +578,7 @@ def multi_trivial_preprocess(
 
 
 def multi_linear_preprocess(
-    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: int
+    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: Optional[int]
 ) -> Digest:
     """One expected value total: the hash of the whole message.  Each prover
     later answers with the hash of its zero-extended chunk; by linearity the
@@ -588,7 +591,7 @@ def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Ver
 
 
 def multi_rs_preprocess(
-    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, r: int, e: int, rng_seed: int
+    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, r: int, e: int, rng_seed: Optional[int]
 ) -> Digest:
     """Store 2r+e Reed-Solomon parity symbols over the per-chunk hashes.
 

@@ -9,6 +9,7 @@ package against these, never the other way around.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -39,6 +40,13 @@ def first_primes(count):
 def guess_mass(fam, t):
     """Sum of 1/|alphabet| over the challenges t+1..n, one Fraction at a time."""
     return sum((Fraction(1, fam.alphabet(i)) for i in range(t + 1, fam.n + 1)), Fraction(0))
+
+
+def guess_mass_of_primes(primes):
+    """Sum of 1/p over ``primes`` as one normalised Fraction(sum D/p, D), D
+    their product: one gcd, where :func:`guess_mass` makes one per term."""
+    d = math.prod(primes)
+    return Fraction(sum(d // p for p in primes), d)
 
 
 def bignat_digits_msf(x):

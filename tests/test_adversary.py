@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from storen.protocol import ChunkPlan, Digest, multi_rs_preprocess, single_verif
 from storen.transport import honest_answerer
 from storen.hash_families import family_fingerprint
 
-from _oracles import guess_mass, wilson_free_halfwidth
+from _oracles import first_primes, guess_mass, guess_mass_of_primes, wilson_free_halfwidth
 
 FAM = polynomial_family(k=2, n=5, q=5)
 KR = karp_rabin_family(k=2, n=4)
@@ -369,6 +370,25 @@ def test_karp_rabin_guess_rates_tree_equals_the_sum():
                 Fraction(kept, n) + guess_mass(fam, kept) / n
             )
         assert analytic_pass_rate(fam, x, UniformGuesser()) == guess_mass(fam, 0) / n
+
+
+@pytest.mark.parametrize("terms", [1, 2, 15, 16, 17, 33, 1000, EXACT_RATE_TERMS])
+def test_karp_rabin_guess_rates_are_exact_and_in_lowest_terms(terms):
+    # term counts on either side of a 16-prime leaf, and the largest exact
+    # sum; the kept-prefix case shifts the one normalised sum by exact terms
+    kept = 3
+    primes = first_primes(terms + kept)
+    mass = guess_mass_of_primes(primes[:terms])
+    shifted = (mass + sum(Fraction(1, p) for p in primes[terms:])
+               - sum(Fraction(1, p) for p in primes[:kept]))
+    n = terms + kept
+    for fam, strategy, rate in (
+        (karp_rabin_family(k=1, n=terms), UniformGuesser(), mass / terms),
+        (karp_rabin_family(k=1, n=n), PartialCodeword(kept), Fraction(kept, n) + shifted / n),
+    ):
+        got = analytic_pass_rate(fam, 1, strategy)
+        assert got == rate
+        assert math.gcd(got.numerator, got.denominator) == 1
 
 
 def test_karp_rabin_guess_rates_past_the_exact_size_are_none():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import os
+import secrets
 import socket
 import subprocess
 import sys
@@ -534,6 +535,25 @@ def test_serve_cli_rs_parity_three_provers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "outcome: accepted" in out
     assert "accused" not in out and "erased" not in out
+
+
+def test_preprocess_without_a_seed_draws_a_secret_challenge(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def randbelow(n):
+        calls.append(n)
+        return n - 1
+
+    monkeypatch.setattr(secrets, "randbelow", randbelow)
+    fam_file, data, out = tmp_path / "family.desc", tmp_path / "data.bin", tmp_path / "d.bin"
+    fam_file.write_bytes(descriptor_to_bytes(FAM))
+    data.write_bytes(bytes([1, 2]))
+    for variant, extra in (("single", []), ("rs-parity", ["--provers", "2", "--r", "1", "--e", "0"])):
+        assert main(["preprocess", "--family", str(fam_file), "--variant", variant,
+                     "--data", str(data), "--out", str(out), *extra]) == 0
+        assert digest_from_bytes(out.read_bytes()).beta == FAM.n
+    assert calls == [FAM.n, FAM.n]
+    capsys.readouterr()
 
 
 def test_preprocess_trivial_and_rs(tmp_path, capsys):
