@@ -28,10 +28,14 @@ and do not check the challenge, which the engine draws in 1..n.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import marshal
 import math
 import numbers
+import os
 import random
+import threading
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +66,8 @@ from .protocol import (
 _HEADER_BITS = 40  # tag byte + u32 symbol count, charged once per non-empty store
 EXACT_RATE_TERMS = 2**14  # most 1/p terms an exact karp-rabin guessing rate sums
 _LEAF_PRIMES = 16  # primes multiplied out in one leaf of that sum's product tree
+MIN_TRIALS_PER_WORKER = 2048  # fewest trials a call hands to one process
+_MAX_WORKERS = 8  # most processes that replay one call's trials
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,11 @@ class PartialCodeword(Strategy):
         t = self.t
         if t > fam.n:
             raise UsageError(f"t={t} exceeds the family size n={fam.n}")
-        widths = (t * fam.symbol_bits if fam.kind == KIND_POLYNOMIAL
-                  else sum((p - 1).bit_length() for p in fam.primes[:t]))
         q, primes = fam.q, fam.primes
+        # (p - 1).bit_length() > b iff p > 2**b: count kept primes above each 2**b
+        widths = (t * fam.symbol_bits if fam.kind == KIND_POLYNOMIAL else sum(
+            t - bisect.bisect_right(primes, 1 << b, 0, t)
+            for b in range((primes[t - 1] - 1).bit_length() if t else 0)))
 
         def answer(beta, rng):
             if beta <= t:
@@ -411,6 +419,12 @@ def run_sweep(
     per distinct challenge, and no codeword is built.  Every assignment is
     checked, and its stores built, before the first trial.
     ``retained_bits`` totals an assignment's stores across all provers.
+
+    A call of ``2 * MIN_TRIALS_PER_WORKER`` trials or more splits them into
+    contiguous ranges replayed in forked processes (:func:`_workers`), each
+    with its own memo; the reports are the same for any number of them.  So
+    a store's ``answer`` must be a pure function of ``(beta, rng)``: its
+    side effects stay in the process that ran the trial.
     """
     if trials < 1:
         raise UsageError("at least one trial required")
@@ -457,26 +471,37 @@ def run_sweep(
     rng = random.Random()
     seed = super(random.Random, rng).seed  # Random.seed, less its type dispatch
     randrange = rng.randrange
+
+    def replay(lo, hi):
+        """(passes, undecidable, *accused_counts) of each assignment over trials lo..hi-1."""
+        counts = []
+        for stores in store_sets:
+            answer_fns = [store.answer for store in stores]
+            passes = undecidable = 0
+            accused_counts = [0] * provers
+            for index in range(lo, hi):
+                # for an int, Random.seed is these two steps, so the stream is
+                # that of random.Random(trial_seed(master_seed, index))
+                seed(trial_seed(master_seed, index))
+                rng.gauss_next = None
+                beta = randrange(n) + 1
+                verdict = decide(digests[beta - 1] or digest_at(beta),
+                                 [answer(beta, rng) for answer in answer_fns])
+                outcome = verdict.outcome
+                if outcome == OUTCOME_ACCEPTED:
+                    passes += 1
+                elif outcome == OUTCOME_UNDECIDABLE:
+                    undecidable += 1
+                for accused in verdict.accused:
+                    accused_counts[accused - 1] += 1
+            counts.append((passes, undecidable, *accused_counts))
+        return counts
+
+    workers = _workers(trials)
+    parts = [replay(0, trials)] if workers == 1 else _forked(replay, trials, workers)
     reports = []
-    for assignment, stores, rate in zip(assignments, store_sets, rates):
-        answer_fns = [store.answer for store in stores]
-        passes = undecidable = 0
-        accused_counts = [0] * provers
-        for index in range(trials):
-            # for an int, Random.seed is these two steps, so the stream is
-            # that of random.Random(trial_seed(master_seed, index))
-            seed(trial_seed(master_seed, index))
-            rng.gauss_next = None
-            beta = randrange(n) + 1
-            verdict = decide(digests[beta - 1] or digest_at(beta),
-                             [answer(beta, rng) for answer in answer_fns])
-            outcome = verdict.outcome
-            if outcome == OUTCOME_ACCEPTED:
-                passes += 1
-            elif outcome == OUTCOME_UNDECIDABLE:
-                undecidable += 1
-            for accused in verdict.accused:
-                accused_counts[accused - 1] += 1
+    for assignment, stores, rate, counts in zip(assignments, store_sets, rates, zip(*parts)):
+        passes, undecidable, *accused_counts = map(sum, zip(*counts))  # over the ranges
         reports.append(ExperimentReport(
             variant=variant,
             strategy_label=repr(assignment),
@@ -490,3 +515,45 @@ def run_sweep(
             master_seed=master_seed,
         ))
     return tuple(reports)
+
+
+def _workers(trials: int) -> int:
+    """Processes to replay ``trials`` trials in: one per :data:`MIN_TRIALS_PER_WORKER`, up
+    to :data:`_MAX_WORKERS` and the CPUs this process may run on; one without a CPU affinity
+    mask (macOS; Windows, which has no fork) or while another thread runs, as fork is unsafe."""
+    if (trials < 2 * MIN_TRIALS_PER_WORKER or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS, trials // MIN_TRIALS_PER_WORKER)
+
+
+def _forked(replay, trials: int, workers: int) -> list:
+    """``replay(lo, hi)`` over ``workers`` contiguous ranges of ``range(trials)``, in order:
+    the first here, the others in forked workers that send them back through pipes.  A range
+    whose worker sends nothing whole is replayed here, so its error surfaces with its own
+    traceback.  No worker outlives the call."""
+    import signal  # only a forked call needs it
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    running = []  # (pid, read end of its pipe, lo, hi) per worker
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # the result, or a short write; the exit status is not read
+                    os.write(write, marshal.dumps(replay(lo, hi)))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            running.append((pid, open(read, "rb"), lo, hi))
+        parts = [replay(0, bounds[1])]
+        for _, pipe, lo, hi in running:
+            try:  # a strict prefix of a marshalled list does not load
+                parts.append(marshal.loads(pipe.read()))
+            except (EOFError, ValueError):
+                parts.append(replay(lo, hi))
+        return parts
+    finally:
+        for pid, pipe, _, _ in running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # unreaped, so its pid is not reused
+            os.waitpid(pid, 0)

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import os
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -621,6 +623,84 @@ def test_a_sweep_checks_every_assignment_before_its_first_trial(monkeypatch):
         run_sweep(_F11, _X11, [PartialCodeword(1), PartialCodeword(12)], 5, 1)
     with pytest.raises(UsageError, match="at least one trial"):
         run_sweep(_F11, _X11, [PartialCodeword(1)], 0, 1)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_KR_SWEEP = ("karp-rabin partial codeword", derive_family(KIND_KARP_RABIN, 8, Fraction(1, 2)),
+             1234567, [PartialCodeword(t) for t in (0, 1, 7, 16, 31, 32)], {})
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("fam, x, assignments, kwargs", [case[1:] for case in _SWEEPS + [_KR_SWEEP]],
+                         ids=[case[0] for case in _SWEEPS + [_KR_SWEEP]])
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch, fam, x, assignments, kwargs,
+                                                   workers):
+    # 301 and 302 trials split unevenly over 2 and 3 workers
+    for trials in (301, 302):
+        monkeypatch.setattr(storen.adversary, "_workers", lambda _: 1)
+        alone = run_sweep(fam, x, assignments, trials, 17, **kwargs)
+        _no_child_left()
+        monkeypatch.setattr(storen.adversary, "_workers", lambda _: workers)
+        assert run_sweep(fam, x, assignments, trials, 17, **kwargs) == alone
+        _no_child_left()
+
+
+def test_an_error_in_a_workers_range_is_raised_by_the_call(monkeypatch):
+    # over 3 workers, the last range (200..299) draws challenges no other range draws
+    fam, trials, master = polynomial_family(k=2, n=1009, q=1009), 300, 4
+    drawn = [random.Random(trial_seed(master, i)).randrange(fam.n) + 1 for i in range(trials)]
+    beta = min(set(drawn[200:]) - set(drawn[:200]))
+
+    class Failing(Strategy):
+        def store(self, fam, data, start, honest):
+            def answer(b, rng):
+                if b == beta:
+                    raise LookupError(f"no answer at {b}")
+                return honest(b)
+
+            return ProverStore(0, answer)
+
+        def rate(self, fam, x):
+            return None
+
+    monkeypatch.setattr(storen.adversary, "_workers", lambda _: 3)
+    with pytest.raises(LookupError, match=f"no answer at {beta}$"):
+        run_sweep(fam, (1, 2), [Honest(), Failing()], trials, master)
+    _no_child_left()
+
+
+def test_calls_that_must_not_fork_run_in_process(monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    fam = polynomial_family(k=2, n=7, q=7)
+    cap = min(len(os.sched_getaffinity(0)), storen.adversary._MAX_WORKERS)
+    assert run_experiment(fam, (1, 2), PartialCodeword(3), 1, 1).trials == 1
+    assert run_experiment(fam, (1, 2), PartialCodeword(3), 2000, 1).trials == 2000
+    assert storen.adversary._workers(2 * storen.adversary.MIN_TRIALS_PER_WORKER - 1) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert storen.adversary._workers(10**9) == 1
+        report = run_experiment(fam, (1, 2), PartialCodeword(3), 100_000, 1)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and report.trials == 100_000
+    assert storen.adversary._workers(10**9) == cap
+
+
+def test_partial_codeword_karp_rabin_widths_by_bit_length():
+    fam = derive_family(KIND_KARP_RABIN, 256, Fraction(1, 4))
+    for t in (0, 1, 2, 3, 5, 1024, fam.n):
+        widths = sum((p - 1).bit_length() for p in fam.primes[:t])
+        assert _store(fam, 1, PartialCodeword(t)).retained_bits == (40 + widths if t else 0)
 
 
 def test_each_call_hashes_its_own_message():
