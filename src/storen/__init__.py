@@ -45,17 +45,11 @@ from .protocol import (
     digest_from_bytes,
     digest_payload_bits,
     digest_to_bytes,
-    multi_linear_preprocess,
-    multi_linear_verify,
     multi_rs_preprocess,
-    multi_rs_verify,
-    multi_trivial_preprocess,
-    multi_trivial_verify,
     preprocess,
     retrievability_extract,
-    single_preprocess,
-    single_verify,
     storage_bound_slack,
+    verify,
 )
 
 __version__ = "0.1.0"

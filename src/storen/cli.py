@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from .hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
     CheckedSymbols,
+    chunk_hasher,
     collision_probability_exact,
     derive_family,
     descriptor_from_bytes,
@@ -52,8 +55,7 @@ from .protocol import (
     digest_to_bytes,
     lookup_variant,
     preprocess,
-    settle,
-    single_preprocess,
+    verify,
 )
 # adversary and transport are imported only by the subcommands that use them
 
@@ -165,13 +167,26 @@ def _plan(spec, fam, provers, flag: str):
     return spec.chunk_plan(fam, _require(provers, flag, spec.provers))
 
 
+def _write_secret(path: Path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` readable by its owner alone, whatever the
+    umask: a temporary file beside it, created 0600, is renamed onto it."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with open(fd, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_preprocess(args) -> int:
     fam = _load_family(args.family)
     spec = VARIANTS[args.variant]
     plan = _plan(spec, fam, args.provers, "provers")
     x = _read_data(fam, Path(args.data).read_bytes(), spec, plan)
     digest = preprocess(args.variant, fam, x, plan, args.seed, args.r, args.e)
-    Path(args.out).write_bytes(digest_to_bytes(digest))
+    _write_secret(Path(args.out), digest_to_bytes(digest))
     print(f"variant: {digest.variant}")
     print(f"provers: {plan.provers}")
     print(f"payload bits: {digest_payload_bits(digest)}")
@@ -322,12 +337,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_certify(args) -> int:
     from .adversary import UniformGuesser, run_experiment
-    from .transport import (
-        ProverServer,
-        honest_answerer,
-        reset_consumed_digests,
-        run_verifier_client,
-    )
+    from .transport import ProverServer, reset_consumed_digests, run_verifier_client
     reset_consumed_digests()
     failures = 0
 
@@ -369,11 +379,11 @@ def cmd_certify(args) -> int:
                       else plan.zero_extended(x, i), digest.beta)
             for i in range(1, plan.provers + 1)
         ]
-        accepted = accepted and spec.decide(settle(digest, len(answers)), answers).accepted
+        accepted = accepted and verify(digest, answers).accepted
     check("all variants accept honest answers", accepted)
 
-    digest = single_preprocess(poly, x, 1)
-    with ProverServer(poly, honest_answerer(poly, x)) as server:
+    digest = preprocess("single", poly, x, None, 1)
+    with ProverServer(poly, chunk_hasher(poly, x)) as server:
         verdict = run_verifier_client(digest, [server.address])
     check("tcp loopback audit accepts", verdict.accepted)
 

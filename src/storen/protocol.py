@@ -427,7 +427,7 @@ def _rs_check(digest):
 
 def _rs_decide(digest, answers):
     """Accuse the wrong answers that the stored parities locate, as
-    :func:`multi_rs_verify` says; the message is never rebuilt."""
+    :func:`verify` says; the message is never rebuilt."""
     _check_answer_range(digest, answers)
     erased = frozenset(i for i, a in enumerate(answers, start=1) if a is None)
     if len(erased) > digest.shape.e:
@@ -550,73 +550,20 @@ def preprocess(
                   shape=shape)
 
 
-def single_preprocess(fam: HashFamilyDescriptor, x: Message, rng_seed: Optional[int]) -> Digest:
-    """Sample a challenge and store the one expected hash value."""
-    return preprocess(VARIANT_SINGLE, fam, x, None, rng_seed)
-
-
-def _verify(variant, digest, answers, r=None, e=None):
-    if digest.variant != variant:
-        raise UsageError(f"digest is for variant {digest.variant!r}")
-    return VARIANTS[variant].decide(settle(digest, len(answers), r, e), answers)
-
-
-def single_verify(digest: Digest, answer: Optional[int]) -> Verdict:
-    return _verify(VARIANT_SINGLE, digest, (answer,))
-
-
-def multi_trivial_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    return _verify(VARIANT_TRIVIAL, digest, answers)
-
-
-def multi_trivial_preprocess(
-    chunk_fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: Optional[int]
-) -> Digest:
-    """One shared challenge, one expected value per chunk; ``chunk_fam``
-    describes a single chunk."""
-    return preprocess(VARIANT_TRIVIAL, chunk_fam, x, plan, rng_seed)
-
-
-def multi_linear_preprocess(
-    fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, rng_seed: Optional[int]
-) -> Digest:
-    """One expected value total: the hash of the whole message.  Each prover
-    later answers with the hash of its zero-extended chunk; by linearity the
-    honest answers sum to the stored value."""
-    return preprocess(VARIANT_LINEAR, fam, x, plan, rng_seed)
-
-
-def multi_linear_verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
-    return _verify(VARIANT_LINEAR, digest, answers)
+def verify(digest: Digest, answers: Sequence[Optional[int]], r: Optional[int] = None,
+           e: Optional[int] = None) -> Verdict:
+    """The verdict of the digest's variant on one answer (or None, for
+    silence) per prover, after :func:`settle`; (r, e) is needed only for
+    an rs-parity digest loaded from bytes."""
+    return VARIANTS[digest.variant].decide(settle(digest, len(answers), r, e), answers)
 
 
 def multi_rs_preprocess(
     fam: HashFamilyDescriptor, x: Message, plan: ChunkPlan, r: int, e: int, rng_seed: Optional[int]
 ) -> Digest:
-    """Store 2r+e Reed-Solomon parity symbols over the per-chunk hashes.
-
-    During verification the s answers and the parities form a received word
-    of the [s+2r+e, s] code over F_q; decoding corrects up to r wrong
-    answers (identifying the cheaters) while tolerating up to e silent
-    provers.  Requires s + 2r + e <= q.
-    """
+    """:func:`preprocess` for rs-parity, kept by name because the benchmark
+    times it as ``storen.multi_rs_preprocess``."""
     return preprocess(VARIANT_RS, fam, x, plan, rng_seed, r, e)
-
-
-def multi_rs_verify(
-    digest: Digest,
-    answers: Sequence[Optional[int]],
-    r: Optional[int] = None,
-    e: Optional[int] = None,
-) -> Verdict:
-    """Decode answers + stored parities; accuse the wrong-answer positions.
-    (r, e) is the digest's own shape; a digest loaded from bytes needs it.
-
-    Returns ``undecidable`` (rather than rejecting anyone) when more than e
-    provers are silent or when no codeword lies within the corruption
-    budget — the audit then carries no attributable evidence.
-    """
-    return _verify(VARIANT_RS, digest, answers, r, e)
 
 
 # --- storage bound ---------------------------------------------------------

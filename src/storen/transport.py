@@ -60,7 +60,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ProtocolError, UsageError
-from .hash_families import HashFamilyDescriptor, chunk_hasher, family_fingerprint
+from .hash_families import HashFamilyDescriptor, family_fingerprint
 from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes, settle
 
 PROTOCOL_VERSION = 1
@@ -187,11 +187,6 @@ def _timeout_ms(timeout_ms: Optional[int]) -> int:
 
 
 # --- prover side -------------------------------------------------------------
-
-
-# A prover that keeps all of its data answers each challenge from the data
-# itself, so start-up and memory do not depend on the family size n.
-honest_answerer = chunk_hasher
 
 
 def _prover_exchange(fingerprint: bytes, n: int, answer_fn):

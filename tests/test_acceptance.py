@@ -23,6 +23,7 @@ from storen.codes import (
     rs_encode_systematic,
 )
 from storen.hash_families import (
+    chunk_hasher,
     collision_probability_exact,
     derive_family,
     enumerate_messages,
@@ -35,19 +36,13 @@ from storen.hash_families import (
 from storen.protocol import (
     ChunkPlan,
     digest_payload_bits,
-    multi_linear_preprocess,
-    multi_linear_verify,
     multi_rs_preprocess,
-    multi_rs_verify,
-    multi_trivial_preprocess,
-    multi_trivial_verify,
+    preprocess,
     retrievability_extract,
-    single_preprocess,
-    single_verify,
+    verify,
 )
 from storen.transport import (
     ProverServer,
-    honest_answerer,
     reset_consumed_digests,
     run_verifier_client,
 )
@@ -151,38 +146,38 @@ def test_criterion_05_completeness_every_challenge_and_tcp():
     ok = True
     for beta in range(1, 6):
         seed = _seed_for(5, beta)
-        d = single_preprocess(fam, x, seed)
-        ok = ok and d.beta == beta and single_verify(d, hash_eval(fam, x, beta)).accepted
-        d = multi_trivial_preprocess(chunk_fam, x, plan, seed)
+        d = preprocess("single", fam, x, None, seed)
+        ok = ok and d.beta == beta and verify(d, (hash_eval(fam, x, beta),)).accepted
+        d = preprocess("trivial", chunk_fam, x, plan, seed)
         answers = tuple(hash_eval(chunk_fam, (sym,), beta) for sym in x)
-        ok = ok and multi_trivial_verify(d, answers).accepted
-        d = multi_linear_preprocess(fam, x, plan, seed)
+        ok = ok and verify(d, answers).accepted
+        d = preprocess("linear", fam, x, plan, seed)
         answers = tuple(
             hash_eval(fam, plan.zero_extended(x, i), beta) for i in (1, 2)
         )
-        ok = ok and multi_linear_verify(d, answers).accepted
+        ok = ok and verify(d, answers).accepted
         d = multi_rs_preprocess(fam, x, plan, 1, 0, seed)
-        ok = ok and multi_rs_verify(d, answers).accepted
+        ok = ok and verify(d, answers).accepted
     for beta in range(1, 5):
-        d = single_preprocess(kr, 4, _seed_for(4, beta))
-        ok = ok and single_verify(d, hash_eval(kr, 4, beta)).accepted
+        d = preprocess("single", kr, 4, None, _seed_for(4, beta))
+        ok = ok and verify(d, (hash_eval(kr, 4, beta),)).accepted
 
     # one end-to-end network run per variant
-    with ProverServer(fam, honest_answerer(fam, x)) as server:
+    with ProverServer(fam, chunk_hasher(fam, x)) as server:
         ok = ok and run_verifier_client(
-            single_preprocess(fam, x, 123), [server.address]
+            preprocess("single", fam, x, None, 123), [server.address]
         ).accepted
-    with ProverServer(chunk_fam, honest_answerer(chunk_fam, (1,))) as s1, \
-            ProverServer(chunk_fam, honest_answerer(chunk_fam, (2,))) as s2:
+    with ProverServer(chunk_fam, chunk_hasher(chunk_fam, (1,))) as s1, \
+            ProverServer(chunk_fam, chunk_hasher(chunk_fam, (2,))) as s2:
         ok = ok and run_verifier_client(
-            multi_trivial_preprocess(chunk_fam, x, plan, 123),
+            preprocess("trivial", chunk_fam, x, plan, 123),
             [s1.address, s2.address],
         ).accepted
-    a1 = honest_answerer(fam, plan.zero_extended(x, 1))
-    a2 = honest_answerer(fam, plan.zero_extended(x, 2))
+    a1 = chunk_hasher(fam, plan.zero_extended(x, 1))
+    a2 = chunk_hasher(fam, plan.zero_extended(x, 2))
     with ProverServer(fam, a1) as s1, ProverServer(fam, a2) as s2:
         ok = ok and run_verifier_client(
-            multi_linear_preprocess(fam, x, plan, 123), [s1.address, s2.address]
+            preprocess("linear", fam, x, plan, 123), [s1.address, s2.address]
         ).accepted
         ok = ok and run_verifier_client(
             multi_rs_preprocess(fam, x, plan, 1, 0, 124), [s1.address, s2.address]
@@ -234,13 +229,13 @@ def test_criterion_07_cheater_identification_with_silence():
                 answers = list(honest)
                 answers[silent - 1] = None
                 answers[cheater - 1] = wrong
-                verdict = multi_rs_verify(digest, tuple(answers))
+                verdict = verify(digest, tuple(answers))
                 ok = ok and verdict.outcome == "rejected"
                 ok = ok and verdict.accused == frozenset({cheater})
                 ok = ok and verdict.erased == frozenset({silent})
                 # a "cheater" echoing the honest value is not accused
                 answers[cheater - 1] = honest[cheater - 1]
-                verdict = multi_rs_verify(digest, tuple(answers))
+                verdict = verify(digest, tuple(answers))
                 ok = ok and verdict.accepted
                 ok = ok and verdict.erased == frozenset({silent})
         if not ok:
@@ -256,11 +251,11 @@ def test_criterion_08_digest_payload_sizes():
     plan = ChunkPlan(2, 2)
     lg = lambda v: math.ceil(math.log2(v))
     cases = [
-        ("single poly", single_preprocess(fam, (1, 2), 0), lg(5) + lg(5)),
-        ("single kr", single_preprocess(kr, 4, 0), lg(4) + lg(7)),
-        ("trivial", multi_trivial_preprocess(chunk_fam, (1, 2), plan, 0),
+        ("single poly", preprocess("single", fam, (1, 2), None, 0), lg(5) + lg(5)),
+        ("single kr", preprocess("single", kr, 4, None, 0), lg(4) + lg(7)),
+        ("trivial", preprocess("trivial", chunk_fam, (1, 2), plan, 0),
          lg(5) + 2 * lg(5)),
-        ("linear", multi_linear_preprocess(fam, (1, 2), plan, 0), lg(5) + lg(5)),
+        ("linear", preprocess("linear", fam, (1, 2), plan, 0), lg(5) + lg(5)),
         ("rs-parity", multi_rs_preprocess(fam, (1, 2), plan, 1, 0, 0),
          lg(5) + (2 * 1 + 0) * lg(5)),
     ]
@@ -316,7 +311,7 @@ def test_criterion_10_retrievability_from_corrupted_answers():
     ok = True
     singletons = total = 0
     for x in messages:
-        digest = single_preprocess(fam, x, 0)
+        digest = preprocess("single", fam, x, None, 0)
         cw = oracle_words[x]
         for positions in itertools.chain.from_iterable(
             itertools.combinations(range(5), j) for j in range(radius + 1)

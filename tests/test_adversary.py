@@ -42,8 +42,7 @@ from storen.hash_families import (
     karp_rabin_family,
     polynomial_family,
 )
-from storen.protocol import ChunkPlan, Digest, multi_rs_preprocess, single_verify
-from storen.transport import honest_answerer
+from storen.protocol import ChunkPlan, Digest, multi_rs_preprocess, verify
 from storen.hash_families import family_fingerprint
 
 from _oracles import first_primes, guess_mass, guess_mass_of_primes, wilson_free_halfwidth
@@ -229,7 +228,7 @@ def test_run_experiment_matches_manual_replay():
         beta = rng.randrange(FAM.n) + 1
         digest = Digest("single", beta, (cw[beta - 1],), fp, family=FAM)
         guess = rng.randrange(FAM.alphabet(beta))
-        if single_verify(digest, guess).accepted:
+        if verify(digest, (guess,)).accepted:
             expected_passes += 1
     report = run_experiment(FAM, X, UniformGuesser(), trials=trials, master_seed=master)
     assert report.passes == expected_passes
@@ -321,8 +320,8 @@ def test_serving_and_experiments_build_no_codeword(monkeypatch):
     monkeypatch.setattr(storen.hash_families, "hash_all", refuse)
     monkeypatch.setattr(storen.codes, "hash_all", refuse)
     plan = ChunkPlan(3, 6)
-    assert honest_answerer(fam, x)(4) == hash_eval(fam, x, 4)
-    assert honest_answerer(fam, x[2:4], 2)(4) == hash_eval(fam, plan.zero_extended(x, 2), 4)
+    assert chunk_hasher(fam, x)(4) == hash_eval(fam, x, 4)
+    assert chunk_hasher(fam, x[2:4], 2)(4) == hash_eval(fam, plan.zero_extended(x, 2), 4)
     digest = multi_rs_preprocess(fam, x, plan, r=1, e=1, rng_seed=5)
     assert len(digest.gammas) == 3
 

@@ -16,6 +16,7 @@ import pytest
 import storen
 from storen.adversary import PartialCodeword, ZeroAnswerer, analytic_pass_rate, run_experiment
 from storen.cli import _read_data, build_parser, main, synthesize_message
+from storen.errors import UsageError
 from storen.hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
@@ -25,23 +26,23 @@ from storen.hash_families import (
     descriptor_to_bytes,
     hash_eval,
     karp_rabin_family,
+    chunk_hasher,
     polynomial_family,
 )
 from storen.protocol import (
     VARIANTS,
     ChunkPlan,
     Digest,
+    Verdict,
     digest_from_bytes,
-    multi_linear_preprocess,
-    multi_rs_preprocess,
-    multi_trivial_preprocess,
-    single_preprocess,
     digest_to_bytes,
+    multi_rs_preprocess,
+    preprocess,
+    verify,
 )
 from storen.hash_families import family_fingerprint
 from storen.transport import (
     ProverServer,
-    honest_answerer,
     query_prover,
     reset_consumed_digests,
 )
@@ -107,7 +108,7 @@ def test_preprocess_audit_single_over_tcp(tmp_path, capsys):
         "--data", str(data), "--seed", "7", "--out", str(digest_file),
     ]) == 0
     assert "payload bits: 5" in capsys.readouterr().out
-    with ProverServer(FAM, honest_answerer(FAM, (1, 2))) as server:
+    with ProverServer(FAM, chunk_hasher(FAM, (1, 2))) as server:
         host, port = server.address
         code = main([
             "audit", "--digest", str(digest_file), "--family", str(fam_file),
@@ -132,7 +133,7 @@ def test_audit_rejects_wrong_data(tmp_path, capsys):
         if digest_from_bytes(digest_file.read_bytes()).beta != 4:
             break
     capsys.readouterr()
-    with ProverServer(FAM, honest_answerer(FAM, (3, 3))) as server:
+    with ProverServer(FAM, chunk_hasher(FAM, (3, 3))) as server:
         host, port = server.address
         code = main([
             "audit", "--digest", str(digest_file), "--family", str(fam_file),
@@ -204,8 +205,8 @@ def test_audit_without_budget_exits_2_and_leaves_the_digest_unspent(tmp_path, ca
     digest_file = tmp_path / "digest.bin"
     digest_file.write_bytes(digest_to_bytes(multi_rs_preprocess(FAM, (1, 2), plan, 1, 0, 4)))
     calls = []
-    a1 = _counting(honest_answerer(FAM, plan.zero_extended((1, 2), 1)), calls)
-    a2 = _counting(honest_answerer(FAM, plan.zero_extended((1, 2), 2)), calls)
+    a1 = _counting(chunk_hasher(FAM, plan.zero_extended((1, 2), 1)), calls)
+    a2 = _counting(chunk_hasher(FAM, plan.zero_extended((1, 2), 2)), calls)
     with ProverServer(FAM, a1) as s1, ProverServer(FAM, a2) as s2:
         argv = ["audit", "--digest", str(digest_file), "--family", str(fam_file),
                 "--prover", "%s:%d" % s1.address, "--prover", "%s:%d" % s2.address]
@@ -220,7 +221,7 @@ def _single_audit_argv(tmp_path, seed):
     fam_file = tmp_path / "family.desc"
     fam_file.write_bytes(descriptor_to_bytes(FAM))
     digest_file = tmp_path / "digest.bin"
-    digest_file.write_bytes(digest_to_bytes(single_preprocess(FAM, (1, 2), seed)))
+    digest_file.write_bytes(digest_to_bytes(preprocess("single", FAM, (1, 2), None, seed)))
     return ["audit", "--digest", str(digest_file), "--family", str(fam_file)]
 
 
@@ -230,7 +231,7 @@ def test_audit_refuses_out_of_range_ports(tmp_path, capsys, port):
     assert main(argv + ["--prover", f"127.0.0.1:{port}"]) == 2
     assert "port number in 1-65535" in capsys.readouterr().err
     calls = []
-    with ProverServer(FAM, _counting(honest_answerer(FAM, (1, 2)), calls)) as server:
+    with ProverServer(FAM, _counting(chunk_hasher(FAM, (1, 2)), calls)) as server:
         assert main(argv + ["--prover", "%s:%d" % server.address]) == 0
     assert len(calls) == 1
 
@@ -240,7 +241,7 @@ def test_audit_with_a_bad_timeout_exits_2_and_leaves_the_digest_unspent(
 ):
     argv = _single_audit_argv(tmp_path, 5)
     calls = []
-    with ProverServer(FAM, _counting(honest_answerer(FAM, (1, 2)), calls)) as server:
+    with ProverServer(FAM, _counting(chunk_hasher(FAM, (1, 2)), calls)) as server:
         argv += ["--prover", "%s:%d" % server.address]
         assert main(argv + ["--timeout-ms", "0"]) == 2
         assert "timeout must be positive" in capsys.readouterr().err
@@ -580,6 +581,27 @@ def test_preprocess_trivial_and_rs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_preprocess_writes_the_digest_for_its_owner_alone(tmp_path, capsys):
+    # the digest holds the secret challenge; the descriptor is public
+    fam_file, data, out = tmp_path / "family.desc", tmp_path / "data.bin", tmp_path / "d.bin"
+    data.write_bytes(bytes([1, 2]))
+    argv = ["--family", str(fam_file), "--variant", "single", "--data", str(data)]
+    old = os.umask(0)
+    try:
+        assert main(["derive", "--kind", "polynomial", "--data-symbols", "2",
+                     "--epsilon", "4/5", "--out", str(fam_file)]) == 0
+        for seed in ("1", "2"):  # an existing digest is replaced
+            assert main(["preprocess", *argv, "--seed", seed, "--out", str(out)]) == 0
+        assert main(["preprocess", *argv, "--out", str(tmp_path)]) == 4  # a directory
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o077 == 0
+    assert fam_file.stat().st_mode & 0o777 == 0o666
+    assert out.read_bytes() == digest_to_bytes(preprocess("single", FAM, (1, 2), None, 2))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.bin", "data.bin", "family.desc"]
+    capsys.readouterr()
+
+
 def test_experiment_csv_output(capsys):
     argv = [
         "experiment", "kind=polynomial", "k=4", "epsilon=1/2",
@@ -685,7 +707,7 @@ def test_trivial_preprocess_scans_the_data_once(tmp_path, capsys, scans):
     fam = polynomial_family(k=3, n=7, q=7)
     plan = ChunkPlan(2, 6)
     x = [1, 6, 0, 2, 5, 3]
-    library = multi_trivial_preprocess(fam, x, plan, 4)
+    library = preprocess("trivial", fam, x, plan, 4)
     assert scans[0] == 1
     fam_file, data, out = tmp_path / "family.desc", tmp_path / "data.bin", tmp_path / "d.bin"
     fam_file.write_bytes(descriptor_to_bytes(fam))
@@ -736,9 +758,9 @@ _POLY = polynomial_family(k=4, n=7, q=7)
 _POLY_CHUNK = polynomial_family(k=2, n=7, q=7)
 _KR = karp_rabin_family(k=2, n=4)
 _LIBRARY = {
-    "single": lambda fam, x, plan: single_preprocess(fam, x, 3),
-    "trivial": lambda fam, x, plan: multi_trivial_preprocess(fam, x, plan, 3),
-    "linear": lambda fam, x, plan: multi_linear_preprocess(fam, x, plan, 3),
+    "single": lambda fam, x, plan: preprocess("single", fam, x, None, 3),
+    "trivial": lambda fam, x, plan: preprocess("trivial", fam, x, plan, 3),
+    "linear": lambda fam, x, plan: preprocess("linear", fam, x, plan, 3),
     "rs-parity": lambda fam, x, plan: multi_rs_preprocess(fam, x, plan, 1, 1, 3),
 }
 _TABLE_CASES = [(variant, KIND_POLYNOMIAL) for variant in _LIBRARY] + [
@@ -795,6 +817,43 @@ def test_every_variant_preprocesses_and_serves_like_the_library(tmp_path, capsys
         assert not thread.is_alive()
         assert answers == [hash_eval(fam, message, beta) for beta in range(1, fam.n + 1)]
     capsys.readouterr()
+
+
+def _corruptions(blob):
+    """``blob`` with each byte set to a few values, cut at every length, and
+    extended twice."""
+    for i in range(len(blob)):
+        for value in (0, 1, 2, 0x7F, 0x80, 0xFE, 0xFF):
+            yield blob[:i] + bytes([value]) + blob[i + 1:]
+    for end in range(len(blob)):
+        yield blob[:end]
+    yield blob + b"\0"
+    yield blob + bytes(8)
+
+
+@pytest.mark.parametrize("variant, kind", _TABLE_CASES)
+def test_corrupt_descriptors_and_digests_load_or_raise_usage_error(variant, kind):
+    # a corrupt file either loads, settles and gets a verdict, or is a
+    # UsageError (exit 2); no other exception escapes the loaders
+    fam, x, _, plan, messages = _table_case(variant, kind)
+    fam_blob = descriptor_to_bytes(fam)
+    digest_blob = digest_to_bytes(_LIBRARY[variant](fam, x, plan))
+    budget = {"r": 1, "e": 1} if variant == "rs-parity" else {}
+
+    def audit(fam_bytes, digest_bytes):
+        digest = digest_from_bytes(digest_bytes).with_family(descriptor_from_bytes(fam_bytes))
+        return verify(digest, [0] * len(messages), **budget)
+
+    cases = [(f, digest_blob) for f in _corruptions(fam_blob)]
+    cases += [(fam_blob, d) for d in _corruptions(digest_blob)]
+    decided = refused = 0
+    for fam_bytes, digest_bytes in cases:
+        try:
+            assert isinstance(audit(fam_bytes, digest_bytes), Verdict)
+            decided += 1
+        except UsageError:
+            refused += 1
+    assert decided and refused
 
 
 def test_digest_tags_and_cli_choices_are_the_table():

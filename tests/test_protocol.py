@@ -25,18 +25,12 @@ from storen.protocol import (
     digest_from_bytes,
     digest_payload_bits,
     digest_to_bytes,
-    multi_linear_preprocess,
-    multi_linear_verify,
     multi_rs_preprocess,
-    multi_rs_verify,
-    multi_trivial_preprocess,
-    multi_trivial_verify,
     preprocess,
     retrievability_extract,
     settle,
-    single_preprocess,
-    single_verify,
     storage_bound_slack,
+    verify,
 )
 
 from _oracles import decodable_codewords
@@ -76,35 +70,34 @@ def test_chunk_plan():
 
 def test_single_preprocess_binds_challenge_to_hash():
     for seed in range(30):
-        digest = single_preprocess(FAM, (1, 2), seed)
+        digest = preprocess("single", FAM, (1, 2), None, seed)
         assert 1 <= digest.beta <= 5
         assert digest.gammas == (encode(FAM, (1, 2))[digest.beta - 1],)
         assert digest.fingerprint == FP
-        assert single_preprocess(FAM, (1, 2), seed) == digest  # deterministic
+        assert preprocess("single", FAM, (1, 2), None, seed) == digest  # deterministic
 
 
 def test_single_fixed_transcript():
     seed = find_seed(FAM, 4)
-    digest = single_preprocess(FAM, (1, 2), seed)
+    digest = preprocess("single", FAM, (1, 2), None, seed)
     assert (digest.beta, digest.gammas) == (4, (2,))
-    assert single_verify(digest, 2).accepted
-    wrong = single_verify(digest, 3)
+    assert verify(digest, (2,)).accepted
+    wrong = verify(digest, (3,))
     assert (wrong.outcome, wrong.accused) == ("rejected", frozenset({1}))
-    silent = single_verify(digest, None)
+    silent = verify(digest, (None,))
     assert (silent.outcome, silent.erased) == ("rejected", frozenset({1}))
 
 
 def test_single_verify_range_checks_with_family():
-    digest = single_preprocess(FAM, (1, 2), 0)
+    digest = preprocess("single", FAM, (1, 2), None, 0)
     with pytest.raises(UsageError):
-        single_verify(digest, 9)
+        verify(digest, (9,))
 
 
 @pytest.mark.parametrize("count", [0, 2])
 def test_single_and_linear_digests_hold_exactly_one_value(count):
     # a digest file may claim any count; these variants store one value
-    for variant, verify, answers in (("single", single_verify, 2),
-                                     ("linear", multi_linear_verify, (1, 1))):
+    for variant, answers in (("single", (2,)), ("linear", (1, 1))):
         digest = Digest(variant, 4, (2,) * count, FP, family=FAM)
         with pytest.raises(UsageError, match=f"stores one value, not {count}"):
             verify(digest, answers)
@@ -117,57 +110,57 @@ def test_single_and_linear_digests_hold_exactly_one_value(count):
 def test_single_karp_rabin_round_trip():
     fam = karp_rabin_family(k=2, n=4)
     for seed in range(20):
-        digest = single_preprocess(fam, 4, seed)
-        assert single_verify(digest, hash_eval(fam, 4, digest.beta)).accepted
+        digest = preprocess("single", fam, 4, None, seed)
+        assert verify(digest, (hash_eval(fam, 4, digest.beta),)).accepted
 
 
 def test_multi_trivial_fixed_transcript():
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     plan = ChunkPlan(provers=2, symbols=2)
-    digest = multi_trivial_preprocess(chunk_fam, (1, 2), plan, rng_seed=7)
+    digest = preprocess("trivial", chunk_fam, (1, 2), plan, rng_seed=7)
     # chunks are the constant polynomials 1 and 2
     assert digest.gammas == (1, 2)
-    assert multi_trivial_verify(digest, (1, 2)).accepted
-    v = multi_trivial_verify(digest, (1, 0))
+    assert verify(digest, (1, 2)).accepted
+    v = verify(digest, (1, 0))
     assert (v.outcome, v.accused, v.erased) == ("rejected", frozenset({2}), frozenset())
-    v = multi_trivial_verify(digest, (None, 2))
+    v = verify(digest, (None, 2))
     assert (v.outcome, v.accused, v.erased) == ("rejected", frozenset(), frozenset({1}))
-    v = multi_trivial_verify(digest, (None, 0))
+    v = verify(digest, (None, 0))
     assert (v.accused, v.erased) == (frozenset({2}), frozenset({1}))
     with pytest.raises(UsageError):
-        multi_trivial_verify(digest, (1,))
+        verify(digest, (1,))
 
 
 def test_multi_trivial_karp_rabin_chunks():
     chunk_fam = karp_rabin_family(k=2, n=6)
     plan = ChunkPlan(provers=2, symbols=4)
-    digest = multi_trivial_preprocess(chunk_fam, (4, 5), plan, rng_seed=3)
+    digest = preprocess("trivial", chunk_fam, (4, 5), plan, rng_seed=3)
     beta = digest.beta
     assert digest.gammas == (
         hash_eval(chunk_fam, 4, beta),
         hash_eval(chunk_fam, 5, beta),
     )
-    assert multi_trivial_verify(digest, digest.gammas).accepted
+    assert verify(digest, digest.gammas).accepted
 
 
 def test_multi_trivial_plan_must_match_chunk_family():
     chunk_fam = polynomial_family(k=2, n=5, q=5)
     with pytest.raises(UsageError):
-        multi_trivial_preprocess(chunk_fam, (1, 2, 3, 4), ChunkPlan(4, 4), rng_seed=0)
+        preprocess("trivial", chunk_fam, (1, 2, 3, 4), ChunkPlan(4, 4), rng_seed=0)
 
 
 def test_multi_linear_fixed_transcript():
     plan = ChunkPlan(provers=2, symbols=2)
     seed = find_seed(FAM, 3)  # challenge 3 evaluates at the point 2
-    digest = multi_linear_preprocess(FAM, (1, 2), plan, rng_seed=seed)
+    digest = preprocess("linear", FAM, (1, 2), plan, rng_seed=seed)
     assert digest.gammas == (0,)  # 1 + 2*2 = 5 = 0 mod 5
     # honest chunk answers: 1 (from x1=(1,0)) and 4 (from x2=(0,2))
     assert hash_eval(FAM, plan.zero_extended((1, 2), 1), 3) == 1
     assert hash_eval(FAM, plan.zero_extended((1, 2), 2), 3) == 4
-    assert multi_linear_verify(digest, (1, 4)).accepted
-    v = multi_linear_verify(digest, (1, 3))
+    assert verify(digest, (1, 4)).accepted
+    v = verify(digest, (1, 3))
     assert (v.outcome, v.accused) == ("rejected", frozenset())
-    v = multi_linear_verify(digest, (None, 4))
+    v = verify(digest, (None, 4))
     assert (v.outcome, v.erased) == ("rejected", frozenset({1}))
 
 
@@ -175,18 +168,18 @@ def test_multi_linear_completeness_every_challenge():
     plan = ChunkPlan(provers=2, symbols=2)
     for x in ((0, 0), (1, 2), (4, 3)):
         for seed in range(25):
-            digest = multi_linear_preprocess(FAM, x, plan, rng_seed=seed)
+            digest = preprocess("linear", FAM, x, plan, rng_seed=seed)
             answers = tuple(
                 hash_eval(FAM, plan.zero_extended(x, i), digest.beta)
                 for i in (1, 2)
             )
-            assert multi_linear_verify(digest, answers).accepted
+            assert verify(digest, answers).accepted
 
 
 def test_multi_linear_rejects_karp_rabin():
     fam = karp_rabin_family(k=2, n=4)
     with pytest.raises(UnsupportedVariantError):
-        multi_linear_preprocess(fam, 4, ChunkPlan(2, 2), rng_seed=0)
+        preprocess("linear", fam, 4, ChunkPlan(2, 2), rng_seed=0)
 
 
 def test_multi_rs_fixed_transcript():
@@ -195,11 +188,11 @@ def test_multi_rs_fixed_transcript():
         "rs-parity", beta=1, gammas=(3, 4), fingerprint=FP, family=FAM,
         shape=AuditShape(2, 1, 0),
     )
-    assert multi_rs_verify(digest, (1, 2)).accepted
-    v = multi_rs_verify(digest, (1, 0))
+    assert verify(digest, (1, 2)).accepted
+    v = verify(digest, (1, 0))
     assert (v.outcome, v.accused, v.erased) == ("rejected", frozenset({2}), frozenset())
     # more silence than the erasure budget is undecidable, not a rejection
-    v = multi_rs_verify(digest, (None, 2))
+    v = verify(digest, (None, 2))
     assert (v.outcome, v.erased) == ("undecidable", frozenset({1}))
 
 
@@ -209,11 +202,11 @@ def test_multi_rs_erasure_budget_recovers():
         "rs-parity", beta=1, gammas=(3,), fingerprint=FP, family=FAM,
         shape=AuditShape(2, 0, 1),
     )
-    v = multi_rs_verify(digest, (None, 2))
+    v = verify(digest, (None, 2))
     assert (v.outcome, v.accused, v.erased) == ("accepted", frozenset(), frozenset({1}))
-    assert multi_rs_verify(digest, (1, 2)).accepted
+    assert verify(digest, (1, 2)).accepted
     # a wrong answer with r=0 cannot be attributed: budget is erasure-only
-    v = multi_rs_verify(digest, (0, 2))
+    v = verify(digest, (0, 2))
     assert v.outcome == "undecidable"
 
 
@@ -226,10 +219,10 @@ def test_multi_rs_preprocess_builds_parities_from_chunk_hashes():
         answers = tuple(
             hash_eval(FAM, plan.zero_extended((1, 2), i), digest.beta) for i in (1, 2)
         )
-        assert multi_rs_verify(digest, answers).accepted
+        assert verify(digest, answers).accepted
         # single cheater is identified exactly
         wrong = ((answers[0] + 1) % 5, answers[1])
-        assert multi_rs_verify(digest, wrong).accused == frozenset({1})
+        assert verify(digest, wrong).accused == frozenset({1})
 
 
 def test_multi_rs_exhaustive_single_cheater_identification():
@@ -248,14 +241,14 @@ def test_multi_rs_exhaustive_single_cheater_identification():
                 honest = tuple(
                     hash_eval(FAM, plan.zero_extended(x, i), beta) for i in (1, 2)
                 )
-                assert multi_rs_verify(digest, honest).accepted
+                assert verify(digest, honest).accepted
                 for cheater in (1, 2):
                     for wrong in range(5):
                         if wrong == honest[cheater - 1]:
                             continue
                         answers = list(honest)
                         answers[cheater - 1] = wrong
-                        verdict = multi_rs_verify(digest, tuple(answers))
+                        verdict = verify(digest, tuple(answers))
                         assert verdict.outcome == "rejected"
                         assert verdict.accused == frozenset({cheater})
 
@@ -277,7 +270,7 @@ def test_multi_rs_beyond_budget_is_undecidable_or_wrong_codeword():
         if z:
             break
     assert z is not None
-    assert multi_rs_verify(digest, z).outcome == "undecidable"
+    assert verify(digest, z).outcome == "undecidable"
 
 
 def test_multi_rs_parameter_errors():
@@ -289,9 +282,9 @@ def test_multi_rs_parameter_errors():
     digest = multi_rs_preprocess(FAM, (1, 2), plan, r=1, e=0, rng_seed=0)
     stripped = digest_from_bytes(digest_to_bytes(digest))
     with pytest.raises(UsageError):
-        multi_rs_verify(stripped, (1, 2))  # no family, no budget
+        verify(stripped, (1, 2))  # no family, no budget
     with pytest.raises(UsageError):
-        multi_rs_verify(digest, (1, 2), r=0, e=0)  # budget disagrees with parities
+        verify(digest, (1, 2), r=0, e=0)  # budget disagrees with parities
 
 
 def test_multi_rs_trivial_budget_always_accepts():
@@ -300,7 +293,7 @@ def test_multi_rs_trivial_budget_always_accepts():
     assert digest.gammas == ()
     for a0 in range(5):
         for a1 in range(5):
-            assert multi_rs_verify(digest, (a0, a1)).accepted
+            assert verify(digest, (a0, a1)).accepted
 
 
 def test_digest_round_trip_and_golden_bytes():
@@ -337,7 +330,7 @@ def test_digest_from_bytes_rejects_malformed():
 
 
 def test_digest_with_family_checks_fingerprint():
-    digest = digest_from_bytes(digest_to_bytes(single_preprocess(FAM, (1, 2), 0)))
+    digest = digest_from_bytes(digest_to_bytes(preprocess("single", FAM, (1, 2), None, 0)))
     assert digest.family is None
     attached = digest.with_family(FAM)
     assert attached.family == FAM
@@ -373,7 +366,7 @@ def test_a_digest_made_with_its_family_range_checks_its_values():
             Digest(variant, 3, gammas, fp, family=fam)
     with pytest.raises(UsageError, match="exceeds the family size n=4"):
         Digest("single", 5, (h,), fp, family=fam)
-    assert single_verify(Digest("single", 3, (h,), fp, family=fam), h).accepted
+    assert verify(Digest("single", 3, (h,), fp, family=fam), (h,)).accepted
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -396,29 +389,29 @@ def test_every_verdict_refuses_an_answer_that_is_not_an_int(variant):
 
 
 def test_single_and_rs_parity_refuse_a_float_answer():
-    digest = single_preprocess(FAM, (1, 2), 0)
+    digest = preprocess("single", FAM, (1, 2), None, 0)
     h = hash_eval(FAM, (1, 2), digest.beta)
     with pytest.raises(UsageError, match=rf"answer {float(h)!r} outside"):
-        single_verify(digest, float(h))
+        verify(digest, (float(h),))
     plan = ChunkPlan(2, 2)
     digest = multi_rs_preprocess(FAM, (1, 2), plan, 1, 0, 0)
     answers = [hash_eval(FAM, plan.zero_extended((1, 2), i), digest.beta) for i in (1, 2)]
-    assert multi_rs_verify(digest, answers).accepted
+    assert verify(digest, answers).accepted
     with pytest.raises(UsageError, match="outside the challenge's alphabet"):
-        multi_rs_verify(digest, [answers[0], float(answers[1])])
+        verify(digest, [answers[0], float(answers[1])])
 
 
 def test_digest_payload_bits_formulas():
-    assert digest_payload_bits(single_preprocess(FAM, (1, 2), 0)) == 3 + 3
+    assert digest_payload_bits(preprocess("single", FAM, (1, 2), None, 0)) == 3 + 3
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     plan2 = ChunkPlan(2, 2)
-    trivial = multi_trivial_preprocess(chunk_fam, (1, 2), plan2, 0)
+    trivial = preprocess("trivial", chunk_fam, (1, 2), plan2, 0)
     assert digest_payload_bits(trivial) == 3 + 2 * 3
-    linear = multi_linear_preprocess(FAM, (1, 2), plan2, 0)
+    linear = preprocess("linear", FAM, (1, 2), plan2, 0)
     assert digest_payload_bits(linear) == 3 + 3
     rs = multi_rs_preprocess(FAM, (1, 2), plan2, r=1, e=0, rng_seed=0)
     assert digest_payload_bits(rs) == 3 + 2 * 3
-    kr = single_preprocess(karp_rabin_family(k=2, n=4), 4, 0)
+    kr = preprocess("single", karp_rabin_family(k=2, n=4), 4, None, 0)
     assert digest_payload_bits(kr) == 2 + 3
     with pytest.raises(UsageError):
         digest_payload_bits(digest_from_bytes(digest_to_bytes(rs)))
@@ -451,7 +444,7 @@ def test_storage_bound_slack_formulas_cross_checked():
 def test_retrievability_extract_contains_message():
     x = (1, 2)
     cw = list(encode(FAM, x))
-    digest = single_preprocess(FAM, x, 5)
+    digest = preprocess("single", FAM, x, None, 5)
     radius = johnson_radius(5, 4)
     assert radius == 2
     corrupted = cw[:]
@@ -466,7 +459,7 @@ def test_retrievability_extract_contains_message():
 
 def test_retrievability_extract_rejects_other_variants():
     plan = ChunkPlan(2, 2)
-    digest = multi_linear_preprocess(FAM, (1, 2), plan, 0)
+    digest = preprocess("linear", FAM, (1, 2), plan, 0)
     with pytest.raises(UnsupportedVariantError):
         retrievability_extract(FAM, [0] * 5, digest)
 

@@ -15,6 +15,7 @@ import storen.transport
 from storen.codes import encode
 from storen.errors import ProtocolError, UsageError
 from storen.hash_families import (
+    chunk_hasher,
     family_fingerprint,
     hash_eval,
     karp_rabin_family,
@@ -26,14 +27,9 @@ from storen.protocol import (
     answerers,
     digest_from_bytes,
     digest_to_bytes,
-    multi_linear_preprocess,
-    multi_linear_verify,
     multi_rs_preprocess,
-    multi_rs_verify,
-    multi_trivial_preprocess,
-    multi_trivial_verify,
     preprocess,
-    single_preprocess,
+    verify,
 )
 from storen.transport import (
     ERR_FINGERPRINT,
@@ -50,7 +46,6 @@ from storen.transport import (
     encode_hello,
     encode_no_response,
     encode_response,
-    honest_answerer,
     query_prover,
     reset_consumed_digests,
     run_verifier_client,
@@ -97,24 +92,24 @@ def test_frame_golden_bytes():
 
 
 def test_end_to_end_single_accepts():
-    digest = single_preprocess(FAM, X, 0)
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+    digest = preprocess("single", FAM, X, None, 0)
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         verdict = run_verifier_client(digest, [server.address])
     assert verdict.accepted
 
 
 def test_end_to_end_single_rejects_wrong_answer():
     seed = next(
-        s for s in range(100) if single_preprocess(FAM, X, s).gammas[0] != 0
+        s for s in range(100) if preprocess("single", FAM, X, None, s).gammas[0] != 0
     )
-    digest = single_preprocess(FAM, X, seed)
+    digest = preprocess("single", FAM, X, None, seed)
     with ProverServer(FAM, lambda beta: 0) as server:
         verdict = run_verifier_client(digest, [server.address])
     assert (verdict.outcome, verdict.accused) == ("rejected", frozenset({1}))
 
 
 def test_silent_server_is_an_erasure():
-    digest = single_preprocess(FAM, X, 1)
+    digest = preprocess("single", FAM, X, None, 1)
     with _silent_prover() as address:
         started = time.monotonic()
         verdict = run_verifier_client(digest, [address], timeout_ms=400)
@@ -125,7 +120,7 @@ def test_silent_server_is_an_erasure():
 
 def test_timeout_env_var(monkeypatch):
     monkeypatch.setenv("STOREN_TIMEOUT_MS", "300")
-    digest = single_preprocess(FAM, X, 2)
+    digest = preprocess("single", FAM, X, None, 2)
     with _silent_prover() as address:
         started = time.monotonic()
         verdict = run_verifier_client(digest, [address])
@@ -135,7 +130,7 @@ def test_timeout_env_var(monkeypatch):
 
 
 def test_unreachable_prover_is_an_erasure():
-    digest = single_preprocess(FAM, X, 3)
+    digest = preprocess("single", FAM, X, None, 3)
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         unused = probe.getsockname()
@@ -157,7 +152,7 @@ def test_network_faults_are_erasures(monkeypatch):
 
     monkeypatch.setattr(socket.socket, "connect", refuse_unroutable)
     assert query_prover(unroutable, 1, family_fingerprint(FAM)) is None
-    with ProverServer(FAM, honest_answerer(FAM, X[1:], 1)) as s2:
+    with ProverServer(FAM, chunk_hasher(FAM, X[1:], 1)) as s2:
         verdict = run_verifier_client(digest, [unroutable, s2.address])
     assert (verdict.outcome, verdict.erased) == ("accepted", frozenset({1}))
 
@@ -178,7 +173,7 @@ def test_each_address_of_a_name_is_tried_in_turn(monkeypatch):
         return connect(sock, address)
 
     monkeypatch.setattr(socket.socket, "connect", refuse)
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         both = [(socket.AF_INET, socket.SOCK_STREAM, 6, "", a) for a in (refused, server.address)]
         monkeypatch.setattr(socket, "getaddrinfo", lambda host, port, **kwargs: both)
         assert query_prover(("prover.example", 9), 3, family_fingerprint(FAM)) == hash_eval(FAM, X, 3)
@@ -186,14 +181,14 @@ def test_each_address_of_a_name_is_tried_in_turn(monkeypatch):
 
 def test_fingerprint_mismatch_raises():
     other = karp_rabin_family(k=2, n=4)
-    digest = single_preprocess(other, 4, 0)
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+    digest = preprocess("single", other, 4, None, 0)
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         with pytest.raises(ProtocolError):
             run_verifier_client(digest, [server.address])
 
 
 def test_out_of_alphabet_answer_raises():
-    digest = single_preprocess(FAM, X, 4)
+    digest = preprocess("single", FAM, X, None, 4)
     with ProverServer(FAM, lambda beta: 9) as server:
         with pytest.raises(ProtocolError):
             run_verifier_client(digest, [server.address])
@@ -201,7 +196,7 @@ def test_out_of_alphabet_answer_raises():
 
 def test_server_error_frames_for_bad_clients():
     fp = family_fingerprint(FAM)
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         # version from the future
         with socket.create_connection(server.address, timeout=2) as sock:
             sock.sendall(encode_hello(9, fp))
@@ -225,14 +220,14 @@ def test_server_error_frames_for_bad_clients():
 
 def test_query_prover_surfaces_error_frames():
     fp = family_fingerprint(FAM)
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         with pytest.raises(ProtocolError):
             query_prover(server.address, 99, fp, timeout_ms=2000)
 
 
 def test_digest_is_single_use():
-    digest = single_preprocess(FAM, X, 5)
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+    digest = preprocess("single", FAM, X, None, 5)
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         assert run_verifier_client(digest, [server.address]).accepted
         with pytest.raises(UsageError):
             run_verifier_client(digest, [server.address])
@@ -243,9 +238,9 @@ def test_digest_is_single_use():
 def test_trivial_two_provers_over_tcp():
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     plan = ChunkPlan(2, 2)
-    digest = multi_trivial_preprocess(chunk_fam, X, plan, rng_seed=0)
-    honest_1 = honest_answerer(chunk_fam, (1,))
-    honest_2 = honest_answerer(chunk_fam, (2,))
+    digest = preprocess("trivial", chunk_fam, X, plan, rng_seed=0)
+    honest_1 = chunk_hasher(chunk_fam, (1,))
+    honest_2 = chunk_hasher(chunk_fam, (2,))
     with ProverServer(chunk_fam, honest_1) as s1, ProverServer(chunk_fam, honest_2) as s2:
         verdict = run_verifier_client(digest, [s1.address, s2.address])
         assert verdict.accepted
@@ -262,9 +257,9 @@ def test_trivial_two_provers_over_tcp():
 def test_transport_matches_direct_verify():
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     plan = ChunkPlan(2, 2)
-    digest = multi_trivial_preprocess(chunk_fam, X, plan, rng_seed=9)
+    digest = preprocess("trivial", chunk_fam, X, plan, rng_seed=9)
     answers = (hash_eval(chunk_fam, (1,), digest.beta), 3)
-    direct = multi_trivial_verify(digest, answers)
+    direct = verify(digest, answers)
     with ProverServer(chunk_fam, lambda beta: answers[0]) as s1, \
             ProverServer(chunk_fam, lambda beta: 3) as s2:
         via_tcp = run_verifier_client(digest, [s1.address, s2.address])
@@ -273,17 +268,17 @@ def test_transport_matches_direct_verify():
 
 def test_linear_two_provers_over_tcp():
     plan = ChunkPlan(2, 2)
-    digest = multi_linear_preprocess(FAM, X, plan, rng_seed=4)
-    a1 = honest_answerer(FAM, plan.zero_extended(X, 1))
-    a2 = honest_answerer(FAM, plan.zero_extended(X, 2))
+    digest = preprocess("linear", FAM, X, plan, rng_seed=4)
+    a1 = chunk_hasher(FAM, plan.zero_extended(X, 1))
+    a2 = chunk_hasher(FAM, plan.zero_extended(X, 2))
     with ProverServer(FAM, a1) as s1, ProverServer(FAM, a2) as s2:
         assert run_verifier_client(digest, [s1.address, s2.address]).accepted
 
 
 def test_rs_parity_over_tcp_with_silence_and_cheating():
     plan = ChunkPlan(2, 2)
-    a1 = honest_answerer(FAM, plan.zero_extended(X, 1))
-    a2 = honest_answerer(FAM, plan.zero_extended(X, 2))
+    a1 = chunk_hasher(FAM, plan.zero_extended(X, 1))
+    a2 = chunk_hasher(FAM, plan.zero_extended(X, 2))
     digest = multi_rs_preprocess(FAM, X, plan, r=0, e=1, rng_seed=6)
     with _silent_prover() as silent, ProverServer(FAM, a2) as s2:
         verdict = run_verifier_client(digest, [silent, s2.address], timeout_ms=400)
@@ -294,14 +289,14 @@ def test_rs_parity_over_tcp_with_silence_and_cheating():
     wrong = (honest[1] + 1) % 5
     with ProverServer(FAM, a1) as s1, ProverServer(FAM, lambda beta: wrong) as s2:
         verdict = run_verifier_client(digest, [s1.address, s2.address])
-    assert multi_rs_verify(digest, (honest[0], wrong)) == verdict
+    assert verify(digest, (honest[0], wrong)) == verdict
     assert verdict.accused == frozenset({2})
 
 
 def test_challenges_run_concurrently():
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     plan = ChunkPlan(2, 2)
-    digest = multi_trivial_preprocess(chunk_fam, X, plan, rng_seed=0)
+    digest = preprocess("trivial", chunk_fam, X, plan, rng_seed=0)
     with _silent_prover() as s1, _silent_prover() as s2:
         started = time.monotonic()
         verdict = run_verifier_client(digest, [s1, s2], timeout_ms=500)
@@ -353,8 +348,8 @@ def test_one_loop_erases_closed_reset_and_silent_provers(monkeypatch):
     x = (1, 2, 3, 4)
     hello = encode_hello(PROTOCOL_VERSION, family_fingerprint(CHUNK_FAM))
     faults = [_take_hello_then(reset=True), None]
-    with ProverServer(CHUNK_FAM, honest_answerer(CHUNK_FAM, (1,))) as honest:
-        digest = multi_trivial_preprocess(CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=0)
+    with ProverServer(CHUNK_FAM, chunk_hasher(CHUNK_FAM, (1,))) as honest:
+        digest = preprocess("trivial", CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=0)
         with _scripted_provers(_take_hello_then(hello), *faults) as scripted:
             started = time.monotonic()
             verdict = run_verifier_client(digest, [honest.address, *scripted], timeout_ms=300)
@@ -371,7 +366,7 @@ def test_one_loop_erases_closed_reset_and_silent_provers(monkeypatch):
                 if kwargs.get("fileno") is None:  # not a socket that accept() made
                     opened.append(self)
 
-        digest = multi_trivial_preprocess(CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=1)
+        digest = preprocess("trivial", CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=1)
         with _scripted_provers(_take_hello_then(hello[:10]), *faults) as scripted:
             monkeypatch.setattr(socket, "socket", Recorded)
             with pytest.raises(ProtocolError, match="closed mid-frame"):
@@ -385,8 +380,9 @@ def test_verifier_threads_have_a_fixed_limit(monkeypatch):
     monkeypatch.setattr(storen.transport, "MAX_VERIFIER_QUERIES", 2)
     chunk_fam = polynomial_family(k=1, n=5, q=5)
     chunks = [(1,), (2,), (3,), (4,), (0,)]
-    digest = multi_trivial_preprocess(
-        chunk_fam, tuple(sym for chunk in chunks for sym in chunk), ChunkPlan(5, 5), rng_seed=3
+    digest = preprocess(
+        "trivial", chunk_fam, tuple(sym for chunk in chunks for sym in chunk), ChunkPlan(5, 5),
+        rng_seed=3,
     )
     lock = threading.Lock()
     running, peak = [0], [0]
@@ -405,7 +401,7 @@ def test_verifier_threads_have_a_fixed_limit(monkeypatch):
 
     with contextlib.ExitStack() as stack:
         servers = [
-            stack.enter_context(ProverServer(chunk_fam, slow(honest_answerer(chunk_fam, c))))
+            stack.enter_context(ProverServer(chunk_fam, slow(chunk_hasher(chunk_fam, c))))
             for c in chunks
         ]
         verdict = run_verifier_client(digest, [server.address for server in servers])
@@ -424,13 +420,13 @@ def _four_provers():
     x = tuple(sym for chunk in chunks for sym in chunk)
     with contextlib.ExitStack() as stack:
         addresses = [
-            stack.enter_context(ProverServer(CHUNK_FAM, honest_answerer(CHUNK_FAM, c))).address
+            stack.enter_context(ProverServer(CHUNK_FAM, chunk_hasher(CHUNK_FAM, c))).address
             for c in chunks
         ]
 
         def audit(seed):
             reset_consumed_digests()  # n = 5 challenges repeat across seeds
-            digest = multi_trivial_preprocess(CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=seed)
+            digest = preprocess("trivial", CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=seed)
             return run_verifier_client(digest, addresses)
 
         yield audit
@@ -498,7 +494,7 @@ def test_server_threads_have_a_fixed_limit(monkeypatch):
     monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 2)
     lock = threading.Lock()
     running, peak = [0], [0]
-    honest = honest_answerer(FAM, X)
+    honest = chunk_hasher(FAM, X)
 
     def slow(beta):
         with lock:
@@ -524,7 +520,7 @@ def test_idle_peers_do_not_hold_the_server_workers(monkeypatch):
     monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 2)
     monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.3)
     fingerprint = family_fingerprint(FAM)
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server, contextlib.ExitStack() as idle:
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server, contextlib.ExitStack() as idle:
         # two peers that connect and send nothing take both workers
         for _ in range(2):
             idle.enter_context(socket.create_connection(server.address, timeout=2))
@@ -541,7 +537,7 @@ def test_a_port_in_use_fails_start_with_the_bind_error():
     with socket.socket() as busy:
         busy.bind(("127.0.0.1", 0))
         busy.listen()
-        server = ProverServer(FAM, honest_answerer(FAM, X), port=busy.getsockname()[1])
+        server = ProverServer(FAM, chunk_hasher(FAM, X), port=busy.getsockname()[1])
         with pytest.raises(OSError) as info:
             server.start()
     assert info.value.errno == errno.EADDRINUSE
@@ -550,7 +546,7 @@ def test_a_port_in_use_fails_start_with_the_bind_error():
 
 def test_closing_the_server_stops_its_workers():
     workers = set()
-    honest = honest_answerer(FAM, X)
+    honest = chunk_hasher(FAM, X)
 
     def answer(beta):
         workers.add(threading.current_thread())
@@ -573,7 +569,7 @@ def test_closing_the_server_stops_its_workers():
 
 
 def test_close_wakes_every_thread_blocked_in_accept():
-    honest = honest_answerer(FAM, X)
+    honest = chunk_hasher(FAM, X)
     together = threading.Barrier(3)
 
     def answer(beta):
@@ -600,7 +596,7 @@ def test_close_wakes_every_thread_blocked_in_accept():
 
 def test_an_answerer_error_is_reported_and_its_worker_serves_on(monkeypatch, capfd):
     monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 1)
-    honest = honest_answerer(FAM, X)
+    honest = chunk_hasher(FAM, X)
     failures = [ValueError("answerer broke")]
 
     def answer(beta):
@@ -619,9 +615,9 @@ def test_an_answerer_error_is_reported_and_its_worker_serves_on(monkeypatch, cap
 
 
 def test_a_protocol_error_waits_for_every_query():
-    digest = multi_trivial_preprocess(CHUNK_FAM, X, ChunkPlan(2, 2), rng_seed=0)
+    digest = preprocess("trivial", CHUNK_FAM, X, ChunkPlan(2, 2), rng_seed=0)
     answered = threading.Event()
-    honest = honest_answerer(CHUNK_FAM, (2,))
+    honest = chunk_hasher(CHUNK_FAM, (2,))
 
     def slow(beta):
         time.sleep(0.2)
@@ -629,7 +625,7 @@ def test_a_protocol_error_waits_for_every_query():
         return honest(beta)
 
     other = polynomial_family(k=1, n=5, q=7)
-    with ProverServer(other, honest_answerer(other, (1,))) as s1, \
+    with ProverServer(other, chunk_hasher(other, (1,))) as s1, \
             ProverServer(CHUNK_FAM, slow) as s2:
         with pytest.raises(ProtocolError):
             run_verifier_client(digest, [s1.address, s2.address])
@@ -637,8 +633,8 @@ def test_a_protocol_error_waits_for_every_query():
 
 
 def test_max_sessions_stops_the_server():
-    digest = single_preprocess(FAM, X, 7)
-    server = ProverServer(FAM, honest_answerer(FAM, X), max_sessions=1)
+    digest = preprocess("single", FAM, X, None, 7)
+    server = ProverServer(FAM, chunk_hasher(FAM, X), max_sessions=1)
     server.start()
     try:
         assert run_verifier_client(digest, [server.address]).accepted
@@ -649,8 +645,8 @@ def test_max_sessions_stops_the_server():
 
 def test_a_probe_is_not_counted_as_a_session(monkeypatch):
     monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.3)
-    digest = single_preprocess(FAM, X, 8)
-    server = ProverServer(FAM, honest_answerer(FAM, X), max_sessions=1)
+    digest = preprocess("single", FAM, X, None, 8)
+    server = ProverServer(FAM, chunk_hasher(FAM, X), max_sessions=1)
     server.start()
     try:
         # a client that connects and closes, then one that stays silent until
@@ -680,11 +676,11 @@ def test_misused_audits_send_no_challenge_and_leave_the_digest_unspent():
     digest = multi_rs_preprocess(FAM, X, plan, r=1, e=0, rng_seed=6)
     from_disk = digest_from_bytes(digest_to_bytes(digest))  # no family, no budget
     attached = from_disk.with_family(FAM)
-    single = single_preprocess(FAM, X, 6)
-    trivial = multi_trivial_preprocess(polynomial_family(k=1, n=5, q=5), X, plan, 6)
+    single = preprocess("single", FAM, X, None, 6)
+    trivial = preprocess("trivial", polynomial_family(k=1, n=5, q=5), X, plan, 6)
     calls = []
-    a1 = _counting(honest_answerer(FAM, plan.zero_extended(X, 1)), calls, 1)
-    a2 = _counting(honest_answerer(FAM, plan.zero_extended(X, 2)), calls, 2)
+    a1 = _counting(chunk_hasher(FAM, plan.zero_extended(X, 1)), calls, 1)
+    a2 = _counting(chunk_hasher(FAM, plan.zero_extended(X, 2)), calls, 2)
     with ProverServer(FAM, a1) as s1, ProverServer(FAM, a2) as s2:
         two = [s1.address, s2.address]
         misuses = [
@@ -723,9 +719,6 @@ def test_one_prover_too_few_or_too_many_is_refused_by_the_digest_shape(variant):
     digest = preprocess(variant, fam, x, plan, 5, r=1, e=1)
     hashers = answerers(fam, spec.shares(fam, x, plan))
     honest = [hash_at(digest.beta) for hash_at in hashers]
-    # single_verify takes one answer, so only the audit can miscount there
-    verify = {"trivial": multi_trivial_verify, "linear": multi_linear_verify,
-              "rs-parity": multi_rs_verify}.get(variant)
     calls = []
     with contextlib.ExitStack() as stack:
         addresses = [
@@ -734,9 +727,8 @@ def test_one_prover_too_few_or_too_many_is_refused_by_the_digest_shape(variant):
         ]
         s = len(addresses)
         for count in (s - 1, s + 1):
-            if verify is not None:
-                with pytest.raises(UsageError, match="made for AuditShape"):
-                    verify(digest, (honest * 2)[:count])
+            with pytest.raises(UsageError, match="made for AuditShape"):
+                verify(digest, (honest * 2)[:count])
             with pytest.raises(UsageError, match="made for AuditShape"):
                 run_verifier_client(digest, (addresses * 2)[:count])
         assert calls == []
@@ -748,9 +740,9 @@ def test_one_prover_too_few_or_too_many_is_refused_by_the_digest_shape(variant):
 
 
 def test_bad_timeouts_send_no_challenge_and_leave_the_digest_unspent(monkeypatch):
-    digest = single_preprocess(FAM, X, 9)
+    digest = preprocess("single", FAM, X, None, 9)
     calls = []
-    with ProverServer(FAM, _counting(honest_answerer(FAM, X), calls, 1)) as server:
+    with ProverServer(FAM, _counting(chunk_hasher(FAM, X), calls, 1)) as server:
         # 2**31 - 1 ms is the longest wait the selector takes
         for timeout_ms, env in [(0, None), (-5, None), (10**12, None), (None, "abc"),
                                 (None, "0"), (None, "1000000000000")]:
@@ -807,7 +799,7 @@ def test_a_trickling_client_is_dropped_at_the_session_deadline(monkeypatch):
     monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.4)
     hello = encode_hello(PROTOCOL_VERSION, family_fingerprint(FAM))
     dropped = None
-    with ProverServer(FAM, honest_answerer(FAM, X)) as server:
+    with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         with socket.create_connection(server.address, timeout=2) as sock:
             started = time.monotonic()
             sock.settimeout(0.05)

@@ -19,7 +19,7 @@ import itertools
 import pytest
 
 from storen.errors import ProtocolError
-from storen.hash_families import family_fingerprint, polynomial_family
+from storen.hash_families import chunk_hasher, family_fingerprint, polynomial_family
 from storen.transport import (
     ERR_FINGERPRINT,
     ERR_MALFORMED,
@@ -39,7 +39,6 @@ from storen.transport import (
     encode_hello,
     encode_no_response,
     encode_response,
-    honest_answerer,
 )
 
 FAM = polynomial_family(k=2, n=5, q=5)
@@ -138,7 +137,7 @@ def verifier(data, ending="close"):
 
 def server(data, ending="close", answer_fn=None):
     """What the server sends to a client that sends ``data``, and how it ends."""
-    answer_fn = answer_fn or honest_answerer(FAM, X)
+    answer_fn = answer_fn or chunk_hasher(FAM, X)
     results = []
     for way in WAYS:
         client = _Peer(data, ending, way)
