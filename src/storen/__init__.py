@@ -39,6 +39,7 @@ from .hash_families import (
 from .protocol import (
     RNG_ALGORITHM,
     VARIANTS,
+    AuditShape,
     ChunkPlan,
     Digest,
     Verdict,

@@ -48,7 +48,6 @@ from .hash_families import (
     HashFamilyDescriptor,
     Message,
     chunk_hasher,
-    family_fingerprint,
 )
 from .protocol import (
     OUTCOME_ACCEPTED,
@@ -60,7 +59,6 @@ from .protocol import (
     Digest,
     answerers,
     lookup_variant,
-    settle,
 )
 
 _HEADER_BITS = 40  # tag byte + u32 symbol count, charged once per non-empty store
@@ -412,7 +410,7 @@ def run_sweep(
     recipe, draws a challenge, collects the answers, and runs the real
     verdict (:attr:`Variant.decide`) on the digest of that challenge.  The
     first time a challenge is drawn, each prover's data is hashed once
-    there, and the digest, which :func:`settle` passes then, and
+    there, and the digest, which checks itself when it is made, and
     the honest answers are kept for every later trial and assignment that
     draws it; the stores read the answers as their ``honest`` function.  A
     sweep therefore checks the data once and costs one evaluation per chunk
@@ -453,18 +451,16 @@ def run_sweep(
     ]
     rates = [analytic_pass_rate(fam, x, a, variant, plan) for a in assignments]
     hashers = answerers(fam, shares)
-    fingerprint = family_fingerprint(fam)
 
     def digest_at(beta):
-        """The digest of ``beta``, made, checked and memoized at its first draw."""
+        """The digest of ``beta``, made (which checks it) and memoized at its first draw."""
         word = [hash_at(beta) for hash_at in hashers]
         if extra is None:
             gammas = word
         else:
             answers[beta - 1] = array("Q", word)
             gammas = extra(beta, word)
-        digest = Digest(variant, beta, tuple(gammas), fingerprint, family=fam, shape=shape)
-        digests[beta - 1] = settle(digest, provers)
+        digests[beta - 1] = Digest(variant, beta, tuple(gammas), fam, shape)
         return digests[beta - 1]
 
     decide = spec.decide

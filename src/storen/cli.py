@@ -49,6 +49,7 @@ from .hash_families import (
 )
 from .protocol import (
     VARIANTS,
+    AuditShape,
     answerers,
     digest_from_bytes,
     digest_payload_bits,
@@ -98,7 +99,8 @@ def _read_data(fam, raw: bytes, spec, plan):
         value = int.from_bytes(raw[i * width:(i + 1) * width], "big")
         if value >= space:
             raise UsageError(
-                f"data value {i + 1} does not fit the message space [0, {space})"
+                f"data value {i + 1} does not fit the message space [0, M), "
+                f"where M has {space.bit_length()} bits"
             )
         values.append(value)
     return tuple(values) if spec.chunk_family else values[0]
@@ -196,12 +198,11 @@ def cmd_preprocess(args) -> int:
 
 def cmd_audit(args) -> int:
     from .transport import run_verifier_client
-    digest = digest_from_bytes(Path(args.digest).read_bytes())
-    digest = digest.with_family(_load_family(args.family))
+    fam = _load_family(args.family)
     addresses = [_parse_hostport(p) for p in args.prover]
-    verdict = run_verifier_client(
-        digest, addresses, r=args.r, e=args.e, timeout_ms=args.timeout_ms
-    )
+    shape = AuditShape(len(addresses), args.r, args.e)
+    digest = digest_from_bytes(Path(args.digest).read_bytes(), fam, shape)
+    verdict = run_verifier_client(digest, addresses, timeout_ms=args.timeout_ms)
     print(f"outcome: {verdict.outcome}")
     if verdict.accused:
         print("accused: " + " ".join(str(i) for i in sorted(verdict.accused)))

@@ -86,7 +86,7 @@ def johnson_radius(n: int, d: int) -> int:
 
 def johnson_list_size_bound(fam: HashFamilyDescriptor) -> int:
     """List-size bound 2 * sum of alphabet sizes at the Johnson radius."""
-    return 2 * sum(fam.alphabets())
+    return 2 * (fam.n * fam.q if fam.kind == KIND_POLYNOMIAL else sum(fam.primes))
 
 
 def brute_force_list_decode(

@@ -50,17 +50,14 @@ _COLLISION_CAP_MESSAGES = 2048
 class HashFamilyDescriptor:
     """Complete, serializable description of one hash family.
 
-    `epsilon_target` is derivation metadata; it does not participate in
-    equality, serialization, or the fingerprint.  `primes` is derived, not
-    given: the first n primes for karp-rabin, sieved when the descriptor is
-    made, and None for the polynomial kind.
+    `primes` is derived, not given: the first n primes for karp-rabin,
+    sieved when the descriptor is made, and None for the polynomial kind.
     """
 
     kind: str
     k: int
     n: int
     q: int | None = None
-    epsilon_target: Fraction | None = field(default=None, compare=False)
     primes: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -112,11 +109,6 @@ class HashFamilyDescriptor:
         _check_index(self, i)
         return self.q if self.kind == KIND_POLYNOMIAL else self.primes[i - 1]
 
-    def alphabets(self) -> tuple[int, ...]:
-        if self.kind == KIND_POLYNOMIAL:
-            return (self.q,) * self.n
-        return self.primes
-
     @property
     def symbol_bits(self) -> int:
         """Bits needed for the widest response symbol."""
@@ -129,18 +121,14 @@ class HashFamilyDescriptor:
         return (self.n - 1).bit_length()
 
 
-def polynomial_family(
-    k: int, n: int, q: int | None = None, epsilon_target=None
-) -> HashFamilyDescriptor:
+def polynomial_family(k: int, n: int, q: int | None = None) -> HashFamilyDescriptor:
     if q is None:
         q = next_prime_at_least(n)
-    return HashFamilyDescriptor(
-        KIND_POLYNOMIAL, k, n, q=q, epsilon_target=epsilon_target
-    )
+    return HashFamilyDescriptor(KIND_POLYNOMIAL, k, n, q=q)
 
 
-def karp_rabin_family(k: int, n: int, epsilon_target=None) -> HashFamilyDescriptor:
-    return HashFamilyDescriptor(KIND_KARP_RABIN, k, n, epsilon_target=epsilon_target)
+def karp_rabin_family(k: int, n: int) -> HashFamilyDescriptor:
+    return HashFamilyDescriptor(KIND_KARP_RABIN, k, n)
 
 
 def derive_family(kind: str, k: int, epsilon) -> HashFamilyDescriptor:
@@ -160,9 +148,9 @@ def derive_family(kind: str, k: int, epsilon) -> HashFamilyDescriptor:
         raise UsageError(f"epsilon must lie in (0, 1], got {epsilon}")
     n = math.ceil(Fraction(k) / (eps * eps))
     if kind == KIND_POLYNOMIAL:
-        return polynomial_family(k, n, epsilon_target=eps)
+        return polynomial_family(k, n)
     if kind == KIND_KARP_RABIN:
-        return karp_rabin_family(k, n, epsilon_target=eps)
+        return karp_rabin_family(k, n)
     raise UsageError(f"unknown family kind {kind!r}")
 
 
@@ -232,7 +220,8 @@ def validate_message(fam: HashFamilyDescriptor, x: Message):
     Polynomial: a sequence of exactly k ints in [0, q), returned as a
     :class:`CheckedSymbols`, which later calls take without a scan.
     Karp-rabin: a natural below the product of the k message primes,
-    returned as an int.
+    returned as an int.  An error names M by its bit length: a number
+    past about 4 300 digits cannot be printed.
     """
     if fam.kind == KIND_POLYNOMIAL:
         symbols = check_symbols(fam, x)
@@ -243,7 +232,7 @@ def validate_message(fam: HashFamilyDescriptor, x: Message):
         raise UsageError("karp-rabin messages are naturals")
     bound = fam.message_space
     if not 0 <= x < bound:
-        raise UsageError(f"message {x} outside [0, {bound})")
+        raise UsageError(f"message outside [0, M), where M has {bound.bit_length()} bits")
     return x
 
 
@@ -364,11 +353,8 @@ def enumerate_messages(fam: HashFamilyDescriptor) -> Iterator[Message]:
 
 def _guard_exhaustive(fam: HashFamilyDescriptor, cap: int, what: str) -> None:
     """Refuse, with CapacityError, an oracle over more than ``cap`` messages."""
-    count = fam.message_space
-    if count > cap:
-        raise CapacityError(
-            f"{what} enumerates {count} messages, above the cap of {cap}"
-        )
+    if fam.message_space > cap:
+        raise CapacityError(f"{what} enumerates more than the cap of {cap} messages")
 
 
 def collision_probability_exact(fam: HashFamilyDescriptor) -> Fraction:

@@ -31,7 +31,7 @@ import math
 import random
 import secrets
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -50,7 +50,6 @@ from .hash_families import (
     HashFamilyDescriptor,
     Message,
     check_symbols,
-    family_fingerprint,
     hash_eval,
     unchecked_hasher,
     validate_message,
@@ -166,51 +165,44 @@ class AuditShape:
 
 @dataclass(frozen=True)
 class Digest:
-    """Verifier state: the challenge and the expected value(s).
+    """Verifier state: the challenge and the expected value(s), for the hash
+    ``family`` and the audit ``shape`` they were made for.
 
-    ``family`` and ``shape`` are in-memory conveniences: the family lets
-    verification range-check answers and the rs-parity variant find its
-    field, and the shape records the prover count and (r, e) chosen at
-    preprocessing.  Neither is serialized, neither participates in
-    equality.  A digest loaded from bytes must be re-attached to its family
-    with :meth:`with_family` before an audit; it carries no shape, so the
-    audit's own prover count and (r, e) become its shape.  A digest made
-    with a family checks its fingerprint, the challenge against n and each
-    expected value against the alphabet at the challenge, whose size it
-    keeps as ``answer_limit`` (None without a family).
+    A digest is whole when it is made.  Construction checks the challenge
+    against n, each expected value against the alphabet at the challenge
+    (whose size it keeps as ``answer_limit``), the shape's prover count
+    against the variant, and then the variant's own :attr:`Variant.check`.
+    The shape is not serialized and takes no part in equality.
     """
 
     variant: str
     beta: int
     gammas: Tuple[int, ...]
-    fingerprint: bytes
-    family: Optional[HashFamilyDescriptor] = field(default=None, compare=False)
-    shape: Optional[AuditShape] = field(default=None, compare=False)
-    answer_limit: Optional[int] = field(init=False, compare=False, repr=False)
+    family: HashFamilyDescriptor
+    shape: AuditShape = field(compare=False)
+    answer_limit: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        spec = VARIANTS.get(self.variant)
+        if spec is None:
             raise UsageError(f"unknown digest variant {self.variant!r}")
-        if self.beta < 1:
-            raise UsageError("challenge index must be 1-based and positive")
-        if len(self.fingerprint) != 32:
-            raise UsageError("fingerprint must be 32 bytes")
-        limit = None
-        if self.family is not None:
-            fam = self.family
-            if family_fingerprint(fam) != self.fingerprint:
-                raise UsageError("family fingerprint mismatch")
-            if self.beta > fam.n:
-                raise UsageError(f"challenge index {self.beta} exceeds the family size n={fam.n}")
-            limit = fam.alphabet(self.beta)  # q for the kind linear and rs-parity need
-            for gamma in self.gammas:
-                if not 0 <= gamma < limit:
-                    raise UsageError(f"expected value {gamma} outside the alphabet [0, {limit})")
+        n = self.family.n
+        if not 1 <= self.beta <= n:
+            raise UsageError(f"challenge index {self.beta} is below 1 or exceeds the family size n={n}")
+        limit = self.family.alphabet(self.beta)  # q for the kind linear and rs-parity need
+        for gamma in self.gammas:
+            if not 0 <= gamma < limit:
+                raise UsageError(f"expected value {gamma} outside the alphabet [0, {limit})")
         object.__setattr__(self, "answer_limit", limit)
+        provers = self.shape.provers
+        if provers < 1 or spec.provers not in (None, provers):
+            raise UsageError(f"the {self.variant} variant audits {spec.provers or 'one or more'} "
+                             f"provers, not {provers}")
+        spec.check(self)
 
-    def with_family(self, fam: HashFamilyDescriptor) -> "Digest":
-        """Return a copy with ``fam`` attached, checked as the class says."""
-        return replace(self, family=fam)
+    @property
+    def fingerprint(self) -> bytes:
+        return self.family.fingerprint
 
 
 def digest_to_bytes(digest: Digest) -> bytes:
@@ -232,7 +224,10 @@ def digest_to_bytes(digest: Digest) -> bytes:
     return head + b"".join(struct.pack("<Q", g) for g in digest.gammas)
 
 
-def digest_from_bytes(blob: bytes) -> Digest:
+def digest_from_bytes(blob: bytes, fam: HashFamilyDescriptor, shape: AuditShape) -> Digest:
+    """The digest that ``blob`` holds, for the family ``fam``, which its
+    fingerprint must name, and the audit ``shape``: the one place where a
+    shape that did not come from :func:`preprocess` enters a digest."""
     if len(blob) < _DIGEST_HEADER.size:
         raise UsageError("digest too short")
     magic, version, tag, fingerprint, beta, count = _DIGEST_HEADER.unpack_from(blob)
@@ -244,16 +239,16 @@ def digest_from_bytes(blob: bytes) -> Digest:
         raise UsageError(f"unknown digest variant tag {tag}")
     if len(blob) != _DIGEST_HEADER.size + 8 * count:
         raise UsageError("digest length does not match its value count")
+    if fingerprint != fam.fingerprint:
+        raise UsageError("family fingerprint mismatch")
     gammas = struct.unpack_from(f"<{count}Q", blob, _DIGEST_HEADER.size) if count else ()
-    return Digest(_TAG_VARIANTS[tag], beta, tuple(gammas), fingerprint)
+    return Digest(_TAG_VARIANTS[tag], beta, tuple(gammas), fam, shape)
 
 
 def digest_payload_bits(digest: Digest) -> int:
     """Information content of the digest: challenge bits plus one symbol
     width per stored value.  (The file format pads values to whole 64-bit
     words; this counts the unpadded payload.)"""
-    if digest.family is None:
-        raise UsageError("digest has no family attached")
     fam = digest.family
     return fam.challenge_bits + len(digest.gammas) * fam.symbol_bits
 
@@ -280,12 +275,11 @@ def _one_value(digest: Digest) -> Digest:
 
 
 def _check_answer_range(digest: Digest, answers: Sequence[Optional[int]]) -> None:
-    """Each answer is None or an int, below the challenge's alphabet size
-    when the digest knows it: the test the decoder makes of its word."""
+    """Each answer is None or an int, below the challenge's alphabet size:
+    the test the decoder makes of its word."""
     limit = digest.answer_limit
     for answer in answers:
-        if answer is not None and not (
-                isinstance(answer, int) and (limit is None or 0 <= answer < limit)):
+        if answer is not None and not (isinstance(answer, int) and 0 <= answer < limit):
             raise UsageError(f"answer {answer!r} outside the challenge's alphabet [0, {limit})")
 
 
@@ -372,10 +366,8 @@ def _offset_shares(fam, x, plan):
 
 
 def _check_field(digest):
-    """The linear check, and the start of the rs-parity one: a polynomial
-    family is attached."""
-    if digest.family is None:
-        raise UsageError("digest has no family attached (field size unknown)")
+    """The linear check, and the start of the rs-parity one: the family is
+    polynomial."""
     if digest.family.kind != KIND_POLYNOMIAL:
         raise UnsupportedVariantError(f"the {digest.variant} variant needs the polynomial kind")
     return digest
@@ -460,8 +452,8 @@ class Variant:
     - ``expected(fam, shares, shape)``: None when the honest answers are
       the digest values; otherwise a function (beta, answers) -> the
       digest values, given an iterable of the honest answers at beta.
-    - ``check(digest)``: what else :func:`settle` checks before a challenge
-      is sent, on a digest that carries its shape.
+    - ``check(digest)``: what else a digest's construction checks, given
+      its shape.
     - ``decide(digest, answers)``: the verdict on one answer (or None, for
       silence) per prover, on a digest that :func:`settle` has passed for
       that many provers.  It range-checks the answers, and no more.
@@ -504,23 +496,12 @@ def lookup_variant(name: str) -> Variant:
         raise UsageError(f"unknown variant {name!r}") from None
 
 
-def settle(digest: Digest, provers: int, r: Optional[int] = None,
-           e: Optional[int] = None) -> Digest:
-    """The digest, ready to decide ``provers`` answers: the one check of an
-    audit's shape.  A digest keeps its own shape, and one without (loaded
-    from bytes) takes (provers, r, e) as its shape.  A prover count or an
-    (r, e) that disagrees with the shape, or with the variant, is refused;
-    then the variant's ``check`` runs."""
-    shape = digest.shape
-    if shape is None:
-        digest = replace(digest, shape=AuditShape(provers, r, e))
-    elif provers != shape.provers or r not in (None, shape.r) or e not in (None, shape.e):
-        raise UsageError(f"the digest was made for {shape}, not {provers} provers, r={r}, e={e}")
-    spec = VARIANTS[digest.variant]
-    if provers < 1 or spec.provers not in (None, provers):
-        raise UsageError(f"the {digest.variant} variant audits {spec.provers or 'one or more'} "
-                         f"provers, not {provers}")
-    return spec.check(digest)
+def settle(digest: Digest, provers: int) -> Digest:
+    """The digest, checked to decide ``provers`` answers: its shape's prover
+    count, the one check of an audit that the digest cannot make itself."""
+    if provers != digest.shape.provers:
+        raise UsageError(f"the digest was made for {digest.shape}, not {provers} provers")
+    return digest
 
 
 def preprocess(
@@ -546,16 +527,13 @@ def preprocess(
     beta = _draw_challenge(fam, rng_seed)
     answers = (hash_at(beta) for hash_at in hashers)  # linear never reads them
     gammas = answers if extra is None else extra(beta, answers)
-    return Digest(variant, beta, tuple(gammas), family_fingerprint(fam), family=fam,
-                  shape=shape)
+    return Digest(variant, beta, tuple(gammas), fam, shape)
 
 
-def verify(digest: Digest, answers: Sequence[Optional[int]], r: Optional[int] = None,
-           e: Optional[int] = None) -> Verdict:
+def verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:
     """The verdict of the digest's variant on one answer (or None, for
-    silence) per prover, after :func:`settle`; (r, e) is needed only for
-    an rs-parity digest loaded from bytes."""
-    return VARIANTS[digest.variant].decide(settle(digest, len(answers), r, e), answers)
+    silence) per prover, after :func:`settle`."""
+    return VARIANTS[digest.variant].decide(settle(digest, len(answers)), answers)
 
 
 def multi_rs_preprocess(
@@ -599,7 +577,7 @@ def storage_bound_slack(
     """
     lookup_variant(variant)  # refuses an unknown name
     n = fam.n
-    q = max(fam.alphabets())
+    q = fam.q if fam.kind == KIND_POLYNOMIAL else fam.primes[-1]  # the widest alphabet
     L = johnson_list_size_bound(fam) if list_size is None else list_size
     if L < 1:
         raise UsageError("list size must be positive")
@@ -641,7 +619,9 @@ def retrievability_extract(
         raise UnsupportedVariantError(
             "retrievability extraction works on single-prover digests"
         )
-    (gamma,) = _one_value(digest.with_family(fam)).gammas
+    if digest.family != fam:
+        raise UsageError("family fingerprint mismatch")
+    (gamma,) = digest.gammas
     radius = johnson_radius(fam.n, fam.n - fam.k + 1)
     candidates = brute_force_list_decode(fam, answers, radius)
     return [u for u in candidates if hash_eval(fam, u, digest.beta) == gamma]

@@ -472,25 +472,19 @@ def _mark_consumed(digest: Digest) -> None:
 def run_verifier_client(
     digest: Digest,
     addresses: Sequence[Tuple[str, int]],
-    r: Optional[int] = None,
-    e: Optional[int] = None,
     timeout_ms: Optional[int] = None,
 ) -> Verdict:
     """Audit the provers at ``addresses`` (one per prover, in prover order)
     with the digest's challenge, concurrently, and return the verdict.
 
-    The digest must have its family attached (:meth:`Digest.with_family`),
-    which range-checks the challenge.  That, :func:`~storen.protocol.settle`
-    (one address per prover of the digest's shape, or for a digest loaded from
-    bytes these addresses and (r, e) as its shape; then the variant's check)
-    and the timeout run before the digest is spent, so a misused audit sends
-    nothing.  A digest is spent once per process (:func:`reset_consumed_digests`
-    forgets).  The queries run on the calling thread (:func:`_query_all`); it
-    waits for every query, then raises the first error in prover order."""
-    if digest.family is None:
-        raise UsageError("digest has no family attached; audit it with its family")
+    :func:`~storen.protocol.settle` (one address per prover of the digest's
+    shape) and the timeout are checked before the digest is spent, so a
+    misused audit sends nothing.  A digest is spent once per process
+    (:func:`reset_consumed_digests` forgets).  The queries run on the calling
+    thread (:func:`_query_all`); it waits for every query, then raises the
+    first error in prover order."""
     addresses = [tuple(a) for a in addresses]
-    digest = settle(digest, len(addresses), r, e)
+    settle(digest, len(addresses))
     timeout = _timeout_ms(timeout_ms) / 1000.0
     _mark_consumed(digest)
     answers = tuple(_query_all(addresses, digest.beta, digest.fingerprint, timeout))

@@ -10,8 +10,19 @@ package against these, never the other way around.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from itertools import combinations, product
+
+
+def patched_digest(blob, beta=None, gammas=None):
+    """The digest file ``blob`` with its challenge or its values replaced,
+    packed by hand after the 39 bytes of magic, version, tag and
+    fingerprint: a file that no :class:`~storen.protocol.Digest` can be."""
+    old_beta, count = struct.unpack_from("<QI", blob, 39)
+    beta = old_beta if beta is None else beta
+    gammas = struct.unpack_from(f"<{count}Q", blob, 51) if gammas is None else gammas
+    return blob[:39] + struct.pack(f"<QI{len(gammas)}Q", beta, len(gammas), *gammas)
 
 
 def naive_poly_eval(coeffs, point, p):

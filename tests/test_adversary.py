@@ -42,8 +42,7 @@ from storen.hash_families import (
     karp_rabin_family,
     polynomial_family,
 )
-from storen.protocol import ChunkPlan, Digest, multi_rs_preprocess, verify
-from storen.hash_families import family_fingerprint
+from storen.protocol import AuditShape, ChunkPlan, Digest, multi_rs_preprocess, verify
 
 from _oracles import first_primes, guess_mass, guess_mass_of_primes, wilson_free_halfwidth
 
@@ -220,13 +219,12 @@ def test_run_experiment_honest_single():
 def test_run_experiment_matches_manual_replay():
     # replay the pinned trial recipe by hand and compare pass counts
     trials, master = 50, 99
-    fp = family_fingerprint(FAM)
     cw = encode(FAM, X)
     expected_passes = 0
     for index in range(trials):
         rng = random.Random(trial_seed(master, index))
         beta = rng.randrange(FAM.n) + 1
-        digest = Digest("single", beta, (cw[beta - 1],), fp, family=FAM)
+        digest = Digest("single", beta, (cw[beta - 1],), FAM, AuditShape(1))
         guess = rng.randrange(FAM.alphabet(beta))
         if verify(digest, (guess,)).accepted:
             expected_passes += 1

@@ -31,6 +31,7 @@ from storen.hash_families import (
 )
 from storen.protocol import (
     VARIANTS,
+    AuditShape,
     ChunkPlan,
     Digest,
     Verdict,
@@ -47,7 +48,7 @@ from storen.transport import (
     reset_consumed_digests,
 )
 
-from _oracles import decodable_codewords
+from _oracles import decodable_codewords, patched_digest
 
 FAM = polynomial_family(k=2, n=4, q=5)
 
@@ -130,7 +131,7 @@ def test_audit_rejects_wrong_data(tmp_path, capsys):
             "preprocess", "--family", str(fam_file), "--variant", "single",
             "--data", str(data), "--seed", str(seed), "--out", str(digest_file),
         ])
-        if digest_from_bytes(digest_file.read_bytes()).beta != 4:
+        if digest_from_bytes(digest_file.read_bytes(), FAM, AuditShape(1)).beta != 4:
             break
     capsys.readouterr()
     with ProverServer(FAM, chunk_hasher(FAM, (3, 3))) as server:
@@ -157,7 +158,7 @@ def test_audit_undecidable_exit_code(tmp_path, capsys):
     )
     digest_file = tmp_path / "digest.bin"
     digest_file.write_bytes(digest_to_bytes(
-        Digest("rs-parity", beta=1, gammas=(3, 4), fingerprint=family_fingerprint(FAM))
+        Digest("rs-parity", beta=1, gammas=(3, 4), family=FAM, shape=AuditShape(2, 1, 0))
     ))
     with ProverServer(FAM, lambda beta: z[0]) as s1, \
             ProverServer(FAM, lambda beta: z[1]) as s2:
@@ -175,7 +176,7 @@ def test_audit_usage_and_io_exit_codes(tmp_path, capsys):
     fam_file.write_bytes(descriptor_to_bytes(FAM))
     digest_file = tmp_path / "digest.bin"
     digest_file.write_bytes(digest_to_bytes(
-        Digest("rs-parity", beta=1, gammas=(3, 4), fingerprint=family_fingerprint(FAM))
+        Digest("rs-parity", beta=1, gammas=(3, 4), family=FAM, shape=AuditShape(2, 1, 0))
     ))
     # without a family file, neither the challenge nor the field is known
     code = main([
@@ -269,9 +270,9 @@ def test_audit_range_checks_the_digest_file(tmp_path, capsys, variant, beta, gam
     fam_file = tmp_path / "family.desc"
     fam_file.write_bytes(descriptor_to_bytes(FAM))
     digest_file = tmp_path / "digest.bin"
-    digest_file.write_bytes(digest_to_bytes(
-        Digest(variant, beta=beta, gammas=gammas, fingerprint=family_fingerprint(FAM))
-    ))
+    shape = AuditShape(1) if variant == "single" else AuditShape(2, 1, 0)
+    valid = digest_to_bytes(Digest(variant, 1, (0,) * len(gammas), FAM, shape))
+    digest_file.write_bytes(patched_digest(valid, beta=beta, gammas=gammas))
     calls = []
     with ProverServer(FAM, _counting(lambda beta: 0, calls)) as server:
         assert main([
@@ -290,9 +291,9 @@ def test_audit_of_a_digest_without_its_one_value_exits_2_unspent(
     fam_file = tmp_path / "family.desc"
     fam_file.write_bytes(descriptor_to_bytes(FAM))
     digest_file = tmp_path / "digest.bin"
-    digest_file.write_bytes(digest_to_bytes(
-        Digest(variant, beta=2, gammas=gammas, fingerprint=family_fingerprint(FAM))
-    ))
+    shape = AuditShape(1 if variant == "single" else 2)
+    valid = digest_to_bytes(Digest(variant, 2, (0,), FAM, shape))
+    digest_file.write_bytes(patched_digest(valid, gammas=gammas))
     calls = []
     with ProverServer(FAM, _counting(lambda beta: 0, calls)) as server:
         provers = ["--prover", "%s:%d" % server.address] * (1 if variant == "single" else 2)
@@ -329,6 +330,21 @@ def test_data_file_validation(tmp_path, capsys):
         "--data", str(too_big), "--seed", "0", "--out", str(out),
     ]) == 2
     capsys.readouterr()
+
+
+def test_an_oversized_karp_rabin_data_file_exits_2(tmp_path, capsys):
+    # the message space has about 7 500 digits, more than the interpreter
+    # prints by default: both commands name it by its bit length instead
+    fam_file, data = tmp_path / "family.desc", tmp_path / "data.bin"
+    fam_file.write_bytes(descriptor_to_bytes(derive_family(KIND_KARP_RABIN, 2000, "1/2")))
+    data.write_bytes(b"\xff" * 4000)
+    for command in (["preprocess", "--variant", "single", "--out", str(tmp_path / "d.bin")],
+                    ["serve", "--port", "0"]):
+        assert main([*command, "--family", str(fam_file), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data value 1 does not fit the message space")
+        assert "bits" in err
+    assert not (tmp_path / "d.bin").exists()
 
 
 def test_data_files_and_synthesized_messages_come_out_checked(tmp_path, capsys):
@@ -552,7 +568,8 @@ def test_preprocess_without_a_seed_draws_a_secret_challenge(tmp_path, capsys, mo
     for variant, extra in (("single", []), ("rs-parity", ["--provers", "2", "--r", "1", "--e", "0"])):
         assert main(["preprocess", "--family", str(fam_file), "--variant", variant,
                      "--data", str(data), "--out", str(out), *extra]) == 0
-        assert digest_from_bytes(out.read_bytes()).beta == FAM.n
+        shape = AuditShape(1) if variant == "single" else AuditShape(2, 1, 0)
+        assert digest_from_bytes(out.read_bytes(), FAM, shape).beta == FAM.n
     assert calls == [FAM.n, FAM.n]
     capsys.readouterr()
 
@@ -567,7 +584,7 @@ def test_preprocess_trivial_and_rs(tmp_path, capsys):
         "preprocess", "--family", str(fam_file), "--variant", "trivial",
         "--provers", "2", "--data", str(data), "--seed", "1", "--out", str(out),
     ]) == 0
-    digest = digest_from_bytes(out.read_bytes())
+    digest = digest_from_bytes(out.read_bytes(), polynomial_family(k=1, n=5, q=5), AuditShape(2))
     assert digest.variant == "trivial" and digest.gammas == (1, 2)
 
     fam_file.write_bytes(descriptor_to_bytes(FAM))
@@ -576,7 +593,7 @@ def test_preprocess_trivial_and_rs(tmp_path, capsys):
         "--provers", "2", "--r", "1", "--e", "0", "--data", str(data),
         "--seed", "1", "--out", str(out),
     ]) == 0
-    digest = digest_from_bytes(out.read_bytes())
+    digest = digest_from_bytes(out.read_bytes(), FAM, AuditShape(2, 1, 0))
     assert digest.variant == "rs-parity" and len(digest.gammas) == 2
     capsys.readouterr()
 
@@ -839,10 +856,11 @@ def test_corrupt_descriptors_and_digests_load_or_raise_usage_error(variant, kind
     fam_blob = descriptor_to_bytes(fam)
     digest_blob = digest_to_bytes(_LIBRARY[variant](fam, x, plan))
     budget = {"r": 1, "e": 1} if variant == "rs-parity" else {}
+    shape = AuditShape(len(messages), **budget)
 
     def audit(fam_bytes, digest_bytes):
-        digest = digest_from_bytes(digest_bytes).with_family(descriptor_from_bytes(fam_bytes))
-        return verify(digest, [0] * len(messages), **budget)
+        digest = digest_from_bytes(digest_bytes, descriptor_from_bytes(fam_bytes), shape)
+        return verify(digest, [0] * len(messages))
 
     cases = [(f, digest_blob) for f in _corruptions(fam_blob)]
     cases += [(fam_blob, d) for d in _corruptions(digest_blob)]
@@ -857,11 +875,11 @@ def test_corrupt_descriptors_and_digests_load_or_raise_usage_error(variant, kind
 
 
 def test_digest_tags_and_cli_choices_are_the_table():
-    fp = family_fingerprint(FAM)
-    tagged = {
-        digest_from_bytes(digest_to_bytes(Digest(name, 1, (0, 0), fp))).variant
-        for name in VARIANTS
-    }
+    made = [Digest("single", 1, (0,), FAM, AuditShape(1)),
+            Digest("trivial", 1, (0, 0), FAM, AuditShape(2)),
+            Digest("linear", 1, (0,), FAM, AuditShape(2)),
+            Digest("rs-parity", 1, (0, 0), FAM, AuditShape(2, 1, 0))]
+    tagged = {digest_from_bytes(digest_to_bytes(d), FAM, d.shape).variant for d in made}
     assert tagged == set(VARIANTS)
     assert len({spec.tag for spec in VARIANTS.values()}) == len(VARIANTS)
     commands = build_parser()._subparsers._group_actions[0].choices

@@ -1,4 +1,5 @@
-"""README.md's Python examples run, in order, and say what they return.
+"""README.md's Python examples run, in order, and say what they return;
+every command-line flag it names exists.
 
 The ```python blocks share one namespace, as a reader who pastes them into
 one session would.  A line that is a bare expression and whose trailing
@@ -12,8 +13,12 @@ import re
 import tokenize
 from pathlib import Path
 
+from storen.cli import build_parser
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_OTHER_PROGRAMS_FLAGS = {"--no-build-isolation"}  # pip's, in the install lines
 
 
 def _blocks():
@@ -70,3 +75,12 @@ def test_only_a_bare_expression_with_a_literal_comment_is_checked():
     assert _run(["1 + 1  # 2: two\n"]) == [("1 + 1", 2, 2)]
     assert _run(["x = 3\nx  # 4\n"]) == [("x", 4, 3)]
     assert _run(["x = 3  # 4\n(x)  # the value\n"]) == []
+
+
+def test_every_flag_the_readme_names_is_an_option_of_a_subcommand():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    options = {flag for command in commands.values()
+               for action in command._actions for flag in action.option_strings}
+    named = set(_FLAG.findall(README.read_text(encoding="utf-8"))) - _OTHER_PROGRAMS_FLAGS
+    assert len(named) >= 15  # the README's CLI section is still there
+    assert named <= options, f"the README names {sorted(named - options)}, which no subcommand has"

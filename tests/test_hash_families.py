@@ -32,7 +32,7 @@ from storen.hash_families import (
     unchecked_hasher,
     validate_message,
 )
-from storen.protocol import ChunkPlan, Digest
+from storen.protocol import AuditShape, ChunkPlan, Digest
 
 from _oracles import bignat_digits_msf, crt_reconstruct, naive_poly_eval
 
@@ -66,7 +66,7 @@ def test_primes_are_derived_not_given():
     # the n primes stay out of the repr, and so out of a digest's
     big = derive_family(KIND_KARP_RABIN, 50000, "1/4")
     assert len(repr(big)) < 200
-    assert len(repr(Digest("single", 1, (0,), big.fingerprint, family=big))) < 500
+    assert len(repr(Digest("single", 1, (0,), big, AuditShape(1)))) < 500
 
 
 def test_derive_block_length_meets_agreement_target():
@@ -144,6 +144,17 @@ def test_hash_eval_validates_inputs():
         hash_eval(kr, 6, 1)  # message space is [0, 2*3)
     with pytest.raises(UsageError):
         hash_eval(kr, -1, 1)
+
+
+def test_a_message_space_past_the_int_to_str_limit_is_named_by_its_bits():
+    # at k = 2 000 the message space has about 7 500 digits, more than the
+    # interpreter prints by default; the error states its bit length instead
+    fam = derive_family(KIND_KARP_RABIN, 2000, "1/2")
+    bits = fam.message_space.bit_length()
+    with pytest.raises(UsageError, match=f"M has {bits} bits"):
+        validate_message(fam, fam.message_space)
+    with pytest.raises(CapacityError, match="more than the cap of 2048 messages"):
+        collision_probability_exact(fam)
 
 
 def test_karp_rabin_residues_reconstruct_message():

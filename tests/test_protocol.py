@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from storen.codes import encode, johnson_radius
 from storen.errors import UnsupportedVariantError, UsageError
 from storen.hash_families import (
     CheckedSymbols,
+    derive_family,
     family_fingerprint,
     hash_eval,
     karp_rabin_family,
@@ -33,7 +35,7 @@ from storen.protocol import (
     verify,
 )
 
-from _oracles import decodable_codewords
+from _oracles import decodable_codewords, patched_digest
 
 FAM = polynomial_family(k=2, n=5, q=5)
 FP = family_fingerprint(FAM)
@@ -97,14 +99,12 @@ def test_single_verify_range_checks_with_family():
 @pytest.mark.parametrize("count", [0, 2])
 def test_single_and_linear_digests_hold_exactly_one_value(count):
     # a digest file may claim any count; these variants store one value
-    for variant, answers in (("single", (2,)), ("linear", (1, 1))):
-        digest = Digest(variant, 4, (2,) * count, FP, family=FAM)
+    for variant, shape in (("single", AuditShape(1)), ("linear", AuditShape(2))):
+        blob = digest_to_bytes(Digest(variant, 4, (2,), FAM, shape))
         with pytest.raises(UsageError, match=f"stores one value, not {count}"):
-            verify(digest, answers)
+            Digest(variant, 4, (2,) * count, FAM, shape)
         with pytest.raises(UsageError, match="one value"):
-            settle(digest, 1 if variant == "single" else 2)
-    with pytest.raises(UsageError, match=f"stores one value, not {count}"):
-        retrievability_extract(FAM, [0] * 5, Digest("single", 4, (2,) * count, FP))
+            digest_from_bytes(patched_digest(blob, gammas=(2,) * count), FAM, shape)
 
 
 def test_single_karp_rabin_round_trip():
@@ -184,10 +184,7 @@ def test_multi_linear_rejects_karp_rabin():
 
 def test_multi_rs_fixed_transcript():
     # verifier side state for v=(1,2) with one error and no erasures allowed
-    digest = Digest(
-        "rs-parity", beta=1, gammas=(3, 4), fingerprint=FP, family=FAM,
-        shape=AuditShape(2, 1, 0),
-    )
+    digest = Digest("rs-parity", beta=1, gammas=(3, 4), family=FAM, shape=AuditShape(2, 1, 0))
     assert verify(digest, (1, 2)).accepted
     v = verify(digest, (1, 0))
     assert (v.outcome, v.accused, v.erased) == ("rejected", frozenset({2}), frozenset())
@@ -198,10 +195,7 @@ def test_multi_rs_fixed_transcript():
 
 def test_multi_rs_erasure_budget_recovers():
     # s=2, r=0, e=1: parity row of v=(1,2) under the code (2 -> 3) is (3,)
-    digest = Digest(
-        "rs-parity", beta=1, gammas=(3,), fingerprint=FP, family=FAM,
-        shape=AuditShape(2, 0, 1),
-    )
+    digest = Digest("rs-parity", beta=1, gammas=(3,), family=FAM, shape=AuditShape(2, 0, 1))
     v = verify(digest, (None, 2))
     assert (v.outcome, v.accused, v.erased) == ("accepted", frozenset(), frozenset({1}))
     assert verify(digest, (1, 2)).accepted
@@ -254,10 +248,7 @@ def test_multi_rs_exhaustive_single_cheater_identification():
 
 
 def test_multi_rs_beyond_budget_is_undecidable_or_wrong_codeword():
-    digest = Digest(
-        "rs-parity", beta=1, gammas=(3, 4), fingerprint=FP, family=FAM,
-        shape=AuditShape(2, 1, 0),
-    )
+    digest = Digest("rs-parity", beta=1, gammas=(3, 4), family=FAM, shape=AuditShape(2, 1, 0))
     # answers two errors away from v=(1,2)'s codeword and not within budget
     # of any other codeword: decoding must fail, verdict undecidable
     z = None
@@ -279,12 +270,11 @@ def test_multi_rs_parameter_errors():
         multi_rs_preprocess(FAM, (1, 2), plan, r=2, e=0, rng_seed=0)  # 6 > q
     with pytest.raises(UnsupportedVariantError):
         multi_rs_preprocess(karp_rabin_family(2, 4), 3, plan, r=0, e=0, rng_seed=0)
-    digest = multi_rs_preprocess(FAM, (1, 2), plan, r=1, e=0, rng_seed=0)
-    stripped = digest_from_bytes(digest_to_bytes(digest))
+    blob = digest_to_bytes(multi_rs_preprocess(FAM, (1, 2), plan, r=1, e=0, rng_seed=0))
     with pytest.raises(UsageError):
-        verify(stripped, (1, 2))  # no family, no budget
+        digest_from_bytes(blob, FAM, AuditShape(2))  # no budget
     with pytest.raises(UsageError):
-        verify(digest, (1, 2), r=0, e=0)  # budget disagrees with parities
+        digest_from_bytes(blob, FAM, AuditShape(2, 0, 0))  # budget disagrees with parities
 
 
 def test_multi_rs_trivial_budget_always_accepts():
@@ -297,7 +287,7 @@ def test_multi_rs_trivial_budget_always_accepts():
 
 
 def test_digest_round_trip_and_golden_bytes():
-    digest = Digest("single", beta=4, gammas=(2,), fingerprint=FP)
+    digest = Digest("single", beta=4, gammas=(2,), family=FAM, shape=AuditShape(1))
     blob = digest_to_bytes(digest)
     expect = (
         b"SENF"
@@ -310,63 +300,86 @@ def test_digest_round_trip_and_golden_bytes():
     )
     assert blob == expect
     assert len(blob) == 51 + 8
-    assert digest_from_bytes(blob) == digest
-    rs = Digest("rs-parity", beta=2, gammas=(3, 4), fingerprint=FP)
-    assert digest_from_bytes(digest_to_bytes(rs)) == rs
+    assert digest_from_bytes(blob, FAM, AuditShape(1)) == digest
+    rs = Digest("rs-parity", beta=2, gammas=(3, 4), family=FAM, shape=AuditShape(2, 1, 0))
+    assert digest_from_bytes(digest_to_bytes(rs), FAM, rs.shape) == rs
 
 
 def test_digest_from_bytes_rejects_malformed():
-    digest = Digest("single", beta=4, gammas=(2,), fingerprint=FP)
+    digest = Digest("single", beta=4, gammas=(2,), family=FAM, shape=AuditShape(1))
     blob = digest_to_bytes(digest)
     with pytest.raises(UsageError):
-        digest_from_bytes(blob[:-1])
+        digest_from_bytes(blob[:-1], FAM, AuditShape(1))
     with pytest.raises(UsageError):
-        digest_from_bytes(b"XENF" + blob[4:])
+        digest_from_bytes(b"XENF" + blob[4:], FAM, AuditShape(1))
     with pytest.raises(UsageError):
-        digest_from_bytes(blob[:4] + struct.pack("<H", 9) + blob[6:])
+        digest_from_bytes(blob[:4] + struct.pack("<H", 9) + blob[6:], FAM, AuditShape(1))
     bad_tag = blob[:6] + struct.pack("<B", 9) + blob[7:]
     with pytest.raises(UsageError):
-        digest_from_bytes(bad_tag)
+        digest_from_bytes(bad_tag, FAM, AuditShape(1))
 
 
-def test_digest_with_family_checks_fingerprint():
-    digest = digest_from_bytes(digest_to_bytes(preprocess("single", FAM, (1, 2), None, 0)))
-    assert digest.family is None
-    attached = digest.with_family(FAM)
+def test_digest_from_bytes_checks_fingerprint():
+    blob = digest_to_bytes(preprocess("single", FAM, (1, 2), None, 0))
+    attached = digest_from_bytes(blob, FAM, AuditShape(1))
     assert attached.family == FAM
     with pytest.raises(UsageError):
-        digest.with_family(karp_rabin_family(k=2, n=4))
+        digest_from_bytes(blob, karp_rabin_family(k=2, n=4), AuditShape(1))
 
 
-def test_digest_with_family_range_checks_challenge_and_values():
+def test_digest_from_bytes_refuses_another_family_or_a_shape_its_variant_cannot_have():
+    digest = multi_rs_preprocess(FAM, (1, 2), ChunkPlan(2, 2), r=1, e=0, rng_seed=0)
+    blob = digest_to_bytes(digest)
+    assert digest_from_bytes(blob, FAM, AuditShape(2, 1, 0)) == digest
+    # the same k and n over another field, and the same shape
+    with pytest.raises(UsageError, match="fingerprint mismatch"):
+        digest_from_bytes(blob, polynomial_family(k=2, n=5, q=7), AuditShape(2, 1, 0))
+    for shape in (AuditShape(2), AuditShape(2, 0, 1), AuditShape(2, 1, -1), AuditShape(0, 1, 0),
+                  AuditShape(4, 1, 0)):  # 4 + 2 > q = 5
+        with pytest.raises(UsageError):
+            digest_from_bytes(blob, FAM, shape)
+    single = digest_to_bytes(preprocess("single", FAM, (1, 2), None, 0))
+    with pytest.raises(UsageError, match="audits 1 provers, not 2"):
+        digest_from_bytes(single, FAM, AuditShape(2))
+    trivial = digest_to_bytes(preprocess("trivial", polynomial_family(k=1, n=5, q=5), (1, 2),
+                                         ChunkPlan(2, 2), 0))
+    with pytest.raises(UsageError, match="digest expects 2 provers, got 3"):
+        digest_from_bytes(trivial, polynomial_family(k=1, n=5, q=5), AuditShape(3))
+
+
+def test_a_loaded_digest_range_checks_challenge_and_values():
+    shapes = {"single": AuditShape(1), "linear": AuditShape(2), "rs-parity": AuditShape(2, 1, 0)}
     for variant, gammas in (("single", (4,)), ("linear", (0,)), ("rs-parity", (4, 0))):
-        assert Digest(variant, 5, gammas, FP).with_family(FAM).family == FAM
+        shape = shapes[variant]
+        blob = digest_to_bytes(Digest(variant, 5, gammas, FAM, shape))
+        assert digest_from_bytes(blob, FAM, shape).family == FAM
         with pytest.raises(UsageError, match="exceeds the family size"):
-            Digest(variant, 6, gammas, FP).with_family(FAM)
+            digest_from_bytes(patched_digest(blob, beta=6), FAM, shape)
         with pytest.raises(UsageError, match=r"outside the alphabet \[0, 5\)"):
-            Digest(variant, 5, gammas[:-1] + (5,), FP).with_family(FAM)
+            digest_from_bytes(patched_digest(blob, gammas=gammas[:-1] + (5,)), FAM, shape)
     # karp-rabin alphabets differ per challenge: 2, 3, 5, 7
     kr = karp_rabin_family(k=2, n=4)
-    trivial = Digest("trivial", 1, (1, 0), family_fingerprint(kr))
-    assert trivial.with_family(kr).family == kr
+    blob = digest_to_bytes(Digest("trivial", 1, (1, 0), kr, AuditShape(2)))
+    assert digest_from_bytes(blob, kr, AuditShape(2)).family == kr
     with pytest.raises(UsageError, match=r"\[0, 2\)"):
-        Digest("trivial", 1, (1, 2), family_fingerprint(kr)).with_family(kr)
-    assert Digest("trivial", 4, (6, 2), family_fingerprint(kr)).with_family(kr)
+        digest_from_bytes(patched_digest(blob, gammas=(1, 2)), kr, AuditShape(2))
+    assert digest_from_bytes(patched_digest(blob, beta=4, gammas=(6, 2)), kr, AuditShape(2))
 
 
 def test_a_digest_made_with_its_family_range_checks_its_values():
     # not only a digest attached to its family later: a value past the
     # alphabet would have the verifier accuse an honest prover
     fam = polynomial_family(k=2, n=4, q=5)
-    fp = family_fingerprint(fam)
     h = hash_eval(fam, (1, 2), 3)
-    for variant, gammas in (("single", (h + 5,)), ("trivial", (h, h + 5)),
-                            ("linear", (5,)), ("rs-parity", (h, 5))):
+    for variant, gammas, shape in (("single", (h + 5,), AuditShape(1)),
+                                   ("trivial", (h, h + 5), AuditShape(2)),
+                                   ("linear", (5,), AuditShape(2)),
+                                   ("rs-parity", (h, 5), AuditShape(2, 1, 0))):
         with pytest.raises(UsageError, match=r"outside the alphabet \[0, 5\)"):
-            Digest(variant, 3, gammas, fp, family=fam)
+            Digest(variant, 3, gammas, fam, shape)
     with pytest.raises(UsageError, match="exceeds the family size n=4"):
-        Digest("single", 5, (h,), fp, family=fam)
-    assert verify(Digest("single", 3, (h,), fp, family=fam), (h,)).accepted
+        Digest("single", 5, (h,), fam, AuditShape(1))
+    assert verify(Digest("single", 3, (h,), fam, AuditShape(1)), (h,)).accepted
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -413,8 +426,6 @@ def test_digest_payload_bits_formulas():
     assert digest_payload_bits(rs) == 3 + 2 * 3
     kr = preprocess("single", karp_rabin_family(k=2, n=4), 4, None, 0)
     assert digest_payload_bits(kr) == 2 + 3
-    with pytest.raises(UsageError):
-        digest_payload_bits(digest_from_bytes(digest_to_bytes(rs)))
 
 
 def test_storage_bound_slack_single_fixed_value():
@@ -425,6 +436,19 @@ def test_storage_bound_slack_single_fixed_value():
     # the Johnson bound 2*q*n is the default list size
     assert storage_bound_slack("single", FAM).list_size == 50
     assert storage_bound_slack("single", FAM).bits == report.bits
+
+
+def test_storage_bound_slack_memory_follows_k_not_n():
+    # k = 10**6, eps = 1/4: n = 1.6e7 challenges, and no n-tuple of alphabets
+    fam = derive_family("polynomial", 10**6, "1/4")
+    tracemalloc.start()
+    try:
+        report = storage_bound_slack("single", fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.list_size == 2 * fam.n * fam.q
+    assert peak < 2**20
 
 
 def test_storage_bound_slack_formulas_cross_checked():
@@ -462,6 +486,9 @@ def test_retrievability_extract_rejects_other_variants():
     digest = preprocess("linear", FAM, (1, 2), plan, 0)
     with pytest.raises(UnsupportedVariantError):
         retrievability_extract(FAM, [0] * 5, digest)
+    single = preprocess("single", FAM, (1, 2), None, 0)
+    with pytest.raises(UsageError, match="fingerprint mismatch"):
+        retrievability_extract(polynomial_family(k=2, n=5, q=7), [0] * 5, single)
 
 
 def test_rng_algorithm_is_pinned():

@@ -23,6 +23,7 @@ from storen.hash_families import (
 )
 from storen.protocol import (
     VARIANTS,
+    AuditShape,
     ChunkPlan,
     answerers,
     digest_from_bytes,
@@ -673,33 +674,36 @@ def _counting(answer_fn, calls, index):
 
 def test_misused_audits_send_no_challenge_and_leave_the_digest_unspent():
     plan = ChunkPlan(2, 2)
-    digest = multi_rs_preprocess(FAM, X, plan, r=1, e=0, rng_seed=6)
-    from_disk = digest_from_bytes(digest_to_bytes(digest))  # no family, no budget
-    attached = from_disk.with_family(FAM)
+    blob = digest_to_bytes(multi_rs_preprocess(FAM, X, plan, r=1, e=0, rng_seed=6))
     single = preprocess("single", FAM, X, None, 6)
     trivial = preprocess("trivial", polynomial_family(k=1, n=5, q=5), X, plan, 6)
+
+    def audit(addresses, fam=FAM, **budget):
+        """The rs-parity digest file, loaded for this audit's shape, then audited."""
+        digest = digest_from_bytes(blob, fam, AuditShape(len(addresses), **budget))
+        return run_verifier_client(digest, addresses)
+
     calls = []
     a1 = _counting(chunk_hasher(FAM, plan.zero_extended(X, 1)), calls, 1)
     a2 = _counting(chunk_hasher(FAM, plan.zero_extended(X, 2)), calls, 2)
     with ProverServer(FAM, a1) as s1, ProverServer(FAM, a2) as s2:
         two = [s1.address, s2.address]
         misuses = [
-            (attached, two, {}),  # no (r, e) budget
-            (attached, two, {"r": 1}),  # half a budget
-            (attached, two, {"r": 0, "e": 0}),  # 2r + e differs from the parity count
-            (attached, two * 2, {"r": 1, "e": 0}),  # s + 2r + e = 6 > q = 5
-            (from_disk, two, {"r": 1, "e": 0}),  # no family: the field is unknown
-            # no family: the challenge index read from disk is unchecked
-            (digest_from_bytes(digest_to_bytes(single)), [s1.address], {}),
-            (single, two, {}),  # the single variant has one prover
-            (trivial, [s1.address], {}),  # the digest stores two expected values
-            (attached, [], {"r": 1, "e": 0}),  # nobody to audit
+            lambda: audit(two),  # no (r, e) budget
+            lambda: audit(two, r=1),  # half a budget
+            lambda: audit(two, r=0, e=0),  # 2r + e differs from the parity count
+            lambda: audit(two * 2, r=1, e=0),  # s + 2r + e = 6 > q = 5
+            lambda: audit(two, polynomial_family(k=2, n=5, q=7), r=1, e=0),  # another family
+            lambda: run_verifier_client(single, two),  # the single variant has one prover
+            # the digest stores two expected values
+            lambda: run_verifier_client(trivial, [s1.address]),
+            lambda: audit([], r=1, e=0),  # nobody to audit
         ]
-        for misused, addresses, budget in misuses:
+        for misuse in misuses:
             with pytest.raises(UsageError):
-                run_verifier_client(misused, addresses, **budget)
+                misuse()
         assert calls == []
-        verdict = run_verifier_client(attached, two, r=1, e=0)
+        verdict = audit(two, r=1, e=0)
     assert (verdict.outcome, verdict.accused, verdict.erased) == (
         "accepted", frozenset(), frozenset(),
     )
