@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import poly_eval_mod, tree_reduce
+from .algebra import poly_evaluator, tree_reduce
 from .errors import UnsupportedVariantError, UsageError
 from .hash_families import (
     KIND_POLYNOMIAL,
@@ -210,11 +210,11 @@ class PartialRaw(Strategy):
             raise UsageError(f"t={t} exceeds the message length k={k}")
         # the prefix of the zero-extended message, less any trailing zeros,
         # which add nothing to the hash
-        prefix = ((0,) * (start or 0) + tuple(data))[:t]
+        evaluate = poly_evaluator([((0,) * (start or 0) + tuple(data))[:t]], q)
 
         def answer(beta, rng):
             point = beta - 1
-            value = poly_eval_mod(prefix, point, q)
+            value = evaluate(point)[0]
             if t == k:
                 return value
             if point == 0:
@@ -450,11 +450,11 @@ def run_sweep(
         for strategies in populations
     ]
     rates = [analytic_pass_rate(fam, x, a, variant, plan) for a in assignments]
-    hashers = answerers(fam, shares)
+    answers_at = answerers(fam, shares)
 
     def digest_at(beta):
         """The digest of ``beta``, made (which checks it) and memoized at its first draw."""
-        word = [hash_at(beta) for hash_at in hashers]
+        word = answers_at(beta)
         if extra is None:
             gammas = word
         else:

@@ -1,14 +1,20 @@
 """Prime numbers and polynomial evaluation over prime fields.
 
 Field elements are plain Python ints holding canonical residues; the hash
-families check their ranges.  ``DIGIT_BASE`` is the base of the digit
-stream in which a karp-rabin message can be streamed, most significant
-digit first.
+families check their ranges.  :func:`poly_evaluator` packs the coefficients
+of s polynomials into big ints once; each point then costs about
+2*sqrt(d*s) Python-level steps for d coefficients each, and the rest runs
+as C big-int arithmetic.  ``DIGIT_BASE`` is the base of the digit stream in
+which a karp-rabin message can be streamed, most significant digit first.
 """
 from __future__ import annotations
 
 import math
-from itertools import compress, islice
+import struct
+import sys
+from array import array
+from itertools import compress
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import CapacityError, UsageError
@@ -90,20 +96,51 @@ def tree_reduce(op: Callable, items: Sequence, leaf: Callable = lambda item: ite
     return op(tree_reduce(op, items[:half], leaf), tree_reduce(op, items[half:], leaf))
 
 
-def poly_eval_mod(coeffs: Sequence[int], point: int, p: int) -> int:
-    """Horner evaluation of sum(coeffs[i] * point**i) mod p on raw ints.
+def poly_evaluator(polys: Sequence[Sequence[int]], p: int) -> Callable[[int], list]:
+    """Pack the coefficient sequences ``polys`` once and return the function
+    point -> [sum(c[i] * point**i) mod p for each c in polys].
 
-    Unchecked fast path: the caller guarantees canonical residues.  After
-    plain Horner over the len % 4 highest coefficients, four go per reduction
-    (Knuth, TAOCP vol. 2, 4.6.4): acc = (acc*t**4 + a*t**3 + b*t**2 + c*t + d)
-    % p with t = point, exact for any p, one machine digit while 5p**2 < 2**30.
+    Baby-step/giant-step (Paterson-Stockmeyer, SIAM J. Comput. 1973) with
+    the inner products done on packed ints (Kronecker substitution).  With
+    d the longest length, s = len(polys), m ~ sqrt(d/s) and i = a + m*b,
+    row b is one int holding c_j[a + m*b] in lane a*s + j of 64*w bits.  A
+    point costs the L = ceil(d/m) powers of u = point**m, one dot product of
+    the rows with them, and m*s Horner steps over the lanes.  Every lane
+    stays below L*(p-1)**2 < 2**(64*w), so none carries into the next.
+    Unchecked: the caller guarantees residues in [0, p), with p < 2**64.
     """
-    top = reversed(tuple(coeffs))  # free for a tuple; a subclass iterates slowly
-    acc = 0
-    for c in islice(top, len(coeffs) % 4):
-        acc = (acc * point + c) % p
-    t2 = point * point % p
-    t3, t4 = t2 * point % p, t2 * t2 % p
-    for a, b, c, d in zip(top, top, top, top):
-        acc = (acc * t4 + a * t3 + b * t2 + c * point + d) % p
-    return acc
+    s, d = len(polys), max(map(len, polys), default=0)
+    m = max(1, round(math.sqrt(d / s))) if d else 1
+    count = -(-d // m)  # L
+    w = max(1, -(-(count * (p - 1) ** 2).bit_length() // 64))
+    flat = array("Q", bytes(8 * count * m * s * w))
+    for j, coeffs in enumerate(polys):
+        # array() has a fast path for a tuple or a list; anything else, such
+        # as a tuple subclass, is read faster through an iterator
+        source = coeffs if type(coeffs) in (tuple, list) else iter(coeffs)
+        flat[j * w : len(coeffs) * s * w : s * w] = array("Q", source)
+    if sys.byteorder == "big":  # the packed ints are little-endian
+        flat.byteswap()
+    width, blob = 8 * m * s * w, memoryview(flat).cast("B")
+    rows = [int.from_bytes(blob[b * width : (b + 1) * width], "little") for b in range(count)]
+    if w == 1:
+        unpack = struct.Struct(f"<{m * s}Q").unpack
+    else:
+        unpack = lambda packed: [int.from_bytes(packed[i : i + 8 * w], "little")
+                                 for i in range(0, width, 8 * w)]
+
+    def evaluate(point: int) -> list:
+        u = pow(point, m, p)
+        powers = [1] * count
+        for b in range(1, count):
+            powers[b] = powers[b - 1] * u % p
+        lanes = unpack(sum(map(mul, rows, powers)).to_bytes(width, "little"))
+        values = []
+        for j in range(s):
+            acc = 0
+            for lane in reversed(lanes[j::s]):
+                acc = (acc * point + lane) % p
+            values.append(acc)
+        return values
+
+    return evaluate

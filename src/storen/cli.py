@@ -46,11 +46,11 @@ from .hash_families import (
     hash_eval,
     karp_rabin_family,
     polynomial_family,
+    unchecked_hasher,
 )
 from .protocol import (
     VARIANTS,
     AuditShape,
-    answerers,
     digest_from_bytes,
     digest_payload_bits,
     digest_to_bytes,
@@ -213,14 +213,14 @@ def cmd_audit(args) -> int:
 
 def _serve_answerer(args, fam):
     """Answer function over this prover's share of the data file.  The whole
-    file is read and range-checked; only the prover's chunk (and, for linear
-    and rs-parity, its offset) outlives this call."""
+    file is read and range-checked; only the prover's chunk, packed (and,
+    for linear and rs-parity, its offset), outlives this call."""
     spec = VARIANTS[args.variant]
     plan = _plan(spec, fam, args.chunks, "chunks")
     index = _require(args.chunk_index, "chunk-index", spec.provers)
     plan.bounds(index)  # range-checks the index
     x = _read_data(fam, Path(args.data).read_bytes(), spec, plan)
-    return answerers(fam, spec.shares(fam, x, plan))[index - 1]
+    return unchecked_hasher(fam, *spec.shares(fam, x, plan)[index - 1])
 
 
 def cmd_serve(args) -> int:
@@ -319,21 +319,26 @@ def cmd_experiment(args) -> int:
     # every t is checked, and every store built, before the first line
     reports = run_sweep(fam, x, [strategy for _, strategy in plans], trials, seed,
                         variant=variant, plan=plan, r=r, e=e)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # an exact karp-rabin rate runs to 10**5 digits
     writer = csv.writer(sys.stdout)
     writer.writerow(["t", "retained_bits", "trials", "passes",
                      "empirical_rate", "analytic_rate"])
     for (t_label, _), report in zip(plans, reports):
-        writer.writerow([
-            t_label,
-            report.retained_bits,
-            report.trials,
-            report.passes,
-            str(report.empirical_rate),
-            "" if report.analytic_rate is None else str(report.analytic_rate),
-        ])
+        rate = "" if report.analytic_rate is None else report.analytic_rate
+        writer.writerow([t_label, report.retained_bits, report.trials, report.passes,
+                         *_unlimited_str(report.empirical_rate, rate)])
     return 0
+
+
+def _unlimited_str(*values) -> list:
+    """str() of each value, with Python's int-to-str digit limit lifted for
+    these conversions only: an exact karp-rabin rate runs to 10**5 digits."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    set_limit = getattr(sys, "set_int_max_str_digits", int)
+    set_limit(0)
+    try:
+        return [str(value) for value in values]
+    finally:
+        set_limit(limit)
 
 
 def cmd_certify(args) -> int:

@@ -29,7 +29,7 @@ from .algebra import (
     first_n_primes,
     is_prime,
     next_prime_at_least,
-    poly_eval_mod,
+    poly_evaluator,
     tree_reduce,
 )
 from .errors import CapacityError, UsageError
@@ -239,18 +239,15 @@ def validate_message(fam: HashFamilyDescriptor, x: Message):
 def hash_eval(fam: HashFamilyDescriptor, x: Message, i: int) -> int:
     """Value of h_i on x; the challenge index i is 1-based."""
     _check_index(fam, i)
-    x = validate_message(fam, x)
-    if fam.kind == KIND_POLYNOMIAL:
-        return poly_eval_mod(x, i - 1, fam.q)
-    return x % fam.primes[i - 1]
+    return unchecked_hasher(fam, validate_message(fam, x))(i)
 
 
 def hash_all(fam: HashFamilyDescriptor, x: Message) -> tuple[int, ...]:
     """All n hash values of x in index order."""
     x = validate_message(fam, x)
     if fam.kind == KIND_POLYNOMIAL:
-        x = tuple(x)  # copied once, not once per point
-        return tuple(poly_eval_mod(x, point, fam.q) for point in range(fam.n))
+        evaluate = poly_evaluator([x], fam.q)  # packed once, not once per point
+        return tuple(evaluate(point)[0] for point in range(fam.n))
     return tuple(x % p for p in fam.primes)
 
 
@@ -262,9 +259,10 @@ def chunk_hasher(
     With ``start`` None, ``x`` is a whole message, checked as
     :func:`validate_message` checks it.  With ``start`` given (polynomial
     kind only), ``x`` is a chunk: the symbols [start, start + len(x)) of a
-    k-symbol message that is zero elsewhere.  Each answer then costs one
-    pass of :func:`poly_eval_mod` over ``x``, never a codeword.  The
-    returned function does not check beta; callers pass 1 <= beta <= n.
+    k-symbol message that is zero elsewhere.  ``x`` is packed once for
+    :func:`~storen.algebra.poly_evaluator`, and each answer costs one
+    evaluation of it, never a codeword.  The returned function does not
+    check beta; callers pass 1 <= beta <= n.
     """
     if start is None:
         return unchecked_hasher(fam, validate_message(fam, x))
@@ -282,19 +280,27 @@ def chunk_hasher(
 def unchecked_hasher(
     fam: HashFamilyDescriptor, data, start: int | None = None
 ) -> Callable[[int], int]:
-    """:func:`chunk_hasher` for data its caller has already checked.
+    """:func:`chunk_hasher` for data its caller has already checked."""
+    hash_at = answerers(fam, [(data, start)])
+    return lambda beta: hash_at(beta)[0]
 
-    For the polynomial kind, with t = beta - 1, the zeros below ``start``
-    shift the chunk's polynomial by t**start.
-    """
+
+def answerers(fam: HashFamilyDescriptor, shares: Sequence) -> Callable[[int], tuple]:
+    """The function beta -> the tuple of every share's honest answer h_beta,
+    for checked shares ``(data, start)`` as :attr:`protocol.Variant.shares`
+    gives them.  Polynomial shares are packed once, together, when this is
+    called, and the zeros below ``start`` shift a share's polynomial by
+    t**start, with t = beta - 1.  The function does not check beta."""
     if fam.kind != KIND_POLYNOMIAL:
         primes = fam.primes
-        return lambda beta: data % primes[beta - 1]
-    q, shift, data = fam.q, start or 0, tuple(data)
+        return lambda beta: tuple(data % primes[beta - 1] for data, _ in shares)
+    q, shifts = fam.q, [start or 0 for _, start in shares]
+    evaluate = poly_evaluator([data for data, _ in shares], q)
 
-    def hash_at(beta: int) -> int:
+    def hash_at(beta: int) -> tuple:
         point = beta - 1
-        return pow(point, shift, q) * poly_eval_mod(data, point, q) % q
+        return tuple(pow(point, shift, q) * value % q
+                     for shift, value in zip(shifts, evaluate(point)))
 
     return hash_at
 

@@ -49,6 +49,7 @@ from .hash_families import (
     CheckedSymbols,
     HashFamilyDescriptor,
     Message,
+    answerers,
     check_symbols,
     hash_eval,
     unchecked_hasher,
@@ -469,12 +470,6 @@ class Variant:
     decide: Callable
 
 
-def answerers(fam: HashFamilyDescriptor, shares: Sequence) -> list:
-    """One honest answer function, beta -> h_beta, per share of
-    :attr:`Variant.shares`."""
-    return [unchecked_hasher(fam, data, start) for data, start in shares]
-
-
 VARIANTS = {
     VARIANT_SINGLE: Variant(1, 1, False, _whole_message_plan, _single_shares,
                             None, _one_value, _single_decide),
@@ -523,9 +518,8 @@ def preprocess(
     shares = spec.shares(fam, x, plan)
     shape = AuditShape(len(shares), r, e)
     extra = spec.expected and spec.expected(fam, shares, shape)
-    hashers = answerers(fam, shares)
     beta = _draw_challenge(fam, rng_seed)
-    answers = (hash_at(beta) for hash_at in hashers)  # linear never reads them
+    answers = answerers(fam, shares)(beta)
     gammas = answers if extra is None else extra(beta, answers)
     return Digest(variant, beta, tuple(gammas), fam, shape)
 

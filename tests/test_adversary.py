@@ -473,6 +473,22 @@ def test_run_experiment_reports_are_pinned(
     assert report.empirical_rate == Fraction(passes, 300)
 
 
+def _count_evaluations(monkeypatch, calls):
+    """Append to ``calls`` one point per polynomial that the hash layer's
+    packed evaluators evaluate there."""
+    def packing(polys, p):
+        evaluate = storen.algebra.poly_evaluator(polys, p)
+
+        def counting(point):
+            values = evaluate(point)
+            calls.extend([point] * len(values))
+            return values
+
+        return counting
+
+    monkeypatch.setattr(storen.hash_families, "poly_evaluator", packing)
+
+
 @pytest.mark.parametrize("variant, kwargs, per_challenge", [
     pytest.param("rs-parity", dict(strategy=_MIXED, plan=_PLAN, r=1, e=1), 3, id="rs-parity-3"),
     pytest.param("linear", dict(strategy=_MIXED, plan=_PLAN), 4, id="linear-4"),
@@ -485,12 +501,7 @@ def test_run_experiment_hashes_each_chunk_once_per_challenge(
     # one hash per chunk per challenge: three chunks, plus the whole-message
     # hash for linear; the single variant's one message
     calls = []
-
-    def counting(coeffs, point, p):
-        calls.append(point)
-        return storen.algebra.poly_eval_mod(coeffs, point, p)
-
-    monkeypatch.setattr(storen.hash_families, "poly_eval_mod", counting)
+    _count_evaluations(monkeypatch, calls)
     fam = polynomial_family(k=6, n=11, q=11)
     counts = {}
     for trials in (5, 200, 2000):
@@ -596,12 +607,7 @@ def test_a_sweep_reports_what_separate_calls_report(fam, x, assignments, kwargs)
 
 def test_a_sweep_hashes_each_drawn_challenge_once(monkeypatch):
     calls = []
-
-    def counting(coeffs, point, p):
-        calls.append(point)
-        return storen.algebra.poly_eval_mod(coeffs, point, p)
-
-    monkeypatch.setattr(storen.hash_families, "poly_eval_mod", counting)
+    _count_evaluations(monkeypatch, calls)
     fam = polynomial_family(k=6, n=101, q=101)
     ts = [0, 25, 50, 100]
     reports = run_sweep(fam, _X11, [PartialCodeword(t) for t in ts], 60, 9)

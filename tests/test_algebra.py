@@ -11,7 +11,7 @@ from storen.algebra import (
     first_n_primes,
     is_prime,
     next_prime_at_least,
-    poly_eval_mod,
+    poly_evaluator,
     tree_reduce,
 )
 from storen.errors import CapacityError, UsageError
@@ -56,9 +56,14 @@ def test_next_prime_at_least():
     assert next_prime_at_least(1) == 2
 
 
+def poly_eval(coeffs, point, p):
+    return poly_evaluator([coeffs], p)(point)[0]
+
+
 def test_horner_fixed_value():
     # 1 + 2*Y at Y=3 over F_5 is 7 = 2.
-    assert poly_eval_mod([1, 2], 3, 5) == 2
+    assert poly_eval([1, 2], 3, 5) == 2
+    assert poly_evaluator([[1, 2], [4], []], 5)(3) == [2, 4, 0]
 
 
 def test_horner_matches_naive_random():
@@ -68,24 +73,60 @@ def test_horner_matches_naive_random():
         k = rng.randrange(1, 12)
         coeffs = [rng.randrange(p) for _ in range(k)]
         point = rng.randrange(p)
-        assert poly_eval_mod(coeffs, point, p) == naive_poly_eval(coeffs, point, p)
+        assert poly_eval(coeffs, point, p) == naive_poly_eval(coeffs, point, p)
 
 
 def test_horner_empty_polynomial_is_zero():
-    assert poly_eval_mod([], 3, 5) == 0
+    assert poly_eval([], 3, 5) == 0
+    assert poly_evaluator([], 5)(3) == []
+    assert poly_evaluator([[], ()], 5)(3) == [0, 0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1031, 8209, 2**61 - 1])
 def test_horner_matches_naive_over_every_remainder_mod_4(p):
-    # lengths 0-39 cover each len % 4 head with up to nine groups of four
-    # after it; 2**61 - 1 makes every partial sum a multi-digit int
+    # lengths 0-39 cover every length up to ten rows; 2**61 - 1 makes
+    # every lane two 64-bit words
     rng = random.Random(p)
     for size in range(40):
         coeffs = [rng.randrange(p) for _ in range(size)]
         for point in {0, 1, p - 1, rng.randrange(p), rng.randrange(p)}:
             expected = naive_poly_eval(coeffs, point, p)
             for form in (coeffs, tuple(coeffs), CheckedSymbols(coeffs, p)):
-                assert poly_eval_mod(form, point, p) == expected, (size, point, type(form))
+                assert poly_eval(form, point, p) == expected, (size, point, type(form))
+
+
+# small primes, and the largest primes below 2**32 and 2**64, whose lanes
+# take one to three 64-bit words
+_WIDE_PRIMES = [2, 3, 4099, 4294967291, 18446744073709551557]
+
+
+@pytest.mark.parametrize("p", _WIDE_PRIMES)
+def test_evaluator_matches_naive_for_shares_of_unequal_length(p):
+    # every length up to 40, then one either side of m*L, where the kernel
+    # packs L rows of m coefficients, m = round(sqrt(d/s)) for the longest
+    # length d of s shares: 100 and 256 for one share (m = 10 and 16), 300
+    # for three (m = 10)
+    rng = random.Random(p)
+    shapes = [shape for d in range(41) for shape in ([d], [d, d // 2, 1], [0, d, d])]
+    shapes += [[d + delta] for d in (100, 256) for delta in (-1, 0, 1)]
+    shapes += [[d + delta, d - 1, d - 2] for d in (300,) for delta in (-1, 0, 1)]
+    for shape in shapes:
+        polys = [[rng.randrange(p) for _ in range(size)] for size in shape]
+        evaluate = poly_evaluator(polys, p)
+        for point in {0, 1, p - 1, rng.randrange(p)}:
+            expected = [naive_poly_eval(c, point, p) for c in polys]
+            assert evaluate(point) == expected, (shape, point)
+
+
+def test_evaluator_lanes_hold_coefficients_at_their_largest():
+    # coefficients of p - 1 everywhere make every lane as full as the point
+    # allows; a lane that carried into the next would change a value
+    for p in _WIDE_PRIMES:
+        for d in (1, 2, 5, 64, 65):
+            polys = [[p - 1] * d, [p - 1] * (d + 1)]
+            evaluate = poly_evaluator(polys, p)
+            for point in {p - 1, p // 2, max(p - 2, 0)}:
+                assert evaluate(point) == [naive_poly_eval(c, point, p) for c in polys]
 
 
 def test_first_n_primes_against_sieve():

@@ -665,17 +665,37 @@ def test_experiment_past_the_exact_size_prints_no_analytic_rate(capsys):
 def test_experiment_prints_long_exact_rates(capsys):
     # at k = 256, eps = 1/4 a karp-rabin guessing rate has about 18 000
     # digits, past the interpreter's default limit for int-to-str conversion
+    assert main([
+        "experiment", "kind=karp-rabin", "k=256", "epsilon=1/4",
+        "strategy=partial-codeword", "t=0", "trials=20", "seed=1",
+    ]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    fam = derive_family(KIND_KARP_RABIN, 256, Fraction(1, 4))
     limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # to read the rate back
     try:
-        assert main([
-            "experiment", "kind=karp-rabin", "k=256", "epsilon=1/4",
-            "strategy=partial-codeword", "t=0", "trials=20", "seed=1",
-        ]) == 0
-        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        fam = derive_family(KIND_KARP_RABIN, 256, Fraction(1, 4))
         assert Fraction(rows[1][5]) == analytic_pass_rate(fam, 0, PartialCodeword(0))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("limit", [None, 5000])
+def test_experiment_leaves_the_int_to_str_limit_as_it_found_it(capsys, limit):
+    # the limit is lifted around the rates' formatting only, so a caller's
+    # later conversions keep their guard, whatever the limit was
+    before = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        expected = sys.get_int_max_str_digits()
+        for args in (["kind=polynomial", "k=2", "epsilon=1/2", "strategy=zero"],
+                     ["kind=karp-rabin", "k=256", "epsilon=1/4", "strategy=partial-codeword",
+                      "t=0"]):
+            assert main(["experiment", *args, "trials=10", "seed=1"]) == 0
+            assert sys.get_int_max_str_digits() == expected
+        assert len(capsys.readouterr().out) > 10_000  # a rate past the limit was printed
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_experiment_rejects_unknown_keys(capsys):

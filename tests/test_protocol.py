@@ -388,7 +388,7 @@ def test_every_verdict_refuses_an_answer_that_is_not_an_int(variant):
     fam = polynomial_family(k=1, n=5, q=5) if spec.chunk_family else FAM
     plan = spec.chunk_plan(fam, spec.provers or 2)
     digest = preprocess(variant, fam, (1, 2), plan, 0, r=1, e=0)
-    honest = [hash_at(digest.beta) for hash_at in answerers(fam, spec.shares(fam, (1, 2), plan))]
+    honest = list(answerers(fam, spec.shares(fam, (1, 2), plan))(digest.beta))
 
     def verdict(answers):
         return spec.decide(settle(digest, len(answers)), answers)

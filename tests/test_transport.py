@@ -20,6 +20,7 @@ from storen.hash_families import (
     hash_eval,
     karp_rabin_family,
     polynomial_family,
+    unchecked_hasher,
 )
 from storen.protocol import (
     VARIANTS,
@@ -721,8 +722,9 @@ def test_one_prover_too_few_or_too_many_is_refused_by_the_digest_shape(variant):
     x = (3, 1, 4, 1, 5, 9)
     plan = spec.chunk_plan(fam, spec.provers or 3)
     digest = preprocess(variant, fam, x, plan, 5, r=1, e=1)
-    hashers = answerers(fam, spec.shares(fam, x, plan))
-    honest = [hash_at(digest.beta) for hash_at in hashers]
+    shares = spec.shares(fam, x, plan)
+    hashers = [unchecked_hasher(fam, data, start) for data, start in shares]
+    honest = list(answerers(fam, shares)(digest.beta))
     calls = []
     with contextlib.ExitStack() as stack:
         addresses = [
