@@ -29,7 +29,6 @@ from .hash_families import (
     derive_family,
     descriptor_from_bytes,
     descriptor_to_bytes,
-    family_fingerprint,
     hash_all,
     hash_eval,
     hash_eval_stream,

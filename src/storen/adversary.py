@@ -14,9 +14,11 @@ retention strictly monotone in the number of kept symbols.
 :func:`run_experiment` replays many independent audits against a strategy
 and reports empirical pass rates next to exact analytic ones;
 :func:`run_sweep` does so for several strategy assignments at once, over
-the same audits.  A call keeps a memo: the first time a challenge is drawn,
-it hashes each prover's data there once and keeps the verifier's digest,
-checked once, and the honest answers, which later trials reuse, the
+the same audits.  A call keeps a memo, a dict keyed by the challenges
+drawn: the first time a challenge is drawn, :func:`protocol.digest_maker`,
+which also makes :func:`protocol.preprocess`'s digests, hashes each
+prover's data there once and makes the verifier's digest, checked once;
+the memo keeps it and the honest answers, which later trials reuse, the
 stores answering through it.  Trials are reproducible: trial ``i`` of
 master seed ``m`` reseeds the call's one generator with
 ``sha256("storen.trial:m:i")`` (as a big-endian integer), which gives the
@@ -36,7 +38,6 @@ import numbers
 import os
 import random
 import threading
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -56,8 +57,7 @@ from .protocol import (
     VARIANT_SINGLE,
     AuditShape,
     ChunkPlan,
-    Digest,
-    answerers,
+    digest_maker,
     lookup_variant,
 )
 
@@ -430,40 +430,19 @@ def run_sweep(
     shares = spec.shares(fam, x, plan)
     provers = len(shares)
     populations = [per_prover_strategies(provers, a) for a in assignments]
-    # digests[beta - 1] is the digest of a challenge and answers[beta - 1]
-    # its honest answers, one per prover, both made at its first draw;
-    # where the honest answers are the digest values (single, trivial), the
-    # digest holds them.  A list, and machine words for the answers, keep
-    # the memo small: it is part of every call's peak memory.
-    n = fam.n
-    digests = [None] * n
-    shape = AuditShape(provers, r, e)
-    extra = spec.expected and spec.expected(fam, shares, shape)
-    if extra is None:
-        honest = lambda column: lambda beta: digests[beta - 1].gammas[column]
-    else:
-        answers = [None] * n
-        honest = lambda column: lambda beta: answers[beta - 1][column]
+    # memo[beta] is the digest of a drawn challenge and its honest answers,
+    # one per prover, both made at its first draw: a dict of the challenges
+    # drawn, so the memo grows with the trials, never with n
+    memo = {}
+    digest_at = digest_maker(variant, fam, shares, AuditShape(provers, r, e))
+    honest = lambda column: lambda beta: memo[beta][1][column]
     store_sets = [
         [strat.store(fam, data, start, honest(column))
          for column, ((data, start), strat) in enumerate(zip(shares, strategies))]
         for strategies in populations
     ]
     rates = [analytic_pass_rate(fam, x, a, variant, plan) for a in assignments]
-    answers_at = answerers(fam, shares)
-
-    def digest_at(beta):
-        """The digest of ``beta``, made (which checks it) and memoized at its first draw."""
-        word = answers_at(beta)
-        if extra is None:
-            gammas = word
-        else:
-            answers[beta - 1] = array("Q", word)
-            gammas = extra(beta, word)
-        digests[beta - 1] = Digest(variant, beta, tuple(gammas), fam, shape)
-        return digests[beta - 1]
-
-    decide = spec.decide
+    decide, n = spec.decide, fam.n
     rng = random.Random()
     seed = super(random.Random, rng).seed  # Random.seed, less its type dispatch
     randrange = rng.randrange
@@ -481,8 +460,9 @@ def run_sweep(
                 seed(trial_seed(master_seed, index))
                 rng.gauss_next = None
                 beta = randrange(n) + 1
-                verdict = decide(digests[beta - 1] or digest_at(beta),
-                                 [answer(beta, rng) for answer in answer_fns])
+                # the digest is made, and checks itself, at the first draw
+                digest = (memo.get(beta) or memo.setdefault(beta, digest_at(beta)))[0]
+                verdict = decide(digest, [answer(beta, rng) for answer in answer_fns])
                 outcome = verdict.outcome
                 if outcome == OUTCOME_ACCEPTED:
                     passes += 1

@@ -37,16 +37,15 @@ from .hash_families import (
     KIND_KARP_RABIN,
     KIND_POLYNOMIAL,
     CheckedSymbols,
+    answerers,
     chunk_hasher,
     collision_probability_exact,
     derive_family,
     descriptor_from_bytes,
     descriptor_to_bytes,
-    family_fingerprint,
     hash_eval,
     karp_rabin_family,
     polynomial_family,
-    unchecked_hasher,
 )
 from .protocol import (
     VARIANTS,
@@ -158,7 +157,7 @@ def cmd_derive(args) -> int:
     print(f"collision bound: {fam.epsilon_actual}")
     print(f"challenge bits: {fam.challenge_bits}")
     print(f"symbol bits: {fam.symbol_bits}")
-    print(f"fingerprint: {family_fingerprint(fam).hex()}")
+    print(f"fingerprint: {fam.fingerprint.hex()}")
     if args.out:
         Path(args.out).write_bytes(descriptor_to_bytes(fam))
         print(f"descriptor: {args.out}")
@@ -220,7 +219,8 @@ def _serve_answerer(args, fam):
     index = _require(args.chunk_index, "chunk-index", spec.provers)
     plan.bounds(index)  # range-checks the index
     x = _read_data(fam, Path(args.data).read_bytes(), spec, plan)
-    return unchecked_hasher(fam, *spec.shares(fam, x, plan)[index - 1])
+    hash_at = answerers(fam, spec.shares(fam, x, plan)[index - 1:index])
+    return lambda beta: hash_at(beta)[0]
 
 
 def cmd_serve(args) -> int:

@@ -30,7 +30,7 @@ from .hash_families import (
     HashFamilyDescriptor,
     KIND_POLYNOMIAL,
     _guard_exhaustive,
-    enumerate_messages,
+    enumerate_codewords,
     hash_all,
 )
 
@@ -60,7 +60,7 @@ def hamming_distance(u: ReceivedWord, v: ReceivedWord) -> int:
 def min_distance_exhaustive(fam: HashFamilyDescriptor) -> int:
     """Exact minimum pairwise distance, by enumerating every codeword pair."""
     _guard_exhaustive(fam, _DISTANCE_CAP_MESSAGES, "distance check")
-    words = [hash_all(fam, x) for x in enumerate_messages(fam)]
+    words = [word for _, word in enumerate_codewords(fam)]
     best = fam.n
     for a in range(len(words)):
         wa = words[a]
@@ -108,8 +108,7 @@ def brute_force_list_decode(
         raise UsageError(f"radius must be non-negative, got {radius}")
     _guard_exhaustive(fam, _LIST_DECODE_CAP_MESSAGES, "list decoding")
     hits = []
-    for x in enumerate_messages(fam):
-        cw = hash_all(fam, x)
+    for x, cw in enumerate_codewords(fam):
         dist = sum(1 for a, b in zip(cw, z) if b is None or a != b)
         if dist <= radius:
             hits.append(x)

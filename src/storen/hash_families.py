@@ -22,6 +22,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .algebra import (
@@ -44,6 +45,7 @@ _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 Message = Union[Sequence[int], int]
 
 _COLLISION_CAP_MESSAGES = 2048
+_CODEWORD_BLOCK = 4096  # messages an exhaustive oracle hashes per packing
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class HashFamilyDescriptor:
     @cached_property
     def fingerprint(self) -> bytes:
         """SHA-256 of the canonical descriptor encoding, computed once per
-        descriptor; :func:`family_fingerprint` returns it."""
+        descriptor; provers and verifiers exchange it in their handshake."""
         return hashlib.sha256(descriptor_to_bytes(self)).digest()
 
     @property
@@ -163,10 +165,12 @@ class CheckedSymbols(tuple):
     """A tuple of symbols known to be ints in [0, ``bound``).
 
     Building one checks every symbol, so a message checked once can be
-    passed on without being scanned again: :func:`validate_message` and
-    :func:`chunk_hasher` return it as it is when ``bound`` is at most the
-    family's q.  Equality and hashing are those of the tuple; ``bound`` is
-    read-only, and copies and pickles are rebuilt through the check.
+    passed on without being scanned again: :func:`check_symbols`, and so
+    :func:`validate_message` and :func:`chunk_hasher`, take it as it is when
+    ``bound`` is at most the family's q.  :func:`answerers`, the one hasher
+    of checked shares, never scans.  Equality and hashing are those of the
+    tuple; ``bound`` is read-only, and copies and pickles are rebuilt
+    through the check.
     """
 
     def __new__(cls, symbols: Iterable[int], bound: int):
@@ -239,7 +243,7 @@ def validate_message(fam: HashFamilyDescriptor, x: Message):
 def hash_eval(fam: HashFamilyDescriptor, x: Message, i: int) -> int:
     """Value of h_i on x; the challenge index i is 1-based."""
     _check_index(fam, i)
-    return unchecked_hasher(fam, validate_message(fam, x))(i)
+    return answerers(fam, [(validate_message(fam, x), None)])(i)[0]
 
 
 def hash_all(fam: HashFamilyDescriptor, x: Message) -> tuple[int, ...]:
@@ -265,23 +269,17 @@ def chunk_hasher(
     check beta; callers pass 1 <= beta <= n.
     """
     if start is None:
-        return unchecked_hasher(fam, validate_message(fam, x))
-    if fam.kind != KIND_POLYNOMIAL:
+        x = validate_message(fam, x)
+    elif fam.kind != KIND_POLYNOMIAL:
         raise UsageError("symbol offsets apply to the polynomial kind only")
-    chunk = check_symbols(fam, x)
-    if not isinstance(start, int) or not 0 <= start <= fam.k - len(chunk):
-        raise UsageError(
-            f"a chunk of {len(chunk)} symbols at offset {start} does not fit "
-            f"a {fam.k}-symbol message"
-        )
-    return unchecked_hasher(fam, chunk, start)
-
-
-def unchecked_hasher(
-    fam: HashFamilyDescriptor, data, start: int | None = None
-) -> Callable[[int], int]:
-    """:func:`chunk_hasher` for data its caller has already checked."""
-    hash_at = answerers(fam, [(data, start)])
+    else:
+        x = check_symbols(fam, x)
+        if not isinstance(start, int) or not 0 <= start <= fam.k - len(x):
+            raise UsageError(
+                f"a chunk of {len(x)} symbols at offset {start} does not fit "
+                f"a {fam.k}-symbol message"
+            )
+    hash_at = answerers(fam, [(x, start)])
     return lambda beta: hash_at(beta)[0]
 
 
@@ -350,11 +348,19 @@ def hash_eval_stream(fam: HashFamilyDescriptor, stream: Iterable[int], i: int) -
 def enumerate_messages(fam: HashFamilyDescriptor) -> Iterator[Message]:
     """Every message in lexicographic order (numeric order for karp-rabin)."""
     if fam.kind == KIND_POLYNOMIAL:
-        from itertools import product
-
         yield from product(range(fam.q), repeat=fam.k)
     else:
         yield from range(fam.message_space)
+
+
+def enumerate_codewords(fam: HashFamilyDescriptor) -> Iterator[tuple]:
+    """``(message, codeword)`` for every message, in enumeration order: each
+    block of :data:`_CODEWORD_BLOCK` messages is packed by one
+    :func:`answerers` call, so a toy message does not pay the packing alone."""
+    messages = enumerate_messages(fam)
+    while block := list(islice(messages, _CODEWORD_BLOCK)):
+        hash_at = answerers(fam, [(x, None) for x in block])
+        yield from zip(block, zip(*map(hash_at, range(1, fam.n + 1))))
 
 
 def _guard_exhaustive(fam: HashFamilyDescriptor, cap: int, what: str) -> None:
@@ -370,7 +376,7 @@ def collision_probability_exact(fam: HashFamilyDescriptor) -> Fraction:
     the documented cap.
     """
     _guard_exhaustive(fam, _COLLISION_CAP_MESSAGES, "collision probability")
-    words = [hash_all(fam, x) for x in enumerate_messages(fam)]
+    words = [word for _, word in enumerate_codewords(fam)]
     best = Fraction(0)
     for a in range(len(words)):
         wa = words[a]
@@ -398,8 +404,3 @@ def descriptor_from_bytes(data: bytes) -> HashFamilyDescriptor:
     if tail != n:
         raise UsageError(f"prime count {tail} disagrees with n={n}")
     return karp_rabin_family(k, n)
-
-
-def family_fingerprint(fam: HashFamilyDescriptor) -> bytes:
-    """SHA-256 of the canonical descriptor encoding; exchanged in handshakes."""
-    return fam.fingerprint

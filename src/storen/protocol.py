@@ -52,7 +52,6 @@ from .hash_families import (
     answerers,
     check_symbols,
     hash_eval,
-    unchecked_hasher,
     validate_message,
 )
 
@@ -284,6 +283,10 @@ def _check_answer_range(digest: Digest, answers: Sequence[Optional[int]]) -> Non
             raise UsageError(f"answer {answer!r} outside the challenge's alphabet [0, {limit})")
 
 
+def _honest_expected(fam, shares, shape):
+    return lambda beta, answers: answers  # the digest values themselves
+
+
 # --- single prover ---------------------------------------------------------
 
 
@@ -381,8 +384,8 @@ def _linear_check(digest):
 def _linear_expected(fam, shares, shape):
     """The whole-message hash, hashed on its own so that the check does not
     rest on the chunk hashes."""
-    whole = unchecked_hasher(fam, tuple(chain.from_iterable(data for data, _ in shares)))
-    return lambda beta, answers: (whole(beta),)
+    whole = answerers(fam, [(tuple(chain.from_iterable(data for data, _ in shares)), None)])
+    return lambda beta, answers: whole(beta)
 
 
 def _linear_decide(digest, answers):
@@ -405,7 +408,7 @@ def _rs_code(shape, q):
 def _rs_expected(fam, shares, shape):
     """The 2r+e Reed-Solomon parities of the s honest answers."""
     code = _rs_code(shape, fam.q)
-    return lambda beta, answers: rs_encode_systematic(code, tuple(answers))[code.message_len:]
+    return lambda beta, answers: rs_encode_systematic(code, answers)[code.message_len:]
 
 
 def _rs_check(digest):
@@ -450,9 +453,9 @@ class Variant:
     - ``chunk_plan(fam, s)``: how the data splits across s provers.
     - ``shares(fam, x, plan)``: each prover's data, checked, and its symbol
       offset (None when the data is a whole message of ``fam``).
-    - ``expected(fam, shares, shape)``: None when the honest answers are
-      the digest values; otherwise a function (beta, answers) -> the
-      digest values, given an iterable of the honest answers at beta.
+    - ``expected(fam, shares, shape)``: the function (beta, answers) -> the
+      tuple of digest values, given the tuple of honest answers at beta;
+      for single and trivial, the answers themselves.
     - ``check(digest)``: what else a digest's construction checks, given
       its shape.
     - ``decide(digest, answers)``: the verdict on one answer (or None, for
@@ -465,16 +468,16 @@ class Variant:
     chunk_family: bool
     chunk_plan: Callable
     shares: Callable
-    expected: Optional[Callable]
+    expected: Callable
     check: Callable
     decide: Callable
 
 
 VARIANTS = {
     VARIANT_SINGLE: Variant(1, 1, False, _whole_message_plan, _single_shares,
-                            None, _one_value, _single_decide),
+                            _honest_expected, _one_value, _single_decide),
     VARIANT_TRIVIAL: Variant(2, None, True, _trivial_plan, _trivial_shares,
-                             None, _trivial_check, _trivial_decide),
+                             _honest_expected, _trivial_check, _trivial_decide),
     VARIANT_LINEAR: Variant(3, None, False, _whole_message_plan, _offset_shares,
                             _linear_expected, _linear_check, _linear_decide),
     VARIANT_RS: Variant(4, None, False, _whole_message_plan, _offset_shares,
@@ -499,6 +502,22 @@ def settle(digest: Digest, provers: int) -> Digest:
     return digest
 
 
+def digest_maker(variant: str, fam: HashFamilyDescriptor, shares: Sequence,
+                 shape: AuditShape) -> Callable[[int], Tuple[Digest, tuple]]:
+    """The function beta -> (the digest of ``variant`` at beta, the honest
+    answers there), over checked ``shares`` as :attr:`Variant.shares` gives
+    them, packed once: the one place where hashed answers become a digest,
+    for :func:`preprocess` and the experiments alike."""
+    expected = VARIANTS[variant].expected(fam, shares, shape)
+    answers_at = answerers(fam, shares)
+
+    def digest_at(beta: int) -> Tuple[Digest, tuple]:
+        answers = answers_at(beta)
+        return Digest(variant, beta, expected(beta, answers), fam, shape), answers
+
+    return digest_at
+
+
 def preprocess(
     variant: str,
     fam: HashFamilyDescriptor,
@@ -514,14 +533,9 @@ def preprocess(
     budget, which needs s + 2r + e <= q.  The digest keeps the shape.  With
     ``rng_seed`` None the challenge is secret; anyone who knows a seed knows it.
     """
-    spec = lookup_variant(variant)
-    shares = spec.shares(fam, x, plan)
-    shape = AuditShape(len(shares), r, e)
-    extra = spec.expected and spec.expected(fam, shares, shape)
-    beta = _draw_challenge(fam, rng_seed)
-    answers = answerers(fam, shares)(beta)
-    gammas = answers if extra is None else extra(beta, answers)
-    return Digest(variant, beta, tuple(gammas), fam, shape)
+    shares = lookup_variant(variant).shares(fam, x, plan)
+    digest_at = digest_maker(variant, fam, shares, AuditShape(len(shares), r, e))
+    return digest_at(_draw_challenge(fam, rng_seed))[0]
 
 
 def verify(digest: Digest, answers: Sequence[Optional[int]]) -> Verdict:

@@ -60,7 +60,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ProtocolError, UsageError
-from .hash_families import HashFamilyDescriptor, family_fingerprint
+from .hash_families import HashFamilyDescriptor
 from .protocol import VARIANTS, Digest, Verdict, digest_to_bytes, settle
 
 PROTOCOL_VERSION = 1
@@ -226,7 +226,7 @@ class ProverServer:
         port: int = 0,
         max_sessions: Optional[int] = None,
     ):
-        self._fingerprint = family_fingerprint(fam)
+        self._fingerprint = fam.fingerprint
         self._n = fam.n
         self._answer_fn = answer_fn
         self._bind = (host, port)

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -615,6 +616,26 @@ def test_a_sweep_hashes_each_drawn_challenge_once(monkeypatch):
     assert len(drawn) < 60 and len(calls) == len(drawn)
     assert [r.passes for r in reports] == [
         run_experiment(fam, _X11, PartialCodeword(t), 60, 9).passes for t in ts]
+
+
+@pytest.mark.parametrize("variant, plan", [("single", None), ("linear", ChunkPlan(4, 1024))])
+def test_an_experiments_memory_follows_the_challenges_drawn_not_n(variant, plan):
+    # k = 1024 at eps = 1/2, 1/8 and 1/32: n = 4 096, 65 536 and 1 048 576.
+    # One trial draws one challenge, so the peak must not grow with n; a
+    # memo of one slot per challenge would add 8 bytes a challenge, 0.5 MB
+    # from the first n to the second.  The margin is 32 KiB.
+    peaks = []
+    for eps in ("1/2", "1/8", "1/32"):
+        fam = derive_family(KIND_POLYNOMIAL, 1024, eps)
+        x = synthesize_message(fam, 1)
+        tracemalloc.start()
+        try:
+            (report,) = run_sweep(fam, x, [Honest()], 1, 1, variant, plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.passes == 1
+    assert max(peaks) - min(peaks) < 32 * 1024, peaks
 
 
 def test_a_sweep_checks_every_assignment_before_its_first_trial(monkeypatch):

@@ -41,7 +41,6 @@ from storen.protocol import (
     preprocess,
     verify,
 )
-from storen.hash_families import family_fingerprint
 from storen.transport import (
     ProverServer,
     query_prover,
@@ -837,7 +836,7 @@ def test_every_variant_preprocesses_and_serves_like_the_library(tmp_path, capsys
     ]) == 0
     assert digest_file.read_bytes() == digest_to_bytes(_LIBRARY[variant](fam, x, plan))
 
-    fingerprint = family_fingerprint(fam)
+    fingerprint = fam.fingerprint
     for index, message in enumerate(messages, start=1):
         port = free_port()
         thread = threading.Thread(target=main, args=([

@@ -17,19 +17,18 @@ from storen.hash_families import (
     KIND_POLYNOMIAL,
     CheckedSymbols,
     HashFamilyDescriptor,
+    answerers,
     chunk_hasher,
     derive_family,
     descriptor_from_bytes,
     descriptor_to_bytes,
     enumerate_messages,
-    family_fingerprint,
     hash_all,
     hash_eval,
     hash_eval_stream,
     karp_rabin_family,
     collision_probability_exact,
     polynomial_family,
-    unchecked_hasher,
     validate_message,
 )
 from storen.protocol import AuditShape, ChunkPlan, Digest
@@ -239,12 +238,21 @@ def test_enumerate_messages_order():
     assert list(enumerate_messages(kr)) == [0, 1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_enumerate_codewords_pairs_each_message_with_hash_all(monkeypatch, block):
+    # 25 and 30 messages: blocks of 7 leave a short last block
+    monkeypatch.setattr(hash_families, "_CODEWORD_BLOCK", block)
+    for fam in (polynomial_family(k=2, n=5, q=5), karp_rabin_family(k=3, n=4)):
+        pairs = list(hash_families.enumerate_codewords(fam))
+        assert pairs == [(x, hash_all(fam, x)) for x in enumerate_messages(fam)]
+
+
 def test_descriptor_round_trip_and_golden_bytes():
     fam = polynomial_family(k=2, n=5, q=5)
     blob = descriptor_to_bytes(fam)
     assert blob == struct.pack("<BQQQ", 1, 2, 5, 5)
     assert descriptor_from_bytes(blob) == fam
-    assert family_fingerprint(fam) == hashlib.sha256(blob).digest()
+    assert fam.fingerprint == hashlib.sha256(blob).digest()
 
     kr = karp_rabin_family(k=2, n=4)
     blob = descriptor_to_bytes(kr)
@@ -255,11 +263,11 @@ def test_descriptor_round_trip_and_golden_bytes():
 def test_descriptor_fingerprints_frozen():
     # Frozen so that digests and wire handshakes stay stable across releases.
     assert (
-        family_fingerprint(polynomial_family(k=2, n=5, q=5)).hex()
+        polynomial_family(k=2, n=5, q=5).fingerprint.hex()
         == "2d5c00e12637371190602aed8676be86951a62a9252c0a2a6fc3d144ccfc78d0"
     )
     assert (
-        family_fingerprint(karp_rabin_family(k=2, n=4)).hex()
+        karp_rabin_family(k=2, n=4).fingerprint.hex()
         == "20879223fbae3ece43225425c4cd984ba0eb0606c47533b7ce7289f91948d55f"
     )
 
@@ -294,7 +302,7 @@ def test_chunk_hasher_equals_hash_of_zero_extended_chunk():
     for i in range(1, 4):
         start, stop = plan.bounds(i)
         alone = chunk_hasher(fam, x[start:stop], start)
-        trusted = unchecked_hasher(fam, x[start:stop], start)
+        trusted = lambda beta, hash_at=answerers(fam, [(x[start:stop], start)]): hash_at(beta)[0]
         extended = plan.zero_extended(x, i)
         for beta in range(1, fam.n + 1):  # beta = 1 is the point 0
             expected = hash_eval(fam, extended, beta)
@@ -345,8 +353,8 @@ def test_fingerprint_is_computed_once_per_descriptor():
     ):
         assert "fingerprint" not in vars(fam)
         blob = descriptor_to_bytes(fam)
-        assert family_fingerprint(fam) == hashlib.sha256(blob).digest()
-        assert vars(fam)["fingerprint"] is family_fingerprint(fam)
+        assert fam.fingerprint == hashlib.sha256(blob).digest()
+        assert vars(fam)["fingerprint"] is fam.fingerprint
         # the cached digest is not part of the descriptor's identity
         assert fam == fresh and hash(fam) == hash(fresh)
         assert descriptor_to_bytes(fam) == blob == descriptor_to_bytes(fresh)

@@ -11,7 +11,6 @@ from storen.errors import UnsupportedVariantError, UsageError
 from storen.hash_families import (
     CheckedSymbols,
     derive_family,
-    family_fingerprint,
     hash_eval,
     karp_rabin_family,
     polynomial_family,
@@ -38,7 +37,7 @@ from storen.protocol import (
 from _oracles import decodable_codewords, patched_digest
 
 FAM = polynomial_family(k=2, n=5, q=5)
-FP = family_fingerprint(FAM)
+FP = FAM.fingerprint
 
 
 def find_seed(fam, target_beta):

@@ -16,11 +16,9 @@ from storen.codes import encode
 from storen.errors import ProtocolError, UsageError
 from storen.hash_families import (
     chunk_hasher,
-    family_fingerprint,
     hash_eval,
     karp_rabin_family,
     polynomial_family,
-    unchecked_hasher,
 )
 from storen.protocol import (
     VARIANTS,
@@ -153,7 +151,7 @@ def test_network_faults_are_erasures(monkeypatch):
         return connect(sock, address)
 
     monkeypatch.setattr(socket.socket, "connect", refuse_unroutable)
-    assert query_prover(unroutable, 1, family_fingerprint(FAM)) is None
+    assert query_prover(unroutable, 1, FAM.fingerprint) is None
     with ProverServer(FAM, chunk_hasher(FAM, X[1:], 1)) as s2:
         verdict = run_verifier_client(digest, [unroutable, s2.address])
     assert (verdict.outcome, verdict.erased) == ("accepted", frozenset({1}))
@@ -162,7 +160,7 @@ def test_network_faults_are_erasures(monkeypatch):
         raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
 
     monkeypatch.setattr(socket, "getaddrinfo", unresolvable)
-    assert query_prover(("no-such-host.invalid", 9), 1, family_fingerprint(FAM)) is None
+    assert query_prover(("no-such-host.invalid", 9), 1, FAM.fingerprint) is None
 
 
 def test_each_address_of_a_name_is_tried_in_turn(monkeypatch):
@@ -178,7 +176,7 @@ def test_each_address_of_a_name_is_tried_in_turn(monkeypatch):
     with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         both = [(socket.AF_INET, socket.SOCK_STREAM, 6, "", a) for a in (refused, server.address)]
         monkeypatch.setattr(socket, "getaddrinfo", lambda host, port, **kwargs: both)
-        assert query_prover(("prover.example", 9), 3, family_fingerprint(FAM)) == hash_eval(FAM, X, 3)
+        assert query_prover(("prover.example", 9), 3, FAM.fingerprint) == hash_eval(FAM, X, 3)
 
 
 def test_fingerprint_mismatch_raises():
@@ -197,7 +195,7 @@ def test_out_of_alphabet_answer_raises():
 
 
 def test_server_error_frames_for_bad_clients():
-    fp = family_fingerprint(FAM)
+    fp = FAM.fingerprint
     with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         # version from the future
         with socket.create_connection(server.address, timeout=2) as sock:
@@ -221,7 +219,7 @@ def test_server_error_frames_for_bad_clients():
 
 
 def test_query_prover_surfaces_error_frames():
-    fp = family_fingerprint(FAM)
+    fp = FAM.fingerprint
     with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         with pytest.raises(ProtocolError):
             query_prover(server.address, 99, fp, timeout_ms=2000)
@@ -348,7 +346,7 @@ def _take_hello_then(reply=b"", reset=False):
 
 def test_one_loop_erases_closed_reset_and_silent_provers(monkeypatch):
     x = (1, 2, 3, 4)
-    hello = encode_hello(PROTOCOL_VERSION, family_fingerprint(CHUNK_FAM))
+    hello = encode_hello(PROTOCOL_VERSION, CHUNK_FAM.fingerprint)
     faults = [_take_hello_then(reset=True), None]
     with ProverServer(CHUNK_FAM, chunk_hasher(CHUNK_FAM, (1,))) as honest:
         digest = preprocess("trivial", CHUNK_FAM, x, ChunkPlan(4, 4), rng_seed=0)
@@ -507,7 +505,7 @@ def test_server_threads_have_a_fixed_limit(monkeypatch):
             running[0] -= 1
         return honest(beta)
 
-    fingerprint = family_fingerprint(FAM)
+    fingerprint = FAM.fingerprint
     with ProverServer(FAM, slow) as server, ThreadPoolExecutor(5) as clients:
         futures = [
             clients.submit(query_prover, server.address, beta, fingerprint)
@@ -521,7 +519,7 @@ def test_server_threads_have_a_fixed_limit(monkeypatch):
 def test_idle_peers_do_not_hold_the_server_workers(monkeypatch):
     monkeypatch.setattr(storen.transport, "MAX_SERVER_THREADS", 2)
     monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.3)
-    fingerprint = family_fingerprint(FAM)
+    fingerprint = FAM.fingerprint
     with ProverServer(FAM, chunk_hasher(FAM, X)) as server, contextlib.ExitStack() as idle:
         # two peers that connect and send nothing take both workers
         for _ in range(2):
@@ -555,7 +553,7 @@ def test_closing_the_server_stops_its_workers():
         time.sleep(0.02)
         return honest(beta)
 
-    fingerprint = family_fingerprint(FAM)
+    fingerprint = FAM.fingerprint
     server = ProverServer(FAM, answer).start()
     try:
         with ThreadPoolExecutor(3) as clients:
@@ -578,7 +576,7 @@ def test_close_wakes_every_thread_blocked_in_accept():
         together.wait(timeout=5)  # three sessions at once take four threads
         return honest(beta)
 
-    fingerprint = family_fingerprint(FAM)
+    fingerprint = FAM.fingerprint
     server = ProverServer(FAM, answer).start()
     try:
         with ThreadPoolExecutor(3) as clients:
@@ -606,7 +604,7 @@ def test_an_answerer_error_is_reported_and_its_worker_serves_on(monkeypatch, cap
             raise failures.pop()
         return honest(beta)
 
-    fingerprint = family_fingerprint(FAM)
+    fingerprint = FAM.fingerprint
     with ProverServer(FAM, answer) as server:
         # the failed call hangs up without a reply, an erasure to the verifier
         assert query_prover(server.address, 3, fingerprint) is None
@@ -723,7 +721,7 @@ def test_one_prover_too_few_or_too_many_is_refused_by_the_digest_shape(variant):
     plan = spec.chunk_plan(fam, spec.provers or 3)
     digest = preprocess(variant, fam, x, plan, 5, r=1, e=1)
     shares = spec.shares(fam, x, plan)
-    hashers = [unchecked_hasher(fam, data, start) for data, start in shares]
+    hashers = [lambda beta, hash_at=answerers(fam, [share]): hash_at(beta)[0] for share in shares]
     honest = list(answerers(fam, shares)(digest.beta))
     calls = []
     with contextlib.ExitStack() as stack:
@@ -769,7 +767,7 @@ def test_encode_hello_refuses_a_fingerprint_of_any_other_length():
 
 
 def test_a_trickling_prover_is_erased_at_the_query_deadline():
-    fingerprint = family_fingerprint(FAM)
+    fingerprint = FAM.fingerprint
     transcript = encode_hello(PROTOCOL_VERSION, fingerprint) + encode_response(hash_eval(FAM, X, 3))
     stop = threading.Event()
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -803,7 +801,7 @@ def test_a_trickling_prover_is_erased_at_the_query_deadline():
 
 def test_a_trickling_client_is_dropped_at_the_session_deadline(monkeypatch):
     monkeypatch.setattr(storen.transport, "PEER_TIMEOUT_S", 0.4)
-    hello = encode_hello(PROTOCOL_VERSION, family_fingerprint(FAM))
+    hello = encode_hello(PROTOCOL_VERSION, FAM.fingerprint)
     dropped = None
     with ProverServer(FAM, chunk_hasher(FAM, X)) as server:
         with socket.create_connection(server.address, timeout=2) as sock:

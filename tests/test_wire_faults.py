@@ -19,7 +19,7 @@ import itertools
 import pytest
 
 from storen.errors import ProtocolError
-from storen.hash_families import chunk_hasher, family_fingerprint, polynomial_family
+from storen.hash_families import chunk_hasher, polynomial_family
 from storen.transport import (
     ERR_FINGERPRINT,
     ERR_MALFORMED,
@@ -42,7 +42,7 @@ from storen.transport import (
 )
 
 FAM = polynomial_family(k=2, n=5, q=5)
-FP = family_fingerprint(FAM)
+FP = FAM.fingerprint
 X = (1, 2)
 BETA, ANSWER = 2, 3  # the honest answer to challenge 2
 
