@@ -13,7 +13,7 @@ import math
 import struct
 import sys
 from array import array
-from itertools import compress
+from itertools import compress, repeat
 from operator import mul
 from typing import Callable, Sequence
 
@@ -96,7 +96,7 @@ def tree_reduce(op: Callable, items: Sequence, leaf: Callable = lambda item: ite
     return op(tree_reduce(op, items[:half], leaf), tree_reduce(op, items[half:], leaf))
 
 
-def poly_evaluator(polys: Sequence[Sequence[int]], p: int) -> Callable[[int], list]:
+def poly_evaluator(polys: Sequence, p: int) -> Callable[[int], list]:
     """Pack the coefficient sequences ``polys`` once and return the function
     point -> [sum(c[i] * point**i) mod p for each c in polys].
 
@@ -107,22 +107,37 @@ def poly_evaluator(polys: Sequence[Sequence[int]], p: int) -> Callable[[int], li
     point costs the L = ceil(d/m) powers of u = point**m, one dot product of
     the rows with them, and m*s Horner steps over the lanes.  Every lane
     stays below L*(p-1)**2 < 2**(64*w), so none carries into the next.
+
+    Each sequence is a sequence of ints or a contiguous memoryview of
+    native 64-bit words (format ``"Q"``).  Words are copied into their
+    lanes with one buffer copy each; one sequence of words whose lanes
+    are one word wide (w = 1) already has the packed layout on a
+    little-endian host, so its rows are cut from its own buffer.
     Unchecked: the caller guarantees residues in [0, p), with p < 2**64.
     """
     s, d = len(polys), max(map(len, polys), default=0)
     m = max(1, round(math.sqrt(d / s))) if d else 1
     count = -(-d // m)  # L
     w = max(1, -(-(count * (p - 1) ** 2).bit_length() // 64))
-    flat = array("Q", bytes(8 * count * m * s * w))
-    for j, coeffs in enumerate(polys):
-        # array() has a fast path for a tuple or a list; anything else, such
-        # as a tuple subclass, is read faster through an iterator
-        source = coeffs if type(coeffs) in (tuple, list) else iter(coeffs)
-        flat[j * w : len(coeffs) * s * w : s * w] = array("Q", source)
-    if sys.byteorder == "big":  # the packed ints are little-endian
-        flat.byteswap()
-    width, blob = 8 * m * s * w, memoryview(flat).cast("B")
-    rows = [int.from_bytes(blob[b * width : (b + 1) * width], "little") for b in range(count)]
+    width = 8 * m * s * w
+    if s == w == 1 and isinstance(polys[0], memoryview) and sys.byteorder == "little":
+        view = polys[0].cast("B")  # the last row may be short: its missing lanes are 0
+        rows = [int.from_bytes(view[b * width : (b + 1) * width], "little") for b in range(count)]
+    else:
+        flat = array("Q", bytes(8 * count * m * s * w))
+        for j, coeffs in enumerate(polys):
+            if isinstance(coeffs, memoryview):
+                source = array("Q")
+                source.frombytes(coeffs.cast("B"))
+            else:
+                # array() has a fast path for a tuple or a list; anything
+                # else, such as a checked sequence, is read through an iterator
+                source = array("Q", coeffs if type(coeffs) in (tuple, list) else iter(coeffs))
+            flat[j * w : len(coeffs) * s * w : s * w] = source
+        if sys.byteorder == "big":  # the packed ints are little-endian
+            flat.byteswap()
+        # one C call cuts every row, where a slice per row costs a Python step
+        rows = list(map(int.from_bytes, struct.unpack(f"{width}s" * count, flat), repeat("little")))
     if w == 1:
         unpack = struct.Struct(f"<{m * s}Q").unpack
     else:

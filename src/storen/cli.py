@@ -28,6 +28,7 @@ import os
 import random
 import sys
 import tempfile
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,14 +71,19 @@ def _symbol_byte_width(q: int) -> int:
 
 
 def _read_polynomial_symbols(fam, raw: bytes, count: int) -> CheckedSymbols:
+    """The file's big-endian symbols as native 64-bit words, one
+    extended-slice copy per byte of a symbol, checked by one ``max()``."""
     width = _symbol_byte_width(fam.q)
     if len(raw) != count * width:
         raise UsageError(
             f"data file holds {len(raw)} bytes; expected {count} symbols of "
             f"{width} byte(s) each ({count * width} bytes)"
         )
-    symbols = (int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width))
-    return CheckedSymbols(symbols, fam.q)  # names the position of a symbol out of range
+    words = bytearray(8 * count)
+    for b in range(width):  # byte b of a symbol, most significant first
+        words[width - 1 - b if sys.byteorder == "little" else 8 - width + b::8] = raw[b::width]
+    # names the position of a symbol out of range
+    return CheckedSymbols(memoryview(words).cast("Q"), fam.q)
 
 
 def _read_data(fam, raw: bytes, spec, plan):
@@ -110,12 +116,24 @@ def synthesize_message(fam, seed: int, count=None):
 
     ``count`` overrides the symbol count for the polynomial kind (the
     trivial variant hashes ``provers * k`` symbols) and gives the number of
-    chunk values for karp-rabin.
+    chunk values for karp-rabin.  Polynomial symbols are the values of
+    ``randrange(q)`` on the seeded generator, drawn as CPython's
+    ``_randbelow_with_getrandbits`` draws them, ``getrandbits(bits)`` with
+    bits = q.bit_length() and again while the result is at least q, and
+    written straight into 64-bit words.
     """
     label = f"storen.data:{seed}".encode()
     rng = random.Random(int.from_bytes(hashlib.sha256(label).digest(), "big"))
     if fam.kind == KIND_POLYNOMIAL:
-        return CheckedSymbols((rng.randrange(fam.q) for _ in range(count or fam.k)), fam.q)
+        q, count = fam.q, count or fam.k
+        bits, getrandbits = q.bit_length(), rng.getrandbits
+        words = array("Q", bytes(8 * count))
+        for i in range(count):
+            draw = getrandbits(bits)
+            while draw >= q:
+                draw = getrandbits(bits)
+            words[i] = draw
+        return CheckedSymbols(memoryview(words), q)
     space = fam.message_space
     if count is None:
         return rng.randrange(space)

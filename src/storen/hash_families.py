@@ -19,6 +19,7 @@ import hashlib
 import math
 import operator
 import struct
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -161,28 +162,52 @@ def _check_index(fam: HashFamilyDescriptor, i: int) -> None:
         raise UsageError(f"challenge index must lie in [1, {fam.n}], got {i}")
 
 
-class CheckedSymbols(tuple):
-    """A tuple of symbols known to be ints in [0, ``bound``).
+class CheckedSymbols:
+    """A read-only sequence of symbols known to be ints in [0, ``bound``),
+    held as native 64-bit words, so ``bound`` is at most 2**64.
 
     Building one checks every symbol, so a message checked once can be
     passed on without being scanned again: :func:`check_symbols`, and so
     :func:`validate_message` and :func:`chunk_hasher`, take it as it is when
     ``bound`` is at most the family's q.  :func:`answerers`, the one hasher
-    of checked shares, never scans.  Equality and hashing are those of the
-    tuple; ``bound`` is read-only, and copies and pickles are rebuilt
-    through the check.
+    of checked shares, never scans, and hands :attr:`words` to the kernel
+    without making an int per symbol.  ``symbols`` may be any iterable of
+    ints; a memoryview of 64-bit words (format ``"Q"``) is copied as words,
+    and another instance's words are shared.  Equality and hashing are those of the
+    tuple of the symbols, and a slice is a plain tuple.  Nothing can be
+    assigned, neither a symbol nor ``bound``; the words live in a ``bytes``
+    object, and copies and pickles are rebuilt through the check.
     """
 
+    __slots__ = ("_words", "_bound")
+
     def __new__(cls, symbols: Iterable[int], bound: int):
-        self = super().__new__(cls, symbols)
-        # Plain ints in range, checked at C speed; anything else (bools, a
-        # bad symbol) takes the loop, which also names the offending symbol.
-        if not (set(map(type, self)) == {int} and min(self) >= 0 and max(self) < bound):
-            for position, sym in enumerate(self, start=1):
+        if bound > 2**64:
+            raise UsageError(f"checked symbols are 64-bit words; bound {bound} exceeds 2**64")
+        if isinstance(symbols, CheckedSymbols):
+            words = symbols._words
+        elif isinstance(symbols, memoryview) and symbols.format == "Q":
+            words = _frozen_words(symbols)
+        else:
+            # one pass over an iterator; bytes are one-byte symbols
+            symbols = symbols if type(symbols) in (tuple, list) else list(symbols)
+            words = None
+            if set(map(type, symbols)) <= {int, bool}:  # what array("Q") takes as it is
+                try:
+                    words = _frozen_words(array("Q", symbols))
+                except OverflowError:  # a negative symbol, or one past 64 bits
+                    pass
+        # one max() at C speed; only a failing check scans, to name the symbol
+        if words is None or not max(words, default=0) < bound:
+            for position, sym in enumerate(symbols if words is None else words, start=1):
                 if not isinstance(sym, int) or not 0 <= sym < bound:
                     raise UsageError(
                         f"symbol {position} is {sym!r}, outside the field [0, {bound})"
                     )
+            if words is None:  # int subclasses, all in range
+                words = _frozen_words(array("Q", symbols))
+        self = object.__new__(cls)
+        object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_bound", bound)
         return self
 
@@ -190,13 +215,43 @@ class CheckedSymbols(tuple):
     def bound(self) -> int:
         return self._bound
 
+    @property
+    def words(self) -> memoryview:
+        """The symbols as a read-only memoryview of native 64-bit words, a
+        new view on each call, so releasing it leaves this instance whole."""
+        return self._words[:]
+
     def part(self, start: int, stop: int) -> "CheckedSymbols":
-        """The symbols [start, stop), checked against the same bound.  The
-        one way to build a checked instance without a scan: its symbols
-        were scanned when this one was built."""
-        part = tuple.__new__(CheckedSymbols, self[start:stop])
+        """The symbols [start, stop), checked against the same bound,
+        sharing these words.  The one way to build a checked instance
+        without a scan: its symbols were scanned when this one was built."""
+        part = object.__new__(CheckedSymbols)
+        object.__setattr__(part, "_words", self._words[start:stop])
         object.__setattr__(part, "_bound", self._bound)
         return part
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._words)
+
+    def __getitem__(self, index):
+        item = self._words[index]
+        return tuple(item.tolist()) if isinstance(index, slice) else item
+
+    def __eq__(self, other):
+        if isinstance(other, CheckedSymbols):
+            return self._words == other._words
+        if isinstance(other, tuple):
+            return tuple(self._words.tolist()) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._words.tolist()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self._words.tolist())!r}, {self._bound})"
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -204,7 +259,12 @@ class CheckedSymbols(tuple):
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), (tuple(self), self._bound)
+        return type(self), (tuple(self._words.tolist()), self._bound)
+
+
+def _frozen_words(buffer) -> memoryview:
+    """A read-only memoryview of 64-bit words over a ``bytes`` copy of ``buffer``."""
+    return memoryview(bytes(buffer)).cast("Q")
 
 
 def check_symbols(fam: HashFamilyDescriptor, x) -> CheckedSymbols:
@@ -250,7 +310,7 @@ def hash_all(fam: HashFamilyDescriptor, x: Message) -> tuple[int, ...]:
     """All n hash values of x in index order."""
     x = validate_message(fam, x)
     if fam.kind == KIND_POLYNOMIAL:
-        evaluate = poly_evaluator([x], fam.q)  # packed once, not once per point
+        evaluate = poly_evaluator([x.words], fam.q)  # packed once, not once per point
         return tuple(evaluate(point)[0] for point in range(fam.n))
     return tuple(x % p for p in fam.primes)
 
@@ -287,18 +347,32 @@ def answerers(fam: HashFamilyDescriptor, shares: Sequence) -> Callable[[int], tu
     """The function beta -> the tuple of every share's honest answer h_beta,
     for checked shares ``(data, start)`` as :attr:`protocol.Variant.shares`
     gives them.  Polynomial shares are packed once, together, when this is
-    called, and the zeros below ``start`` shift a share's polynomial by
-    t**start, with t = beta - 1.  The function does not check beta."""
+    called, a :class:`CheckedSymbols` through its words.  The zeros below
+    ``start`` shift a share's polynomial by t**start, with t = beta - 1:
+    the shifts are sorted once, and at each point the answers take one
+    power chain, with one ``pow`` per distinct gap between shifts (one for
+    equal chunks).  The function does not check beta."""
     if fam.kind != KIND_POLYNOMIAL:
         primes = fam.primes
         return lambda beta: tuple(data % primes[beta - 1] for data, _ in shares)
-    q, shifts = fam.q, [start or 0 for _, start in shares]
-    evaluate = poly_evaluator([data for data, _ in shares], q)
+    q = fam.q
+    evaluate = poly_evaluator([data.words if isinstance(data, CheckedSymbols) else data
+                               for data, _ in shares], q)
+    order = sorted(range(len(shares)), key=lambda j: shares[j][1] or 0)
+    shifts = [shares[j][1] or 0 for j in order]
+    chain = list(zip(order, map(operator.sub, shifts, [0, *shifts])))  # (share, gap)
+    gaps = {gap for _, gap in chain if gap}
 
     def hash_at(beta: int) -> tuple:
         point = beta - 1
-        return tuple(pow(point, shift, q) * value % q
-                     for shift, value in zip(shifts, evaluate(point)))
+        values = evaluate(point)
+        steps = {gap: pow(point, gap, q) for gap in gaps}
+        answers, power = [0] * len(values), 1
+        for j, gap in chain:
+            if gap:
+                power = power * steps[gap] % q
+            answers[j] = power * values[j] % q
+        return tuple(answers)
 
     return hash_at
 

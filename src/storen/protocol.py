@@ -32,7 +32,6 @@ import random
 import secrets
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Optional, Sequence, Tuple
 
 from .codes import (
@@ -366,7 +365,7 @@ def _offset_shares(fam, x, plan):
     if plan.symbols != fam.k:
         raise UsageError(f"plan covers {plan.symbols} symbols but the family hashes {fam.k}")
     symbols = validate_message(fam, x)
-    return [(symbols[start:stop], start) for start, stop in plan.all_bounds()]
+    return [(symbols.part(start, stop), start) for start, stop in plan.all_bounds()]
 
 
 def _check_field(digest):
@@ -383,8 +382,9 @@ def _linear_check(digest):
 
 def _linear_expected(fam, shares, shape):
     """The whole-message hash, hashed on its own so that the check does not
-    rest on the chunk hashes."""
-    whole = answerers(fam, [(tuple(chain.from_iterable(data for data, _ in shares)), None)])
+    rest on the chunk hashes: the chunks' words, joined."""
+    words = memoryview(b"".join(data.words for data, _ in shares)).cast("Q")
+    whole = answerers(fam, [(words, None)])
     return lambda beta, answers: whole(beta)
 
 

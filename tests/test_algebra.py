@@ -91,7 +91,8 @@ def test_horner_matches_naive_over_every_remainder_mod_4(p):
         coeffs = [rng.randrange(p) for _ in range(size)]
         for point in {0, 1, p - 1, rng.randrange(p), rng.randrange(p)}:
             expected = naive_poly_eval(coeffs, point, p)
-            for form in (coeffs, tuple(coeffs), CheckedSymbols(coeffs, p)):
+            checked = CheckedSymbols(coeffs, p)
+            for form in (coeffs, tuple(coeffs), checked, checked.words):
                 assert poly_eval(form, point, p) == expected, (size, point, type(form))
 
 
@@ -113,9 +114,13 @@ def test_evaluator_matches_naive_for_shares_of_unequal_length(p):
     for shape in shapes:
         polys = [[rng.randrange(p) for _ in range(size)] for size in shape]
         evaluate = poly_evaluator(polys, p)
+        # the same shares as 64-bit words, cut from one checked message
+        whole = CheckedSymbols([c for poly in polys for c in poly], p)
+        starts = [sum(shape[:j]) for j in range(len(shape) + 1)]
+        words = poly_evaluator([whole.part(a, b).words for a, b in zip(starts, starts[1:])], p)
         for point in {0, 1, p - 1, rng.randrange(p)}:
             expected = [naive_poly_eval(c, point, p) for c in polys]
-            assert evaluate(point) == expected, (shape, point)
+            assert evaluate(point) == words(point) == expected, (shape, point)
 
 
 def test_evaluator_lanes_hold_coefficients_at_their_largest():

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import os
+import random
+import re
 import secrets
 import socket
 import subprocess
@@ -15,7 +17,13 @@ import pytest
 
 import storen
 from storen.adversary import PartialCodeword, ZeroAnswerer, analytic_pass_rate, run_experiment
-from storen.cli import _read_data, build_parser, main, synthesize_message
+from storen.cli import (
+    _read_data,
+    _read_polynomial_symbols,
+    build_parser,
+    main,
+    synthesize_message,
+)
 from storen.errors import UsageError
 from storen.hash_families import (
     KIND_KARP_RABIN,
@@ -344,6 +352,35 @@ def test_an_oversized_karp_rabin_data_file_exits_2(tmp_path, capsys):
         assert err.startswith("error: data value 1 does not fit the message space")
         assert "bits" in err
     assert not (tmp_path / "d.bin").exists()
+
+
+@pytest.mark.parametrize("q, width", [(251, 1), (307, 2), (16000057, 3)])
+def test_the_data_reader_names_the_first_symbol_out_of_range(q, width, scans):
+    fam = polynomial_family(k=5, n=5, q=q)
+    raw = lambda symbols: b"".join(sym.to_bytes(width, "big") for sym in symbols)
+    good = [q - 1, 0, 1, q // 2, 2 ** (8 * width - 8)]
+    assert _read_polynomial_symbols(fam, raw(good), 5) == tuple(good)
+    assert scans[0] == 1  # one max() for the whole file
+    top = 2 ** (8 * width) - 1
+    for position in range(1, 6):
+        for bad in (q, top):
+            symbols = good[:position - 1] + [bad] + [top] * (5 - position)  # later ones bad too
+            with pytest.raises(UsageError, match=re.escape(
+                    f"symbol {position} is {bad}, outside the field [0, {q})")):
+                _read_polynomial_symbols(fam, raw(symbols), 5)
+
+
+@pytest.mark.parametrize("q", [2, 3, 251, 4099, 2**31 - 1, 4294967311, 2**61 - 1,
+                               18446744073709551557])
+def test_synthesized_symbols_are_the_interpreters_randrange_draws(q):
+    # one getrandbits draw per symbol, redrawn while at least q: the stream
+    # of randrange(q) on this interpreter, for one- and two-word draws
+    fam = polynomial_family(k=1, n=2, q=q)
+    for seed in range(4):
+        label = f"storen.data:{seed}".encode()
+        rng = random.Random(int.from_bytes(hashlib.sha256(label).digest(), "big"))
+        assert synthesize_message(fam, seed, count=300) == tuple(
+            rng.randrange(q) for _ in range(300))
 
 
 def test_data_files_and_synthesized_messages_come_out_checked(tmp_path, capsys):

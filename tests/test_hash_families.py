@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import struct
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,24 @@ def test_chunk_hasher_equals_hash_of_zero_extended_chunk():
         assert [hash_at(b) for b in range(1, 7)] == list(hash_all(kr, value))
 
 
+def test_answerers_shift_shares_given_in_any_order():
+    # the offsets take one power chain over the sorted shifts: shares out
+    # of order, unequal gaps, repeated shifts and a share with no offset
+    # all get t**start times their own hash, at every point
+    q = 17
+    fam = polynomial_family(k=12, n=17, q=q)
+    rng = random.Random(17)
+    for starts in ([0, 3, 6, 9], [9, 0, 6, 3], [5, 5, 0, 11], [None, 2, 7], [4, None, 4], [11]):
+        shares = [(CheckedSymbols([rng.randrange(q) for _ in range(rng.randrange(1, 4))], q),
+                   start) for start in starts]
+        hash_at = answerers(fam, shares)
+        for beta in range(1, fam.n + 1):  # beta = 1 is the point 0
+            point = beta - 1
+            expected = tuple(sum(c * point ** ((start or 0) + i) for i, c in enumerate(data)) % q
+                             for data, start in shares)
+            assert hash_at(beta) == expected, (starts, beta)
+
+
 def test_chunk_hasher_validates_once_up_front():
     fam = polynomial_family(k=4, n=5, q=5)
     with pytest.raises(UsageError):
@@ -450,3 +469,44 @@ def test_checked_symbols_survive_copy_and_pickle(clone):
     x = CheckedSymbols([3, 0, 1], 5)
     y = clone(x)
     assert type(y) is CheckedSymbols and y == x and y.bound == 5
+
+
+def test_checked_symbols_refuse_every_mutation():
+    x = CheckedSymbols([3, 0, 1], 5)
+    with pytest.raises(TypeError):
+        x[0] = 4
+    with pytest.raises(TypeError):
+        del x[0]
+    with pytest.raises(TypeError):
+        memoryview(x)  # no writable buffer, and no buffer at all
+    words = x.words
+    assert words.readonly and type(words.obj) is bytes and words.format == "Q"
+    with pytest.raises(TypeError):
+        words[0] = 4
+    with pytest.raises(TypeError):
+        words.cast("B")[0] = 4
+    for name in ("_words", "_bound", "bound", "words", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    words.release()  # each view is its own: releasing one leaves x whole
+    part = x.part(1, 3)
+    assert part == (0, 1) and part.bound == 5 and part.words.obj is x.words.obj
+    assert x == (3, 0, 1) and x.bound == 5 and list(x.words) == [3, 0, 1]
+
+
+def test_checked_symbols_read_words_and_copy_what_could_change(scans):
+    source = array("Q", [3, 0, 1])
+    x = CheckedSymbols(memoryview(source), 5)  # a writable buffer is copied
+    source[0] = 4
+    assert x == (3, 0, 1) and scans[0] == 1
+    y = CheckedSymbols(x, 7)  # another instance's words are shared, and checked
+    assert y == x and y.bound == 7 and y.words.obj is x.words.obj and scans[0] == 2
+    with pytest.raises(UsageError, match=re.escape("symbol 1 is 3, outside the field [0, 3)")):
+        CheckedSymbols(x.words, 3)
+    assert CheckedSymbols([], 5) == () and CheckedSymbols(range(3), 5) == (0, 1, 2)
+    assert CheckedSymbols([2**64 - 1], 2**64)[0] == 2**64 - 1
+    with pytest.raises(UsageError, match=re.escape("exceeds 2**64")):
+        CheckedSymbols([1], 2**64 + 1)
+    assert x[::-1] == (1, 0, 3) and x[-1] == 1 and 0 in x and hash(x[1:]) == hash((0, 1))
